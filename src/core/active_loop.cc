@@ -9,15 +9,7 @@
 namespace alem {
 
 std::string_view WarmStartModeName(WarmStartMode mode) {
-  switch (mode) {
-    case WarmStartMode::kOn:
-      return "on";
-    case WarmStartMode::kAuto:
-      return "auto";
-    case WarmStartMode::kOff:
-      break;
-  }
-  return "off";
+  return mode == WarmStartMode::kOn ? "on" : "off";
 }
 
 bool ParseWarmStartMode(std::string_view name, WarmStartMode* mode) {
@@ -25,8 +17,6 @@ bool ParseWarmStartMode(std::string_view name, WarmStartMode* mode) {
     *mode = WarmStartMode::kOff;
   } else if (name == "on") {
     *mode = WarmStartMode::kOn;
-  } else if (name == "auto") {
-    *mode = WarmStartMode::kAuto;
   } else {
     return false;
   }
@@ -96,22 +86,7 @@ ActiveLearningLoop::ActiveLearningLoop(Learner& learner,
 std::vector<IterationStats> ActiveLearningLoop::Run(ActivePool& pool) {
   LabelingSession session(learner_, selector_, oracle_, evaluator_, pool,
                           config_);
-  while (!session.finished()) {
-    switch (session.state()) {
-      case SessionState::kNeedsStep:
-        ALEM_CHECK(session.Step());
-        break;
-      case SessionState::kBatchReady:
-        session.NextBatch();
-        break;
-      case SessionState::kAwaitingLabels:
-        ALEM_CHECK(session.SubmitLabels());
-        break;
-      default:
-        ALEM_CHECK(false);  // kFinished/kFailed are handled by the loop guard.
-    }
-  }
-  ALEM_CHECK(session.state() == SessionState::kFinished);
+  session.Run();
   return std::move(session).TakeCurve();
 }
 

@@ -46,18 +46,17 @@ struct LoopBudget {
   const LoopBudget& budget() const { return *this; }
 };
 
-// Incremental-engine mode (docs/training.md; --warm-start CLI knob):
-//   kOff  — every iteration refits cold and rescores the full pool; the
-//           exact-replay path the golden baselines are pinned on (default).
-//   kOn   — warm-start refits (FitHint::kWarm) plus the delta-based
-//           incremental progressive-F1 tally. Curves are gated against cold
-//           baselines by F1 tolerance, not bitwise.
-//   kAuto — incremental evaluation only, with cold refits: the model stream
-//           is untouched, so curves stay bitwise-identical to kOff while the
-//           evaluation tally is still O(changed rows).
-enum class WarmStartMode { kOff, kOn, kAuto };
+// Warm-start mode (docs/training.md; --warm-start CLI knob):
+//   kOff  — every iteration refits cold; the exact-replay path the golden
+//           baselines are pinned on (default).
+//   kOn   — refits warm-start from the previous model (FitHint::kWarm).
+//           Curves are gated against cold baselines by F1 tolerance, not
+//           bitwise.
+// Progressive F1 is evaluated incrementally in both modes: the delta tally
+// is exact, so it never moves a curve.
+enum class WarmStartMode { kOff, kOn };
 
-// "off" / "on" / "auto".
+// "off" / "on".
 std::string_view WarmStartModeName(WarmStartMode mode);
 // Parses a mode name; returns false on anything else (*mode untouched).
 bool ParseWarmStartMode(std::string_view name, WarmStartMode* mode);
@@ -70,8 +69,12 @@ struct ActiveLearningConfig : LoopBudget {
   // (0 disables). Section 6.3 of the paper motivates termination criteria
   // that do not require ground truth.
   size_t plateau_window = 0;
-  // Incremental training + evaluation engine mode (see above).
+  // Warm-start refits (see above).
   WarmStartMode warm_start = WarmStartMode::kOff;
+  // Active ensemble of high-precision classifiers (paper §5.2) when > 0:
+  // the precision threshold tau a candidate must clear on its labeled
+  // predicted positives to be accepted. 0 means a plain run.
+  double ensemble_precision = 0.0;
 };
 
 struct IterationStats {
@@ -130,11 +133,10 @@ SeedResult SeedPool(ActivePool& pool, Oracle& oracle, size_t seed_size,
 // Collects interpretability statistics from learners that support them.
 void CollectInterpretability(const Learner& learner, IterationStats* stats);
 
-// One-shot driver over the step-wise LabelingSession (core/session.h). Run
-// seeds the pool, then drives Step / NextBatch / SubmitLabels to termination
-// — it is a thin wrapper kept for the many call sites that want the whole
-// curve in one call; code that needs to pause, snapshot, or feed labels from
-// elsewhere uses LabelingSession directly.
+// One-shot wrapper over the step-wise LabelingSession (core/session.h): Run
+// seeds the pool and runs the session to termination. Code that needs to
+// pause, snapshot, or feed labels from elsewhere uses LabelingSession
+// directly.
 class ActiveLearningLoop {
  public:
   // All references must outlive the loop. The learner is retrained in place

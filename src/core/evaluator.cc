@@ -12,22 +12,10 @@ ProgressiveEvaluator::ProgressiveEvaluator(std::vector<int> truth)
   std::iota(rows_.begin(), rows_.end(), 0u);
 }
 
-BinaryMetrics ProgressiveEvaluator::Evaluate(
-    const std::vector<int>& predictions) const {
-  ALEM_CHECK_EQ(predictions.size(), truth_.size());
-  return ComputeBinaryMetrics(predictions, truth_);
-}
-
 HoldoutEvaluator::HoldoutEvaluator(std::vector<size_t> test_rows,
                                    std::vector<int> truth)
     : rows_(std::move(test_rows)), truth_(std::move(truth)) {
   ALEM_CHECK_EQ(rows_.size(), truth_.size());
-}
-
-BinaryMetrics HoldoutEvaluator::Evaluate(
-    const std::vector<int>& predictions) const {
-  ALEM_CHECK_EQ(predictions.size(), truth_.size());
-  return ComputeBinaryMetrics(predictions, truth_);
 }
 
 }  // namespace alem

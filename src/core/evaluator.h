@@ -1,4 +1,5 @@
-// Evaluators: turn per-iteration model predictions into quality metrics.
+// Evaluators: the pool rows a model is scored on each iteration, with their
+// ground truth (LabelingSession turns predictions into metrics).
 //
 // ProgressiveEvaluator implements the paper's progressive F1: the model is
 // tested on the *entire* post-blocking pair space (labeled + unlabeled) every
@@ -9,9 +10,8 @@
 #ifndef ALEM_CORE_EVALUATOR_H_
 #define ALEM_CORE_EVALUATOR_H_
 
+#include <cstddef>
 #include <vector>
-
-#include "ml/metrics.h"
 
 namespace alem {
 
@@ -22,13 +22,10 @@ class Evaluator {
   // Pool rows the model must be applied to each iteration.
   virtual const std::vector<size_t>& eval_rows() const = 0;
 
-  // Metrics for predictions aligned with eval_rows().
-  virtual BinaryMetrics Evaluate(
-      const std::vector<int>& predictions) const = 0;
-
-  // Ground-truth labels aligned with eval_rows(). Exposed so the session's
-  // incremental progressive-F1 tally (docs/training.md) can adjust TP/FP/FN/
-  // TN counts for only the rows whose prediction changed.
+  // Ground-truth labels aligned with eval_rows(). The session scores
+  // predictions against them with its incremental progressive-F1 tally
+  // (docs/training.md), which adjusts TP/FP/FN/TN counts for only the rows
+  // whose prediction changed.
   virtual const std::vector<int>& eval_truth() const = 0;
 };
 
@@ -38,7 +35,6 @@ class ProgressiveEvaluator final : public Evaluator {
   explicit ProgressiveEvaluator(std::vector<int> truth);
 
   const std::vector<size_t>& eval_rows() const override { return rows_; }
-  BinaryMetrics Evaluate(const std::vector<int>& predictions) const override;
   const std::vector<int>& eval_truth() const override { return truth_; }
 
  private:
@@ -53,7 +49,6 @@ class HoldoutEvaluator final : public Evaluator {
   HoldoutEvaluator(std::vector<size_t> test_rows, std::vector<int> truth);
 
   const std::vector<size_t>& eval_rows() const override { return rows_; }
-  BinaryMetrics Evaluate(const std::vector<int>& predictions) const override;
   const std::vector<int>& eval_truth() const override { return truth_; }
 
  private:

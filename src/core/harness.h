@@ -161,18 +161,16 @@ struct SessionRunInfo {
 bool ReadSessionRunInfo(const SessionSnapshot& snapshot, SessionRunInfo* info,
                         std::string* error);
 
-// Owns one non-ensemble run's environment plus its LabelingSession, and
-// layers run-level snapshotting on top of the session's: Save() adds
-// dataset provenance, the RunConfig, the ApproachSpec, and the metric
-// counter/gauge totals to the session sections; Restore() rebuilds the
-// counters (histograms restart empty — they are latency telemetry, not part
-// of the determinism contract) and the session from them. RunActiveLearning
-// is a thin wrapper over this class.
+// Owns one run's environment plus its LabelingSession, and layers run-level
+// snapshotting on top of the session's: Save() adds dataset provenance, the
+// RunConfig, the ApproachSpec, and the metric counter/gauge totals to the
+// session sections; Restore() rebuilds the counters (histograms restart
+// empty — they are latency telemetry, not part of the determinism contract)
+// and the session from them. RunActiveLearning is a thin wrapper over this
+// class.
 class SessionRunner {
  public:
-  // Fresh run: builds the environment and seeds the session. Ensemble
-  // approaches are not sessionable (ActiveEnsembleLoop owns its own loop);
-  // constructing with one aborts.
+  // Fresh run: builds the environment and seeds the session.
   SessionRunner(const PreparedDataset& data, const RunConfig& config);
 
   // Rebuilds the environment for `data`/`config` (obtained from the
@@ -185,9 +183,8 @@ class SessionRunner {
   LabelingSession& session() { return *session_; }
   const LabelingSession& session() const { return *session_; }
 
-  // Drives the session until it finishes, or — when stop_after > 0 — until
-  // `stop_after` iterations have completed, pausing at the iteration
-  // boundary (the session is then saveable).
+  // LabelingSession::Run: drives the session to the end, or pauses after
+  // `stop_after` > 0 iterations (the session is then saveable).
   void Run(size_t stop_after = 0);
 
   // Session sections + provenance + metrics, as one ALSS container file.

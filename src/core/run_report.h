@@ -1,7 +1,6 @@
 // Builds the obs::RunReport flight-recorder artifact for one
-// RunActiveLearning call: translates the IterationStats curve (produced by
-// either ActiveLearningLoop or ActiveEnsembleLoop), copies the run
-// configuration and dataset provenance, and stamps the observability
+// RunActiveLearning call: translates the IterationStats curve, copies the
+// run configuration and dataset provenance, and stamps the observability
 // rollups (counters, span self-times, peak RSS) from the global
 // registries. Callers that want counters and span rollups populated must
 // enable metrics/tracing before the run (alem_cli --report does).

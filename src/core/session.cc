@@ -89,10 +89,11 @@ class ByteReader {
 
 // ---- Section encodings -------------------------------------------------
 
-// "BCFG": the full ActiveLearningConfig (LoopBudget + seed + plateau +
-// warm-start mode). The warm-start byte is a config knob that changes the
-// result stream (like the seed), so it travels with the session and a
-// resumed run continues in the saved mode.
+// "BCFG": the ActiveLearningConfig (LoopBudget + seed + plateau +
+// warm-start mode; the ensemble threshold travels in "ENSM"). The
+// warm-start byte is a config knob that changes the result stream (like the
+// seed), so it travels with the session and a resumed run continues in the
+// saved mode.
 std::string EncodeConfig(const ActiveLearningConfig& config) {
   ByteWriter w;
   w.U64(config.seed_size);
@@ -119,7 +120,7 @@ bool DecodeConfig(std::string_view blob, ActiveLearningConfig* config) {
   // Optional warm-start byte; snapshots written before the incremental
   // engine end here, meaning "off".
   uint8_t warm = 0;
-  if (!r.AtEnd() && (!r.U8(&warm) || warm > 2)) return false;
+  if (!r.AtEnd() && (!r.U8(&warm) || warm > 1)) return false;
   if (!r.AtEnd()) return false;
   if (batch_size == 0) return false;
   config->seed_size = static_cast<size_t>(seed_size);
@@ -285,10 +286,10 @@ bool DecodePlateau(std::string_view blob, size_t* stable_iterations,
 constexpr uint32_t kEvalAuditInterval = 16;
 
 // "IEVL": the incremental-evaluation cache — previous predictions (u8),
-// their confusion tally, and the audit countdown. Written only when the
-// incremental engine is active; decode failures degrade to a cold cache
-// rather than failing the restore (the cache is an accelerator, not part of
-// the result stream).
+// their confusion tally, and the audit countdown. Written once the first
+// Step has filled it; decode failures degrade to a cold cache rather than
+// failing the restore (the cache is an accelerator, not part of the result
+// stream).
 std::string EncodeEvalCache(const std::vector<uint8_t>& cache, uint64_t tp,
                             uint64_t fp, uint64_t fn, uint64_t tn,
                             uint32_t audit_countdown) {
@@ -333,6 +334,62 @@ bool DecodeEvalCache(std::string_view blob, std::vector<uint8_t>* cache,
   *audit_countdown = countdown;
   return true;
 }
+
+// "ENSM": active-ensemble state — the precision threshold tau, the accepted
+// member count, and the per-pool-row coverage mask (u8 0/1).
+std::string EncodeEnsemble(double precision, size_t accepted,
+                           const std::vector<uint8_t>& covered) {
+  ByteWriter w;
+  w.F64(precision);
+  w.U64(accepted);
+  w.U64(covered.size());
+  std::string out = w.Take();
+  out.append(reinterpret_cast<const char*>(covered.data()), covered.size());
+  return out;
+}
+
+bool DecodeEnsemble(std::string_view blob, size_t pool_size,
+                    double* precision, size_t* accepted,
+                    std::vector<uint8_t>* covered, std::string* error) {
+  ByteReader r(blob);
+  uint64_t count = 0;
+  uint64_t rows = 0;
+  if (!r.F64(precision) || !r.U64(&count) || !r.U64(&rows)) {
+    *error = "session snapshot: truncated ensemble section";
+    return false;
+  }
+  if (!(*precision > 0.0)) {
+    *error = "session snapshot: ensemble precision threshold must be > 0";
+    return false;
+  }
+  if (rows != pool_size) {
+    *error = "session snapshot: ensemble coverage mask has " +
+             std::to_string(rows) + " rows for a pool of " +
+             std::to_string(pool_size);
+    return false;
+  }
+  covered->assign(pool_size, 0);
+  for (uint8_t& flag : *covered) {
+    if (!r.U8(&flag)) {
+      *error = "session snapshot: truncated ensemble section";
+      return false;
+    }
+    if (flag > 1) {
+      *error = "session snapshot: ensemble coverage mask byte out of range";
+      return false;
+    }
+  }
+  if (!r.AtEnd()) {
+    *error = "session snapshot: trailing bytes in ensemble section";
+    return false;
+  }
+  *accepted = static_cast<size_t>(count);
+  return true;
+}
+
+// A candidate's precision is judged only once it predicts at least this many
+// labeled rows positive; fewer would allow acceptance on vacuous evidence.
+constexpr size_t kMinLabeledPositives = 5;
 
 // "SCOR": the session's own progress record.
 std::string EncodeCore(size_t iteration, uint32_t resume_count,
@@ -576,6 +633,7 @@ LabelingSession::LabelingSession(Learner& learner, ExampleSelector& selector,
       config_(config) {
   ALEM_CHECK(selector.CompatibleWith(learner));
   ALEM_CHECK_GT(config.batch_size, 0u);
+  if (ensemble()) ensemble_covered_.assign(pool.size(), 0);
   run_span_ = std::make_unique<obs::ObsSpan>("loop.run", "core");
   if (seed_pool) {
     obs::ObsSpan seed_span("loop.seed", "core");
@@ -599,16 +657,39 @@ bool LabelingSession::Step() {
   stats_.iteration = iteration_;
   stats_.labels_used = pool_.num_labeled();
 
-  // 1. Train on the cumulative labeled data. Mode kOn asks the learner to
-  // warm-start from the previous iteration's model; kOff/kAuto always refit
-  // cold, keeping the model stream bitwise-identical to the baselines.
+  // 1. Train on the cumulative labeled data — for an ensemble, the
+  // candidate on the uncovered rows, and only while they hold both classes.
+  // Mode kOn asks the learner to warm-start from the previous model.
+  const std::vector<int> labels = pool_.ActiveLabeledLabels();
+  trainable_ = !ensemble() ||
+               (std::count(labels.begin(), labels.end(), 1) > 0 &&
+                std::count(labels.begin(), labels.end(), 0) > 0);
+  bool precise = false;
   {
     obs::ObsSpan train_span("loop.train", "core");
-    const FitHint hint = config_.warm_start == WarmStartMode::kOn
-                             ? FitHint::kWarm
-                             : FitHint::kCold;
-    learner_.Fit(pool_.ActiveLabeledFeatures(), pool_.ActiveLabeledLabels(),
-                 hint);
+    if (trainable_) {
+      learner_.Fit(pool_.ActiveLabeledFeatures(), labels,
+                   config_.warm_start == WarmStartMode::kOn ? FitHint::kWarm
+                                                            : FitHint::kCold);
+    }
+    // Ensemble precision gate: judge the candidate on the labeled rows it
+    // predicts positive (their true labels came from the Oracle).
+    if (ensemble() && trainable_ && learner_.trained()) {
+      const std::vector<size_t> rows = pool_.ActiveLabeledRows();
+      std::vector<int> predicted(rows.size());
+      learner_.PredictBatch(pool_.features(), rows, predicted.data());
+      size_t positives = 0;
+      size_t correct = 0;
+      for (size_t i = 0; i < rows.size(); ++i) {
+        if (predicted[i] != 1) continue;
+        ++positives;
+        correct += pool_.LabelOf(rows[i]) == 1 ? 1 : 0;
+      }
+      precise = positives >= kMinLabeledPositives &&
+                static_cast<double>(correct) /
+                        static_cast<double>(positives) >=
+                    config_.ensemble_precision;
+    }
     stats_.train_seconds = train_span.Close();
   }
 
@@ -623,12 +704,21 @@ bool LabelingSession::Step() {
       obs::profile::AddWork(*profiled, eval_rows.size());
     }
     std::vector<int> predictions(eval_rows.size());
-    // One batched sweep through the learner's vector kernel (the fan-out
-    // runs under "ml.batch" inside this evaluate span).
-    learner_.PredictBatch(pool_.features(), eval_rows, predictions.data());
-    stats_.metrics = config_.warm_start != WarmStartMode::kOff
-                         ? EvaluateIncremental(predictions)
-                         : evaluator_.Evaluate(predictions);
+    if (ensemble()) {
+      // The candidate joins the union only while it looks precise (or
+      // before any acceptance, when there is nothing else to report): a
+      // candidate trained on the post-coverage residue would otherwise
+      // pollute the union with false positives.
+      PredictEnsemble(eval_rows,
+                      trainable_ && learner_.trained() &&
+                          (ensemble_accepted_ == 0 || precise),
+                      predictions.data());
+    } else {
+      // One batched sweep through the learner's vector kernel (the fan-out
+      // runs under "ml.batch" inside this evaluate span).
+      learner_.PredictBatch(pool_.features(), eval_rows, predictions.data());
+    }
+    stats_.metrics = EvaluateIncremental(predictions);
     CollectInterpretability(learner_, &stats_);
 
     // Plateau detection: count consecutive iterations whose predictions
@@ -642,6 +732,14 @@ bool LabelingSession::Step() {
       previous_predictions_ = std::move(predictions);
     }
     stats_.evaluate_seconds = evaluate_span.Close();
+  }
+
+  if (ensemble()) {
+    if (precise) AcceptCandidate();
+    static obs::Gauge& accepted_gauge =
+        obs::MetricsRegistry::Global().GetGauge("ensemble.accepted");
+    accepted_gauge.Set(static_cast<double>(ensemble_accepted_));
+    stats_.ensemble_size = ensemble_accepted_;
   }
 
   state_ = SessionState::kBatchReady;
@@ -658,23 +756,19 @@ std::vector<size_t> LabelingSession::NextBatch() {
   // 3. Select the next batch.
   const bool plateaued = config_.plateau_window > 0 &&
                          stable_iterations_ >= config_.plateau_window;
-  const bool budget_exhausted =
-      pool_.num_labeled() + config_.batch_size > config_.max_labels &&
-      pool_.num_labeled() >= config_.max_labels;
+  const bool budget_exhausted = pool_.num_labeled() >= config_.max_labels;
   const bool target_reached =
       config_.target_f1 > 0.0 && stats_.metrics.f1 >= config_.target_f1;
   std::vector<size_t> batch;
   {
     obs::ObsSpan select_span("loop.select", "core");
-    if (!budget_exhausted && !target_reached && !plateaued &&
+    if (!budget_exhausted && !target_reached && !plateaued && trainable_ &&
         !pool_.unlabeled_rows().empty()) {
       SelectionTiming timing;
-      const size_t remaining_budget =
-          config_.max_labels > pool_.num_labeled()
-              ? config_.max_labels - pool_.num_labeled()
-              : 0;
       batch = selector_.Select(
-          learner_, pool_, std::min(config_.batch_size, remaining_budget),
+          learner_, pool_,
+          std::min(config_.batch_size,
+                   config_.max_labels - pool_.num_labeled()),
           &timing);
       stats_.committee_seconds = timing.committee_seconds;
       stats_.scoring_seconds = timing.scoring_seconds;
@@ -754,6 +848,68 @@ bool LabelingSession::SubmitLabels(std::span<const int> labels) {
   return true;
 }
 
+void LabelingSession::Run(size_t stop_after) {
+  while (!finished()) {
+    if (stop_after > 0 && state_ == SessionState::kNeedsStep &&
+        curve_.size() >= stop_after) {
+      return;  // Paused at an iteration boundary; Save() is valid here.
+    }
+    switch (state_) {
+      case SessionState::kNeedsStep:
+        ALEM_CHECK(Step());
+        break;
+      case SessionState::kBatchReady:
+        NextBatch();
+        break;
+      case SessionState::kAwaitingLabels:
+        ALEM_CHECK(SubmitLabels());
+        break;
+      default:
+        ALEM_CHECK(false);  // kFinished/kFailed end the loop above.
+    }
+  }
+  ALEM_CHECK(state_ == SessionState::kFinished);
+}
+
+void LabelingSession::PredictEnsemble(const std::vector<size_t>& rows,
+                                      bool with_candidate, int* out) const {
+  // Gather exactly the rows the candidate must judge (those no accepted
+  // member covers), sweep them in one batch, then scatter back.
+  std::vector<size_t> candidate_rows;
+  std::vector<size_t> slots;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    out[i] = ensemble_covered_[rows[i]];
+    if (out[i] == 0 && with_candidate) {
+      candidate_rows.push_back(rows[i]);
+      slots.push_back(i);
+    }
+  }
+  if (candidate_rows.empty()) return;
+  std::vector<int> predicted(candidate_rows.size());
+  learner_.PredictBatch(pool_.features(), candidate_rows, predicted.data());
+  for (size_t j = 0; j < slots.size(); ++j) out[slots[j]] = predicted[j];
+}
+
+void LabelingSession::AcceptCandidate() {
+  obs::ObsSpan coverage_span("ensemble.coverage", "core");
+  ++ensemble_accepted_;
+  // Scan every row no member covers yet — held-out test rows included:
+  // they are excluded from the start, but the ensemble still predicts them
+  // (Exclude is idempotent).
+  std::vector<size_t> uncovered;
+  uncovered.reserve(pool_.size());
+  for (size_t row = 0; row < pool_.size(); ++row) {
+    if (ensemble_covered_[row] == 0) uncovered.push_back(row);
+  }
+  std::vector<int> predicted(uncovered.size());
+  learner_.PredictBatch(pool_.features(), uncovered, predicted.data());
+  for (size_t j = 0; j < uncovered.size(); ++j) {
+    if (predicted[j] != 1) continue;
+    ensemble_covered_[uncovered[j]] = 1;
+    pool_.Exclude(uncovered[j]);
+  }
+}
+
 void LabelingSession::FinishIteration() {
   static obs::Histogram& wait_histogram =
       obs::MetricsRegistry::Global().GetHistogram(
@@ -805,29 +961,21 @@ BinaryMetrics LabelingSession::EvaluateIncremental(
   // size (tools/trace_summary.py --check).
   pool_rows.Set(static_cast<double>(n));
 
-  auto full_count = [&](uint64_t* tp, uint64_t* fp, uint64_t* fn,
-                        uint64_t* tn) {
-    *tp = *fp = *fn = *tn = 0;
-    for (size_t i = 0; i < n; ++i) {
-      const bool predicted = predictions[i] == 1;
-      const bool actual = truth[i] == 1;
-      uint64_t& bucket = predicted ? (actual ? *tp : *fp)
-                                   : (actual ? *fn : *tn);
-      ++bucket;
-    }
-  };
-
-  if (eval_cache_.size() != n) {
-    // Cold cache (first incremental iteration, or restore fallback): one
-    // full rescore seeds the tally.
-    full_count(&eval_tp_, &eval_fp_, &eval_fn_, &eval_tn_);
+  if (eval_audit_countdown_ == 0 || eval_cache_.size() != n) {
+    // Cold cache (first iteration, or restore fallback): one full rescore
+    // seeds the tally.
+    const BinaryMetrics full = ComputeBinaryMetrics(predictions, truth);
+    eval_tp_ = full.true_positives;
+    eval_fp_ = full.false_positives;
+    eval_fn_ = full.false_negatives;
+    eval_tn_ = full.true_negatives;
     eval_cache_.resize(n);
     for (size_t i = 0; i < n; ++i) {
       eval_cache_[i] = static_cast<uint8_t>(predictions[i] == 1 ? 1 : 0);
     }
     eval_audit_countdown_ = kEvalAuditInterval;
     rescored.Add(n);
-    return MetricsFromCounts(eval_tp_, eval_fp_, eval_fn_, eval_tn_);
+    return full;
   }
 
   // Warm path: move only the changed rows between confusion buckets. The
@@ -858,16 +1006,12 @@ BinaryMetrics LabelingSession::EvaluateIncremental(
   // Periodic audit: recount everything and require exact agreement.
   if (--eval_audit_countdown_ == 0) {
     eval_audit_countdown_ = kEvalAuditInterval;
-    uint64_t tp = 0;
-    uint64_t fp = 0;
-    uint64_t fn = 0;
-    uint64_t tn = 0;
-    full_count(&tp, &fp, &fn, &tn);
+    const BinaryMetrics full = ComputeBinaryMetrics(predictions, truth);
     rescored.Add(n);
-    ALEM_CHECK_EQ(tp, eval_tp_);
-    ALEM_CHECK_EQ(fp, eval_fp_);
-    ALEM_CHECK_EQ(fn, eval_fn_);
-    ALEM_CHECK_EQ(tn, eval_tn_);
+    ALEM_CHECK_EQ(full.true_positives, eval_tp_);
+    ALEM_CHECK_EQ(full.false_positives, eval_fp_);
+    ALEM_CHECK_EQ(full.false_negatives, eval_fn_);
+    ALEM_CHECK_EQ(full.true_negatives, eval_tn_);
   }
   return MetricsFromCounts(eval_tp_, eval_fp_, eval_fn_, eval_tn_);
 }
@@ -893,9 +1037,14 @@ bool LabelingSession::SaveTo(SessionSnapshot* snapshot,
   snapshot->set("LRNR", learner_.SaveModel());
   snapshot->set("SLCT", selector_.SaveState());
   snapshot->set("ORCL", oracle_.SaveState());
-  // The incremental-eval cache travels only when the engine is on and warm:
-  // carrying it keeps eval.rows_rescored identical across save/resume.
-  if (config_.warm_start != WarmStartMode::kOff && !eval_cache_.empty()) {
+  if (ensemble()) {
+    snapshot->set("ENSM", EncodeEnsemble(config_.ensemble_precision,
+                                         ensemble_accepted_,
+                                         ensemble_covered_));
+  }
+  // The incremental-eval cache travels once warm: carrying it keeps
+  // eval.rows_rescored identical across save/resume.
+  if (eval_audit_countdown_ != 0) {
     snapshot->set("IEVL",
                   EncodeEvalCache(eval_cache_, eval_tp_, eval_fp_, eval_fn_,
                                   eval_tn_, eval_audit_countdown_));
@@ -957,7 +1106,18 @@ std::unique_ptr<LabelingSession> LabelingSession::Restore(
   std::unique_ptr<LabelingSession> session(
       new LabelingSession(learner, selector, oracle, evaluator, pool, config,
                           /*seed_pool=*/false));
+  if (snapshot.has("ENSM") &&
+      !DecodeEnsemble(snapshot.section("ENSM"), pool.size(),
+                      &session->config_.ensemble_precision,
+                      &session->ensemble_accepted_,
+                      &session->ensemble_covered_, error)) {
+    return nullptr;
+  }
   if (!ReplayPool(snapshot.section("POOL"), &pool, error)) return nullptr;
+  // Re-apply the ensemble's coverage exclusions.
+  for (size_t row = 0; row < session->ensemble_covered_.size(); ++row) {
+    if (session->ensemble_covered_[row] != 0) pool.Exclude(row);
+  }
   if (!learner.RestoreModel(snapshot.section("LRNR"))) {
     *error = "session snapshot: learner model blob does not match the "
              "configured learner";
@@ -986,8 +1146,7 @@ std::unique_ptr<LabelingSession> LabelingSession::Restore(
   // that still passed the container checksum, or a tally that cannot be
   // right) falls back to a cold cache — the next Step() does one full
   // rescore and re-seeds the tally — rather than failing the restore.
-  if (session->config_.warm_start != WarmStartMode::kOff &&
-      snapshot.has("IEVL")) {
+  if (snapshot.has("IEVL")) {
     if (!DecodeEvalCache(snapshot.section("IEVL"), &session->eval_cache_,
                          &session->eval_tp_, &session->eval_fp_,
                          &session->eval_fn_, &session->eval_tn_,

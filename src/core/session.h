@@ -20,12 +20,22 @@
 //     NextBatch() with an empty batch  -> kFinished  (stop_reason() says why)
 //     invalid transition / bad input   -> recoverable error (state unchanged)
 //
+// With config.ensemble_precision > 0 the session runs an active ensemble of
+// high-precision classifiers (paper §5.2): the learner is a *candidate*
+// retrained on the uncovered labeled rows; once its precision on the labeled
+// rows it predicts positive clears the threshold, it is accepted, every row
+// it predicts positive is covered (excluded from training and selection),
+// and the next candidate learns the remainder. The ensemble predicts the
+// union of its accepted members' positives, plus the candidate's while it
+// looks precise.
+//
 // At any iteration boundary (kNeedsStep or kFinished) the session can be
 // serialized with Save()/SaveTo() and reconstructed in a fresh process with
 // Restore(): learner model, labeled-pool contents, selector + oracle RNG
-// streams, the cumulative IterationStats curve, plateau state, and config
-// all round-trip, so the resumed run's curve and RunReport are
-// bitwise-identical to the uninterrupted run at any thread count.
+// streams, the cumulative IterationStats curve, plateau state, ensemble
+// coverage, and config all round-trip, so the resumed run's curve and
+// RunReport are bitwise-identical to the uninterrupted run at any thread
+// count.
 //
 // Snapshots use the checksummed binary-container conventions of the ALFM
 // feature-cache format: "ALSS" magic, u32 version, u64 payload size, u64
@@ -151,6 +161,12 @@ class LabelingSession {
   // label is rejected recoverably (false, state unchanged).
   bool SubmitLabels(std::span<const int> labels);
 
+  // Drives Step / NextBatch / SubmitLabels (Oracle labels) until the
+  // session finishes or — when stop_after > 0 — until `stop_after`
+  // iterations have completed, pausing at the iteration boundary where
+  // Save() is valid.
+  void Run(size_t stop_after = 0);
+
   // --- Introspection ---
 
   SessionState state() const { return state_; }
@@ -197,14 +213,23 @@ class LabelingSession {
   void Finish(StopReason reason);
   bool Reject(std::string message);
 
-  // Delta-based progressive F1 (warm_start != kOff; docs/training.md):
-  // updates the TP/FP/FN/TN tally for only the rows whose prediction changed
-  // since the cached previous iteration, falling back to a full rescore when
-  // the cache is cold and auditing against one periodically. Counts updated
-  // rows into eval.rows_rescored. Bitwise-equal doubles to a full
-  // Evaluate(): both funnel through MetricsFromCounts.
+  // Delta-based progressive F1 (docs/training.md): updates the TP/FP/FN/TN
+  // tally for only the rows whose prediction changed since the cached
+  // previous iteration, falling back to a full ComputeBinaryMetrics rescore
+  // when the cache is cold and auditing against one periodically. Counts
+  // updated rows into eval.rows_rescored. Bitwise-equal doubles to a full
+  // rescore: both funnel through MetricsFromCounts.
   BinaryMetrics EvaluateIncremental(const std::vector<int>& predictions);
   void ResetEvalCache();
+
+  bool ensemble() const { return config_.ensemble_precision > 0.0; }
+  // The ensemble's prediction for `rows`: 1 where an accepted member covers
+  // the row, else the candidate's prediction when `with_candidate`, else 0.
+  void PredictEnsemble(const std::vector<size_t>& rows, bool with_candidate,
+                       int* out) const;
+  // Accepts the candidate: covers (and excludes from the pool) every
+  // not-yet-covered row it predicts positive.
+  void AcceptCandidate();
 
   Learner& learner_;
   ExampleSelector& selector_;
@@ -228,13 +253,22 @@ class LabelingSession {
   std::vector<int> previous_predictions_;
   size_t stable_iterations_ = 0;
 
-  // Incremental-evaluation cache (warm_start != kOff): the previous
-  // iteration's predictions aligned with evaluator_.eval_rows() (empty =
-  // cold, full rescore next Step), the confusion tally they imply, and the
-  // countdown to the next full-rescore audit. Snapshotted as the "IEVL"
-  // section so eval.rows_rescored stitches exactly across save/resume; a
-  // malformed or absent section degrades to a cold cache, never a restore
-  // failure.
+  // Whether this iteration's candidate was fit (always true for a plain
+  // run; an ensemble fits only while its uncovered labeled rows hold both
+  // classes). NextBatch selects only for a trainable candidate.
+  bool trainable_ = true;
+  // Active-ensemble state (ensemble() only), snapshotted as "ENSM": the
+  // accepted-member count and the per-pool-row coverage mask (1 = some
+  // accepted member predicts the row positive; such rows are excluded).
+  size_t ensemble_accepted_ = 0;
+  std::vector<uint8_t> ensemble_covered_;
+
+  // Incremental-evaluation cache: the previous iteration's predictions
+  // aligned with evaluator_.eval_rows(), the confusion tally they imply,
+  // and the countdown to the next full-rescore audit (0 = cold, full
+  // rescore next Step). Snapshotted as the "IEVL" section so
+  // eval.rows_rescored stitches exactly across save/resume; a malformed or
+  // absent section degrades to a cold cache, never a restore failure.
   std::vector<uint8_t> eval_cache_;
   uint64_t eval_tp_ = 0;
   uint64_t eval_fp_ = 0;

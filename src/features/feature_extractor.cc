@@ -63,18 +63,6 @@ void FeatureExtractor::ExtractPair(const RecordPair& pair, float* out) const {
   CountSimCalls(dim);
 }
 
-float FeatureExtractor::ExtractDim(const RecordPair& pair, size_t dim) const {
-  ALEM_CHECK_LT(dim, num_dims());
-  const size_t column_pair = dim / kNumSimilarityFunctions;
-  const size_t function_index = dim % kNumSimilarityFunctions;
-  const SimilarityFunction* function =
-      AllSimilarityFunctions()[function_index];
-  CountSimCalls(1);
-  return static_cast<float>(function->Similarity(
-      LeftProfile(pair.left, column_pair),
-      RightProfile(pair.right, column_pair)));
-}
-
 void FeatureExtractor::ExtractBatch(std::span<const RecordPair> pairs,
                                     FeatureMatrix* out) const {
   const size_t n = pairs.size();

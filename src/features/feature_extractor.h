@@ -6,9 +6,9 @@
 // column of pairs at a time (structure-of-arrays, chunked over the
 // deterministic thread pool by SimilarityFunction::EvaluateBatch), which is
 // measurably faster than the per-pair loop and bitwise-identical to it.
-// ExtractPair/ExtractDim remain for selection-time blocking (paper §5.1):
-// the blocking dimension of an unlabeled pair can be evaluated without
-// constructing the full feature vector.
+// ExtractPair is that per-pair loop, kept as the reference ExtractBatch is
+// tested and benchmarked against. (Selection-time blocking, paper §5.1,
+// reads its dimensions from the pool's precomputed feature matrix.)
 
 #ifndef ALEM_FEATURES_FEATURE_EXTRACTOR_H_
 #define ALEM_FEATURES_FEATURE_EXTRACTOR_H_
@@ -45,9 +45,6 @@ class FeatureExtractor {
 
   // Extracts the full feature vector of one pair into `out[0..num_dims)`.
   void ExtractPair(const RecordPair& pair, float* out) const;
-
-  // Extracts a single feature dimension of one pair.
-  float ExtractDim(const RecordPair& pair, size_t dim) const;
 
   // Batch extraction plan: fills `out` (resized to pairs.size() x
   // num_dims()) one dimension at a time — for each matched column, the

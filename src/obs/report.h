@@ -200,9 +200,9 @@ struct RunReport {
   // (docs/sessions.md).
   std::string session = "fresh";
   uint64_t session_resumes = 0;
-  // Incremental training + evaluation engine mode the run executed with
-  // ("off", "on", "auto"; docs/training.md). Optional on parse so
-  // pre-warm-start reports stay loadable; defaults to "off".
+  // Warm-start mode the run executed with ("off" or "on";
+  // docs/training.md). Optional on parse so pre-warm-start reports stay
+  // loadable; defaults to "off".
   std::string warm_start = "off";
 
   // curve + summary (required for kind "run")

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "core/evaluator.h"
+#include "ml/metrics.h"
 
 namespace alem {
 namespace {
@@ -16,7 +17,9 @@ TEST(ProgressiveEvaluatorTest, EvalRowsCoverEverything) {
 
 TEST(ProgressiveEvaluatorTest, ComputesMetricsAgainstTruth) {
   ProgressiveEvaluator evaluator({1, 0, 1, 0});
-  const BinaryMetrics m = evaluator.Evaluate({1, 1, 0, 0});
+  EXPECT_EQ(evaluator.eval_truth(), (std::vector<int>{1, 0, 1, 0}));
+  const BinaryMetrics m =
+      ComputeBinaryMetrics({1, 1, 0, 0}, evaluator.eval_truth());
   EXPECT_EQ(m.true_positives, 1u);
   EXPECT_EQ(m.false_positives, 1u);
   EXPECT_EQ(m.false_negatives, 1u);
@@ -27,7 +30,8 @@ TEST(ProgressiveEvaluatorTest, ComputesMetricsAgainstTruth) {
 TEST(ProgressiveEvaluatorTest, PerfectPredictionsGiveF1One) {
   const std::vector<int> truth = {1, 0, 0, 1, 1};
   ProgressiveEvaluator evaluator(truth);
-  EXPECT_DOUBLE_EQ(evaluator.Evaluate(truth).f1, 1.0);
+  EXPECT_DOUBLE_EQ(ComputeBinaryMetrics(truth, evaluator.eval_truth()).f1,
+                   1.0);
 }
 
 TEST(HoldoutEvaluatorTest, EvalRowsAreTheTestSplit) {
@@ -37,7 +41,9 @@ TEST(HoldoutEvaluatorTest, EvalRowsAreTheTestSplit) {
 
 TEST(HoldoutEvaluatorTest, MetricsUseAlignedTruth) {
   HoldoutEvaluator evaluator({3, 7, 9}, {1, 0, 1});
-  const BinaryMetrics m = evaluator.Evaluate({1, 0, 0});
+  EXPECT_EQ(evaluator.eval_truth(), (std::vector<int>{1, 0, 1}));
+  const BinaryMetrics m =
+      ComputeBinaryMetrics({1, 0, 0}, evaluator.eval_truth());
   EXPECT_EQ(m.true_positives, 1u);
   EXPECT_EQ(m.false_negatives, 1u);
   EXPECT_EQ(m.true_negatives, 1u);
@@ -46,7 +52,8 @@ TEST(HoldoutEvaluatorTest, MetricsUseAlignedTruth) {
 TEST(HoldoutEvaluatorTest, EmptySplit) {
   HoldoutEvaluator evaluator({}, {});
   EXPECT_TRUE(evaluator.eval_rows().empty());
-  EXPECT_DOUBLE_EQ(evaluator.Evaluate({}).f1, 0.0);
+  EXPECT_TRUE(evaluator.eval_truth().empty());
+  EXPECT_DOUBLE_EQ(ComputeBinaryMetrics({}, evaluator.eval_truth()).f1, 0.0);
 }
 
 }  // namespace

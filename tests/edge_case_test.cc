@@ -4,13 +4,13 @@
 
 #include <gtest/gtest.h>
 
-#include "core/active_ensemble.h"
 #include "core/active_loop.h"
 #include "core/evaluator.h"
 #include "core/learner.h"
 #include "core/oracle.h"
 #include "core/pool.h"
 #include "core/selector.h"
+#include "core/session.h"
 #include "util/rng.h"
 
 namespace alem {
@@ -130,12 +130,17 @@ TEST(EdgeCaseTest, EnsembleOnAllNegativePool) {
   ProgressiveEvaluator evaluator(problem.truth);
   SvmLearner candidate{LinearSvmConfig{}};
   MarginSelector selector;
-  ActiveEnsembleConfig config;
-  config.base.max_labels = 60;
-  ActiveEnsembleLoop loop(candidate, selector, oracle, evaluator, config);
-  const auto curve = loop.Run(pool);
-  ASSERT_FALSE(curve.empty());
-  EXPECT_EQ(loop.accepted_count(), 0u);
+  ActiveLearningConfig config;
+  config.max_labels = 60;
+  config.ensemble_precision = 0.85;
+  LabelingSession session(candidate, selector, oracle, evaluator, pool,
+                          config);
+  session.Run();
+  // A single-class pool never yields a trainable candidate: nothing is
+  // fit or accepted.
+  ASSERT_FALSE(session.curve().empty());
+  EXPECT_EQ(session.curve().back().ensemble_size, 0u);
+  EXPECT_FALSE(candidate.trained());
 }
 
 TEST(EdgeCaseTest, SeedLargerThanBudgetCountsQueriesOnce) {

@@ -150,17 +150,6 @@ TEST(FeatureExtractorTest, NullAttributeYieldsZeroBlock) {
   }
 }
 
-TEST(FeatureExtractorTest, ExtractDimMatchesFullExtraction) {
-  const EmDataset dataset = MakeDataset();
-  FeatureExtractor extractor(dataset);
-  const RecordPair pair{0, 1};
-  std::vector<float> features(extractor.num_dims());
-  extractor.ExtractPair(pair, features.data());
-  for (size_t d = 0; d < extractor.num_dims(); ++d) {
-    EXPECT_FLOAT_EQ(extractor.ExtractDim(pair, d), features[d]);
-  }
-}
-
 TEST(FeatureExtractorTest, ExtractAllAlignsWithPairs) {
   const EmDataset dataset = MakeDataset();
   FeatureExtractor extractor(dataset);

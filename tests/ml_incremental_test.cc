@@ -11,10 +11,11 @@
 //     equals warm-fitting at n2 directly, bitwise — which proves skipped
 //     (untouched) trees are exactly what a refit would have produced.
 //   * The incremental confusion tally equals a full rescore exactly,
-//     including empty and one-row deltas, and warm_start=auto curves are
-//     bitwise-identical to warm_start=off curves.
-//   * The IEVL snapshot section round-trips, and a corrupt section degrades
-//     to a cold evaluation cache — never a restore failure.
+//     including empty and one-row deltas (every session evaluates through
+//     it; the golden replays pin its curves bitwise).
+//   * Every session writes the IEVL snapshot section once it has evaluated;
+//     the section round-trips, and a corrupt one degrades to a cold
+//     evaluation cache — never a restore failure.
 
 #include <gtest/gtest.h>
 
@@ -408,19 +409,6 @@ std::vector<IterationStats> RunSession(const Problem& problem,
   return std::move(session).TakeCurve();
 }
 
-// `auto` keeps cold refits: the model stream is untouched, so the whole
-// curve must be bitwise-identical to `off` — only the evaluation tally
-// (and its periodic self-audit, which ALEM_CHECKs against a full rescore
-// inside Step) is incremental.
-TEST(WarmStartSessionTest, AutoCurveBitwiseIdenticalToOff) {
-  const Problem problem = MakeProblem(600, 33);
-  const std::vector<IterationStats> off =
-      RunSession(problem, WarmStartMode::kOff);
-  const std::vector<IterationStats> incremental =
-      RunSession(problem, WarmStartMode::kAuto);
-  ExpectCurvesIdentical(off, incremental);
-}
-
 TEST(WarmStartSessionTest, OnCurveConvergesWithinTolerance) {
   const Problem problem = MakeProblem(600, 34);
   const std::vector<IterationStats> off =
@@ -440,7 +428,7 @@ TEST(WarmStartSessionTest, RowsRescoredNeverExceedsPoolPerEval) {
   obs::SetMetricsEnabled(true);
   const Problem problem = MakeProblem(600, 35);
   const std::vector<IterationStats> curve =
-      RunSession(problem, WarmStartMode::kAuto);
+      RunSession(problem, WarmStartMode::kOff);
   const uint64_t rescored =
       obs::MetricsRegistry::Global().GetCounter("eval.rows_rescored").value();
   EXPECT_GT(rescored, 0u);
@@ -529,31 +517,61 @@ TEST(WarmStartSessionTest, CorruptEvalCacheFallsBackCold) {
   ExpectCurvesIdentical(golden, std::move(*resumed).TakeCurve());
 }
 
-// Off-mode sessions write no IEVL section: old-reader compatibility and
-// the exact-replay default are unchanged.
-TEST(WarmStartSessionTest, OffModeWritesNoEvalSection) {
+// Every session evaluates incrementally, so in either warm-start mode the
+// snapshot carries the IEVL section once the first Step has filled the
+// cache (and none before, when there is nothing to carry).
+TEST(WarmStartSessionTest, EverySessionWritesEvalSectionAfterFirstStep) {
   const Problem problem = MakeProblem(600, 37);
-  Env env(problem);
-  LabelingSession session(env.learner, env.selector, env.oracle,
-                          env.evaluator, env.pool,
-                          TestConfig(WarmStartMode::kOff));
-  Drive(&session, 2);
-  SessionSnapshot saved;
-  std::string error;
-  ASSERT_TRUE(session.SaveTo(&saved, &error)) << error;
-  EXPECT_FALSE(saved.has("IEVL"));
+  for (const WarmStartMode mode : {WarmStartMode::kOff, WarmStartMode::kOn}) {
+    SCOPED_TRACE(std::string(WarmStartModeName(mode)));
+    Env env(problem);
+    LabelingSession session(env.learner, env.selector, env.oracle,
+                            env.evaluator, env.pool, TestConfig(mode));
+    SessionSnapshot saved;
+    std::string error;
+    ASSERT_TRUE(session.SaveTo(&saved, &error)) << error;
+    EXPECT_FALSE(saved.has("IEVL"));
+    Drive(&session, 1);
+    ASSERT_TRUE(session.SaveTo(&saved, &error)) << error;
+    EXPECT_TRUE(saved.has("IEVL"));
+  }
 }
 
 TEST(WarmStartModeTest, NamesRoundTrip) {
-  for (const WarmStartMode mode :
-       {WarmStartMode::kOff, WarmStartMode::kOn, WarmStartMode::kAuto}) {
+  for (const WarmStartMode mode : {WarmStartMode::kOff, WarmStartMode::kOn}) {
     WarmStartMode parsed = WarmStartMode::kOff;
     ASSERT_TRUE(ParseWarmStartMode(WarmStartModeName(mode), &parsed));
     EXPECT_EQ(parsed, mode);
   }
   WarmStartMode parsed = WarmStartMode::kOff;
+  EXPECT_FALSE(ParseWarmStartMode("auto", &parsed));
   EXPECT_FALSE(ParseWarmStartMode("warm", &parsed));
   EXPECT_FALSE(ParseWarmStartMode("", &parsed));
+}
+
+// The snapshot's warm-start byte has two valid values; any other (2 was the
+// removed "auto" mode) makes the loop-config section malformed.
+TEST(WarmStartModeTest, UnknownSnapshotModeByteIsMalformed) {
+  const Problem problem = MakeProblem(600, 38);
+  Env env(problem);
+  LabelingSession session(env.learner, env.selector, env.oracle,
+                          env.evaluator, env.pool,
+                          TestConfig(WarmStartMode::kOff));
+  Drive(&session, 1);
+  SessionSnapshot saved;
+  std::string error;
+  ASSERT_TRUE(session.SaveTo(&saved, &error)) << error;
+  std::string config = saved.section("BCFG");
+  config.back() = 2;
+  saved.set("BCFG", config);
+
+  ActiveLearningConfig decoded;
+  EXPECT_FALSE(DecodeSessionLoopConfig(saved, &decoded));
+  Env env2(problem);
+  EXPECT_EQ(LabelingSession::Restore(env2.learner, env2.selector, env2.oracle,
+                                     env2.evaluator, env2.pool, saved, &error),
+            nullptr);
+  EXPECT_NE(error.find("malformed config"), std::string::npos) << error;
 }
 
 }  // namespace

@@ -3,11 +3,14 @@
 // a run paused at ANY iteration boundary and restored into a freshly
 // constructed environment must finish with a curve whose deterministic
 // fields are bitwise-identical to the uninterrupted run's, at any thread
-// count. Corrupt, truncated, and version-skewed snapshots must fail with
-// clean errors, never crashes.
+// count — active-ensemble sessions included. Corrupt, truncated, and
+// version-skewed snapshots must fail with clean errors, never crashes.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -47,6 +50,27 @@ Problem MakeProblem(size_t n, uint64_t seed) {
   return problem;
 }
 
+// Two positive clusters around (0.85, 0.15) and (0.15, 0.85) with negatives
+// in between (core_ensemble_test's problem): no single linear classifier
+// covers both at high precision, so an active ensemble accepts members.
+Problem MakeTwoClusterProblem(size_t n, uint64_t seed) {
+  const double x[] = {0.85, 0.15, 0.45};
+  const double y[] = {0.15, 0.85, 0.45};
+  Rng rng(seed);
+  Problem problem;
+  problem.features = FeatureMatrix(n, 2);
+  problem.truth.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    const size_t kind = std::min<size_t>(i % 10, 2);  // A, B, negative.
+    problem.features.Set(
+        i, 0, static_cast<float>(x[kind] + rng.NextGaussian() * 0.04));
+    problem.features.Set(
+        i, 1, static_cast<float>(y[kind] + rng.NextGaussian() * 0.04));
+    problem.truth[i] = kind < 2 ? 1 : 0;
+  }
+  return problem;
+}
+
 // One run's worth of components, constructed identically every time — the
 // restore contract requires the caller to rebuild the same environment a
 // fresh run would get. NoisyOracle + QBC give both an oracle and a selector
@@ -71,6 +95,12 @@ ActiveLearningConfig TestConfig() {
   config.seed_size = 30;
   config.batch_size = 10;
   config.max_labels = 100;
+  return config;
+}
+
+ActiveLearningConfig EnsembleTestConfig() {
+  ActiveLearningConfig config = TestConfig();
+  config.ensemble_precision = 0.85;
   return config;
 }
 
@@ -149,11 +179,13 @@ TEST(LabelingSessionTest, MatchesActiveLearningLoop) {
 // The tentpole contract: pause at EVERY iteration boundary, round-trip the
 // snapshot through the serialized container, restore into a fresh
 // environment, and finish — the stitched curve must match the
-// uninterrupted run bitwise. Verified at 1 and 4 threads.
-void SaveRestoreAtEveryBoundary(int threads) {
+// uninterrupted run bitwise. Verified at 1 and 4 threads, for a plain run
+// and for an active ensemble (whose later boundaries carry a non-empty
+// coverage mask).
+void SaveRestoreAtEveryBoundary(const Problem& problem,
+                                const ActiveLearningConfig& config,
+                                int threads) {
   parallel::SetNumThreads(threads);
-  const Problem problem = MakeProblem(600, 11);
-  const ActiveLearningConfig config = TestConfig();
 
   Env golden_env(problem);
   LabelingSession golden(golden_env.learner, golden_env.selector,
@@ -164,6 +196,10 @@ void SaveRestoreAtEveryBoundary(int threads) {
   const std::vector<IterationStats> golden_curve =
       std::move(golden).TakeCurve();
   ASSERT_GE(golden_curve.size(), 3u);
+  if (config.ensemble_precision > 0.0) {
+    // Some boundary before the last must follow an acceptance.
+    ASSERT_GE(golden_curve[golden_curve.size() - 2].ensemble_size, 1u);
+  }
 
   for (size_t boundary = 1; boundary < golden_curve.size(); ++boundary) {
     SCOPED_TRACE("boundary " + std::to_string(boundary) + ", threads " +
@@ -202,11 +238,21 @@ void SaveRestoreAtEveryBoundary(int threads) {
 }
 
 TEST(SessionSnapshotTest, SaveRestoreBitwiseEveryBoundarySingleThread) {
-  SaveRestoreAtEveryBoundary(1);
+  SaveRestoreAtEveryBoundary(MakeProblem(600, 11), TestConfig(), 1);
 }
 
 TEST(SessionSnapshotTest, SaveRestoreBitwiseEveryBoundaryFourThreads) {
-  SaveRestoreAtEveryBoundary(4);
+  SaveRestoreAtEveryBoundary(MakeProblem(600, 11), TestConfig(), 4);
+}
+
+TEST(SessionSnapshotTest, EnsembleSaveRestoreBitwiseEveryBoundarySingleThread) {
+  SaveRestoreAtEveryBoundary(MakeTwoClusterProblem(600, 1),
+                             EnsembleTestConfig(), 1);
+}
+
+TEST(SessionSnapshotTest, EnsembleSaveRestoreBitwiseEveryBoundaryFourThreads) {
+  SaveRestoreAtEveryBoundary(MakeTwoClusterProblem(600, 1),
+                             EnsembleTestConfig(), 4);
 }
 
 // A finished session snapshots and restores too (kFinished is an iteration
@@ -327,6 +373,62 @@ TEST(SessionSnapshotTest, RestoreRequiresLabelFreePool) {
                                      &error),
             nullptr);
   EXPECT_NE(error.find("label-free"), std::string::npos) << error;
+}
+
+// A malformed "ENSM" section fails the restore with a specific error, never
+// a crash. Layout: f64 tau, u64 accepted, u64 mask rows, one byte per row.
+TEST(SessionSnapshotTest, MalformedEnsembleSectionFailsRestore) {
+  const Problem problem = MakeTwoClusterProblem(600, 1);
+  Env env(problem);
+  LabelingSession session(env.learner, env.selector, env.oracle,
+                          env.evaluator, env.pool, EnsembleTestConfig());
+  while (session.curve().empty() || session.curve().back().ensemble_size == 0) {
+    ASSERT_FALSE(session.finished());
+    Drive(&session, session.curve().size() + 1);
+  }
+  SessionSnapshot snapshot;
+  std::string error;
+  ASSERT_TRUE(session.SaveTo(&snapshot, &error)) << error;
+  const std::string ensm = snapshot.section("ENSM");
+  ASSERT_EQ(ensm.size(), 24 + problem.truth.size());
+
+  // Restores with `payload` as the ENSM section; the error, "" on success.
+  auto restore_error = [&](const std::string& payload) {
+    SessionSnapshot bad = snapshot;
+    bad.set("ENSM", payload);
+    Env fresh(problem);
+    std::string message;
+    LabelingSession::Restore(fresh.learner, fresh.selector, fresh.oracle,
+                             fresh.evaluator, fresh.pool, bad, &message);
+    return message;
+  };
+
+  // Wrong mask length: the row count disagrees with the pool.
+  std::string bad = ensm;
+  const uint64_t rows = problem.truth.size() + 1;
+  std::memcpy(bad.data() + 16, &rows, sizeof(rows));
+  EXPECT_NE(restore_error(bad).find("coverage mask has 601 rows"),
+            std::string::npos);
+  // A mask byte other than 0/1.
+  bad = ensm;
+  bad[24] = 2;
+  EXPECT_NE(restore_error(bad).find("mask byte out of range"),
+            std::string::npos);
+  // Truncation, inside the header and inside the mask.
+  for (const size_t length : {size_t{12}, ensm.size() - 1}) {
+    EXPECT_NE(restore_error(ensm.substr(0, length))
+                  .find("truncated ensemble section"),
+              std::string::npos);
+  }
+  // tau <= 0 or NaN.
+  for (const double tau : {0.0, -0.5, std::nan("")}) {
+    bad = ensm;
+    std::memcpy(bad.data(), &tau, sizeof(tau));
+    EXPECT_NE(restore_error(bad).find("precision threshold must be > 0"),
+              std::string::npos);
+  }
+  // The untouched section still restores.
+  EXPECT_EQ(restore_error(ensm), "");
 }
 
 // ---- State-machine rejections -----------------------------------------

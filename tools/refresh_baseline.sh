@@ -1,8 +1,9 @@
 #!/bin/sh
 # Regenerates the golden RunReport baselines that the `report` ctest label
 # gates against (bench/baselines/cli_abtbuy_*.report.json): one per golden
-# workload — linear-margin (margin selection), trees5 (forest + QBC), and
-# linear-qbc4 (bootstrap committee).
+# workload — linear-margin (margin selection), trees5 (forest + QBC),
+# linear-qbc4 (bootstrap committee), and linear-margin-ensemble (active
+# ensemble; accepts its first member at iteration 3).
 #
 # Run this after a change that *intentionally* moves a learning curve or a
 # pipeline counter (new featurizer, different seeding, selector fixes) so
@@ -19,10 +20,10 @@
 # portable reference path regardless of the refreshing host's CPU; the
 # SIMD backends are required to reproduce these curves bitwise anyway
 # (docs/kernels.md), and report_gate.sh stage 7 enforces that. They are
-# also pinned to --warm-start=off (cold refits + full rescores, immune to
-# any ALEM_WARM_START in the refreshing environment): the baselines define
-# the exact-replay contract, and the incremental engine is gated against
-# them by report_gate.sh stage 10 (docs/training.md).
+# also pinned to --warm-start=off (cold refits, immune to any
+# ALEM_WARM_START in the refreshing environment): the baselines define the
+# exact-replay contract, and warm refits are gated by F1 tolerance in
+# report_gate.sh stage 10 instead (docs/training.md).
 #
 # Usage: tools/refresh_baseline.sh [BUILD_DIR]   (default: build)
 set -eu
@@ -46,7 +47,7 @@ fi
 mkdir -p "$baseline_dir"
 # The exact workloads the report_gate test replays: small enough to run in
 # seconds, deterministic at any thread count.
-for approach in linear-margin trees5 linear-qbc4; do
+for approach in linear-margin trees5 linear-qbc4 linear-margin-ensemble; do
   name="$(printf '%s' "$approach" | tr '-' '_')"
   baseline="$baseline_dir/cli_abtbuy_$name.report.json"
   mkdir -p "$work/cache_$name"

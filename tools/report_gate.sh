@@ -12,10 +12,11 @@
 #   2. Cache warmth: rerunning the same workload against the now-warm
 #      cache must produce a bitwise-identical curve, report
 #      config.cache="hit", and count exactly one featurize.cache.hit.
-#   3. Quality + counters: fresh runs of all three golden workloads
-#      (linear-margin, trees5, linear-qbc4) must match their committed
-#      baselines within the F1 tolerance with every counter exact
-#      (--counter-tol=0, including featurize.cache.*).
+#   3. Quality + counters: fresh runs of all four golden workloads
+#      (linear-margin, trees5, linear-qbc4, linear-margin-ensemble) must
+#      replay their committed baselines with the curve exact and every
+#      counter exact (--exact-curve --counter-tol=0, including
+#      featurize.cache.*).
 #   4. Sensitivity: a baseline whose F1 is perturbed beyond tolerance
 #      must make the check FAIL (guards against a gate that passes
 #      everything).
@@ -29,9 +30,9 @@
 #      present in both (deterministic structure), p95s within a generous
 #      tolerance — and a perturbed-latency baseline must make
 #      `check --latency-p95-tol=0` FAIL.
-#   7. Kernel backends: scalar-forced reruns of all three golden
-#      workloads must replay their committed baselines with every
-#      counter exact, and each additional backend reported by
+#   7. Kernel backends: scalar-forced reruns of all four golden
+#      workloads must replay their committed baselines with the curve and
+#      every counter exact, and each additional backend reported by
 #      `alem_cli kernels` must reproduce the scalar linear-margin curve
 #      bitwise (--exact-curve --counter-tol=0) while stamping its name
 #      into config.kernel_backend — the end-to-end counterpart of the
@@ -44,19 +45,21 @@
 #      unavailable, and aggregate into the BENCH trajectory
 #      (docs/observability.md, "Profiling").
 #   9. Resumable sessions: the golden linear-margin workload saved after
-#      2 iterations (`alem_cli session save`) and resumed in a fresh
-#      4-thread process must produce a stitched report that replays the
-#      committed uninterrupted baseline with the curve exact and every
-#      counter exact (--exact-curve --counter-tol=0), stamped
-#      config.session="resumed" / session_resumes=1 (docs/sessions.md).
-#  10. Incremental engine (docs/training.md): a --warm-start=auto run must
-#      replay the committed cold baseline bitwise (cold refits +
-#      incremental tally == exact replay); a --warm-start=on run must stay
-#      within the F1 tolerance of it with warm/cold fit counters
+#      2 iterations (`alem_cli session save`) and the golden ensemble
+#      saved after 3 (its first member accepted, so the ENSM coverage
+#      mask is non-empty), each resumed in a fresh 4-thread process, must
+#      produce stitched reports that replay the committed uninterrupted
+#      baselines with the curve exact and every counter exact
+#      (--exact-curve --counter-tol=0), stamped config.session="resumed" /
+#      session_resumes=1 (docs/sessions.md).
+#  10. Warm start (docs/training.md): a --warm-start=on run must stay
+#      within the F1 tolerance of a cold run with warm/cold fit counters
 #      consistent and config.warm_start stamped; and the warm run paused
 #      after 2 iterations and resumed in a fresh process must replay the
 #      uninterrupted warm run bitwise (warm refits are restartable; the
-#      IEVL section stitches eval.rows_rescored exactly).
+#      IEVL section stitches eval.rows_rescored exactly). Stages 3, 7 and
+#      9 already replay the cold baselines through the incremental
+#      evaluator every run uses.
 set -eu
 
 build_dir="${1:-build}"
@@ -76,7 +79,8 @@ trap 'rm -rf "$work"' EXIT
 for f in "$cli" "$report_tool" \
     "$baseline_dir/cli_abtbuy_linear_margin.report.json" \
     "$baseline_dir/cli_abtbuy_trees5.report.json" \
-    "$baseline_dir/cli_abtbuy_linear_qbc4.report.json"; do
+    "$baseline_dir/cli_abtbuy_linear_qbc4.report.json" \
+    "$baseline_dir/cli_abtbuy_linear_margin_ensemble.report.json"; do
   if [ ! -e "$f" ]; then
     echo "error: missing $f" >&2
     exit 1
@@ -119,8 +123,8 @@ assert warm["counters"].get("featurize.cache.hit") == 1, warm["counters"]
 assert warm["counters"].get("featurize.cache.miss", 0) == 0, warm["counters"]
 EOF
 
-echo "[3/10] quality: three golden workloads within tolerance, counters exact"
-for approach in linear-margin trees5 linear-qbc4; do
+echo "[3/10] quality: four golden workloads replay exactly, counters exact"
+for approach in linear-margin trees5 linear-qbc4 linear-margin-ensemble; do
   name="$(printf '%s' "$approach" | tr '-' '_')"
   candidate="$work/cand_$name.report.json"
   if [ "$approach" = "linear-margin" ]; then
@@ -131,7 +135,7 @@ for approach in linear-margin trees5 linear-qbc4; do
   fi
   "$report_tool" check \
       "$baseline_dir/cli_abtbuy_$name.report.json" "$candidate" \
-      --counter-tol=0
+      --exact-curve --counter-tol=0
 done
 
 echo "[4/10] sensitivity: perturbed baseline must fail the check"
@@ -218,16 +222,17 @@ fi
 echo "perturbed latency baseline rejected as expected"
 
 echo "[7/10] kernel backends: scalar golden replay, per-backend equivalence"
-# Scalar-forced cold runs must replay all three committed baselines with
-# every counter exact — pins the scalar reference path end to end.
-for approach in linear-margin trees5 linear-qbc4; do
+# Scalar-forced cold runs must replay all four committed baselines with
+# the curve and every counter exact — pins the scalar reference path end to
+# end.
+for approach in linear-margin trees5 linear-qbc4 linear-margin-ensemble; do
   name="$(printf '%s' "$approach" | tr '-' '_')"
   mkdir -p "$work/cache_scalar_$name"
   run_cli "$approach" 1 "$work/scalar_$name.report.json" \
       --cache-dir="$work/cache_scalar_$name" --kernel-backend=scalar
   "$report_tool" check \
       "$baseline_dir/cli_abtbuy_$name.report.json" \
-      "$work/scalar_$name.report.json" --counter-tol=0
+      "$work/scalar_$name.report.json" --exact-curve --counter-tol=0
 done
 # Every additional backend this host offers must reproduce the scalar
 # linear-margin curve bitwise and stamp itself into config.kernel_backend.
@@ -341,26 +346,32 @@ mkdir -p "$work/cache_session"
     "$work/resumed.report.json" --exact-curve --counter-tol=0
 python3 "$repo_root/tools/trace_summary.py" --check \
     --report "$work/resumed.report.json"
-python3 - "$work/resumed.report.json" <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    report = json.load(f)
-config = report["config"]
-assert config.get("session") == "resumed", config.get("session")
-assert config.get("session_resumes") == 1, config.get("session_resumes")
-EOF
-echo "resumed run replays the golden baseline exactly"
-
-echo "[10/10] incremental engine: auto bitwise, warm gated, warm resume"
-# auto = incremental evaluation with cold refits: the model stream is
-# untouched, so the curve and every baseline counter must replay the
-# committed cold baseline exactly.
-mkdir -p "$work/cache_warm_auto"
-run_cli linear-margin 1 "$work/warm_auto.report.json" \
-    --cache-dir="$work/cache_warm_auto" --warm-start=auto
+# The golden ensemble, paused after its first acceptance (iteration 3):
+# the ENSM section carries the coverage mask into the resumed process.
+mkdir -p "$work/cache_session_ensemble"
+"$cli" session save --dataset=Abt-Buy --approach=linear-margin-ensemble \
+    --scale=0.25 --max-labels=60 --threads=1 \
+    --cache-dir="$work/cache_session_ensemble" \
+    --snapshot="$work/gate_ensemble.alss" --stop-after=3 > /dev/null
+"$cli" session resume --snapshot="$work/gate_ensemble.alss" --threads=4 \
+    --no-cache --quiet --report="$work/resumed_ensemble.report.json" \
+    > /dev/null
 "$report_tool" check \
-    "$baseline_dir/cli_abtbuy_linear_margin.report.json" \
-    "$work/warm_auto.report.json" --exact-curve --counter-tol=0
+    "$baseline_dir/cli_abtbuy_linear_margin_ensemble.report.json" \
+    "$work/resumed_ensemble.report.json" --exact-curve --counter-tol=0
+python3 - "$work/resumed.report.json" "$work/resumed_ensemble.report.json" \
+    <<'EOF'
+import json, sys
+for path in sys.argv[1:]:
+    with open(path) as f:
+        report = json.load(f)
+    config = report["config"]
+    assert config.get("session") == "resumed", config.get("session")
+    assert config.get("session_resumes") == 1, config.get("session_resumes")
+EOF
+echo "resumed runs replay the golden baselines exactly"
+
+echo "[10/10] warm start: warm gated, warm resume"
 # on = warm refits: the curve is gated against a cold run by F1 tolerance,
 # not bitwise. The comparison runs at 150 labels against a freshly
 # generated cold reference rather than the committed 60-label baseline:
@@ -384,26 +395,20 @@ run_cli linear-margin 1 "$work/warm_on.report.json" \
     --cache-dir="$work/cache_warm_on" --warm-start=on
 python3 "$repo_root/tools/trace_summary.py" --check \
     --report "$work/warm_on.report.json"
-python3 - "$work/warm_on.report.json" "$work/warm_auto.report.json" <<'EOF'
+python3 - "$work/warm_on.report.json" <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
     on = json.load(f)
-with open(sys.argv[2]) as f:
-    auto = json.load(f)
 assert on["config"].get("warm_start") == "on", on["config"]
-assert auto["config"].get("warm_start") == "auto", auto["config"]
-for report, label in ((on, "on"), (auto, "auto")):
-    c = report["counters"]
-    fits = c.get("ml.fit_calls", 0)
-    warm = c.get("ml.warm_fits", 0)
-    cold = c.get("ml.cold_fits", 0)
-    assert fits > 0 and warm + cold == fits, (
-        f"{label}: warm {warm} + cold {cold} != fit_calls {fits}")
-    assert c.get("eval.rows_rescored", 0) > 0, f"{label}: no rescore counter"
+c = on["counters"]
+fits = c.get("ml.fit_calls", 0)
+warm = c.get("ml.warm_fits", 0)
+cold = c.get("ml.cold_fits", 0)
+assert fits > 0 and warm + cold == fits, (
+    f"warm {warm} + cold {cold} != fit_calls {fits}")
+assert c.get("eval.rows_rescored", 0) > 0, "no rescore counter"
 # Warm mode must actually take the warm path after the first (cold) fit.
-assert on["counters"]["ml.warm_fits"] == on["counters"]["ml.fit_calls"] - 1, \
-    on["counters"]
-assert auto["counters"].get("ml.warm_fits", 0) == 0, auto["counters"]
+assert warm == fits - 1, c
 EOF
 # Warm save/resume: pause the warm run after 2 iterations and resume in a
 # fresh process — the stitched report must replay the uninterrupted warm

@@ -467,8 +467,8 @@ def check_report_warm_start(report, kind):
     The fit-path split must tally: every Learner::Fit lands in exactly one
     of ml.warm_fits / ml.cold_fits, so their sum equals ml.fit_calls
     whenever the split counters are present. config.warm_start (optional
-    on old reports) must be a known mode; with the engine off no warm fit
-    and no incremental rescore may be recorded, and with it on/auto a
+    on old reports) must be "off" or "on", and with it off no warm fit may
+    be recorded. Progressive F1 is always evaluated incrementally, so a
     "run" report must have rescored something, bounded per evaluation by
     the pool size: each of the curve's evaluations rescores at most the
     full pool once, plus at most one full-rescore audit, so the counter
@@ -484,31 +484,20 @@ def check_report_warm_start(report, kind):
         failures.append(f"ml.warm_fits {warm} + ml.cold_fits {cold} != "
                         f"ml.fit_calls {fits}")
     mode = report.get("config", {}).get("warm_start", "off")
-    if mode not in ("off", "on", "auto"):
-        failures.append(f"config.warm_start is '{mode}' (expected "
-                        "off/on/auto)")
+    if mode not in ("off", "on"):
+        failures.append(f"config.warm_start is '{mode}' (expected off/on)")
         return failures
-    rescored = counters.get("eval.rows_rescored", 0)
-    if mode == "off":
-        if warm > 0:
-            failures.append(f"config.warm_start is 'off' but ml.warm_fits "
-                            f"is {warm}")
-        if rescored > 0:
-            failures.append("config.warm_start is 'off' but "
-                            f"eval.rows_rescored is {rescored}")
-        return failures
-    if mode == "auto" and warm > 0:
-        failures.append(f"config.warm_start is 'auto' (cold refits) but "
-                        f"ml.warm_fits is {warm}")
+    if mode == "off" and warm > 0:
+        failures.append(f"config.warm_start is 'off' but ml.warm_fits "
+                        f"is {warm}")
     if kind == "run":
-        if rescored <= 0:
-            failures.append(f"config.warm_start is '{mode}' but "
-                            "eval.rows_rescored is zero or missing")
+        rescored = counters.get("eval.rows_rescored", 0)
         pool_rows = report.get("gauges", {}).get("eval.pool_rows", 0)
         iterations = len(report.get("curve", []))
+        if rescored <= 0:
+            failures.append("eval.rows_rescored is zero or missing")
         if pool_rows <= 0:
-            failures.append(f"config.warm_start is '{mode}' but the "
-                            "eval.pool_rows gauge is zero or missing")
+            failures.append("the eval.pool_rows gauge is zero or missing")
         elif rescored > 2 * iterations * pool_rows:
             failures.append(f"eval.rows_rescored {rescored} exceeds "
                             f"2 * {iterations} iterations * "
