@@ -958,7 +958,7 @@ BinaryMetrics LabelingSession::EvaluateIncremental(
       obs::MetricsRegistry::Global().GetGauge("eval.pool_rows");
   const size_t n = predictions.size();
   // Published so tooling can bound eval.rows_rescored against the pool
-  // size (tools/trace_summary.py --check).
+  // size (obs::ValidateReport).
   pool_rows.Set(static_cast<double>(n));
 
   if (eval_audit_countdown_ == 0 || eval_cache_.size() != n) {

@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <tuple>
+#include <type_traits>
 
 #include "obs/profile.h"
 #include "util/json.h"
@@ -408,96 +411,176 @@ std::string ReportToJson(const RunReport& report) {
 
 namespace {
 
-// Field extraction with required-field accounting: every miss appends to
-// *missing so the error message names all absent fields at once.
-struct FieldReader {
-  const JsonValue& object;
-  std::string* missing;
-  std::string context;
+// Every absent required field and every present field of the wrong type or
+// range is listed, so one error message names all bad fields at once.
+struct SchemaErrors {
+  std::string missing;
+  std::string invalid;
 
-  const JsonValue* Get(const char* key, bool required) const {
-    const JsonValue* value = object.Find(key);
-    if (value == nullptr && required) {
-      if (!missing->empty()) missing->append(", ");
-      missing->append(context + key);
+  static void Append(std::string* list, const std::string& item) {
+    if (!list->empty()) list->append(", ");
+    list->append(item);
+  }
+  void Missing(const std::string& field) { Append(&missing, field); }
+  void Invalid(const std::string& field, const char* expected) {
+    Append(&invalid, field + " (expected " + expected + ")");
+  }
+  std::string Message() const {
+    std::string message;
+    if (!missing.empty()) message = "missing required fields: " + missing;
+    if (!invalid.empty()) {
+      if (!message.empty()) message.append("; ");
+      message.append("invalid fields: " + invalid);
     }
-    return value;
-  }
-
-  std::string String(const char* key, bool required = true) const {
-    const JsonValue* v = Get(key, required);
-    return (v != nullptr && v->is_string()) ? v->string_value() : "";
-  }
-  double Number(const char* key, bool required = true) const {
-    const JsonValue* v = Get(key, required);
-    return (v != nullptr && v->is_number()) ? v->number_value() : 0.0;
-  }
-  uint64_t Uint(const char* key, bool required = true) const {
-    const double v = Number(key, required);
-    return v > 0 ? static_cast<uint64_t>(v + 0.5) : 0;
-  }
-  bool Bool(const char* key, bool required = true) const {
-    const JsonValue* v = Get(key, required);
-    return v != nullptr && v->is_bool() && v->bool_value();
+    return message;
   }
 };
 
-bool ParseIteration(const JsonValue& value, ReportIteration* it,
-                    std::string* missing) {
-  if (!value.is_object()) return false;
-  FieldReader reader{value, missing, "curve[]."};
-  it->iteration = reader.Uint("iteration");
-  it->labels_used = reader.Uint("labels_used");
-  it->precision = reader.Number("precision");
-  it->recall = reader.Number("recall");
-  it->f1 = reader.Number("f1");
-  it->train_seconds = reader.Number("train_seconds");
-  it->evaluate_seconds = reader.Number("evaluate_seconds");
-  it->select_seconds = reader.Number("select_seconds");
-  it->committee_seconds = reader.Number("committee_seconds");
-  it->scoring_seconds = reader.Number("scoring_seconds");
-  it->label_seconds = reader.Number("label_seconds");
-  it->wait_seconds = reader.Number("wait_seconds");
-  it->scored_examples = reader.Uint("scored_examples");
-  it->pruned_examples = reader.Uint("pruned_examples");
-  it->dnf_atoms = reader.Uint("dnf_atoms");
-  it->tree_depth = static_cast<int>(reader.Number("tree_depth"));
-  it->ensemble_size = reader.Uint("ensemble_size");
-  return true;
+const char* KindName(JsonValue::Kind kind) {
+  switch (kind) {
+    case JsonValue::Kind::kBool: return "a boolean";
+    case JsonValue::Kind::kNumber: return "a number";
+    case JsonValue::Kind::kString: return "a string";
+    case JsonValue::Kind::kArray: return "an array";
+    case JsonValue::Kind::kObject: return "an object";
+    case JsonValue::Kind::kNull: break;
+  }
+  return "null";
+}
+
+// An unsigned field's value: a JSON number that is a non-negative integer
+// below 2^64; anything else is recorded as invalid and reads as 0.
+uint64_t ToUint(const JsonValue& value, const std::string& field,
+                SchemaErrors* errors) {
+  const double v = value.is_number() ? value.number_value() : -1.0;
+  if (!(v >= 0.0 && v < 18446744073709551616.0 && std::floor(v) == v)) {
+    errors->Invalid(field, "a non-negative integer");
+    return 0;
+  }
+  return static_cast<uint64_t>(v);
+}
+
+// Typed member access on one JSON object; `context` prefixes field names
+// in error messages ("config.", "spans[3].").
+struct FieldReader {
+  const JsonValue& object;
+  SchemaErrors* errors;
+  std::string context;
+
+  // The member `key`; nullptr (recorded when required) if absent.
+  const JsonValue* Find(const char* key, bool required) const {
+    const JsonValue* value = object.Find(key);
+    if (value == nullptr && required) errors->Missing(context + key);
+    return value;
+  }
+  // The member `key` if it has `kind`; a member of another kind is
+  // recorded as invalid and reads as absent.
+  const JsonValue* Get(const char* key, JsonValue::Kind kind,
+                       bool required = true) const {
+    const JsonValue* value = Find(key, required);
+    if (value != nullptr && value->kind() != kind) {
+      errors->Invalid(context + key, KindName(kind));
+      return nullptr;
+    }
+    return value;
+  }
+  std::string String(const char* key, bool required = true) const {
+    const JsonValue* v = Get(key, JsonValue::Kind::kString, required);
+    return v != nullptr ? v->string_value() : "";
+  }
+  double Number(const char* key) const {
+    const JsonValue* v = Get(key, JsonValue::Kind::kNumber);
+    return v != nullptr ? v->number_value() : 0.0;
+  }
+  uint64_t Uint(const char* key, bool required = true) const {
+    const JsonValue* v = Find(key, required);
+    return v != nullptr ? ToUint(*v, context + key, errors) : 0;
+  }
+  // An unsigned field held in an int.
+  int Int(const char* key) const {
+    const uint64_t v = Uint(key);
+    if (v > static_cast<uint64_t>(std::numeric_limits<int>::max())) {
+      errors->Invalid(context + key, "an integer below 2^31");
+      return 0;
+    }
+    return static_cast<int>(v);
+  }
+  bool Bool(const char* key) const {
+    const JsonValue* v = Get(key, JsonValue::Kind::kBool);
+    return v != nullptr && v->bool_value();
+  }
+};
+
+// Calls `read` with a reader over each element of `array` (nullptr = the
+// array is absent); a non-object element is recorded as invalid.
+template <typename ReadFn>
+void ForEachObject(const JsonValue* array, const std::string& name,
+                   SchemaErrors* errors, ReadFn read) {
+  if (array == nullptr) return;
+  for (size_t i = 0; i < array->array().size(); ++i) {
+    const std::string element = name + "[" + std::to_string(i) + "]";
+    if (!array->array()[i].is_object()) {
+      errors->Invalid(element, "an object");
+      continue;
+    }
+    read(FieldReader{array->array()[i], errors, element + "."});
+  }
+}
+
+ReportIteration ParseIteration(const FieldReader& reader) {
+  ReportIteration it;
+  it.iteration = reader.Uint("iteration");
+  it.labels_used = reader.Uint("labels_used");
+  it.precision = reader.Number("precision");
+  it.recall = reader.Number("recall");
+  it.f1 = reader.Number("f1");
+  it.train_seconds = reader.Number("train_seconds");
+  it.evaluate_seconds = reader.Number("evaluate_seconds");
+  it.select_seconds = reader.Number("select_seconds");
+  it.committee_seconds = reader.Number("committee_seconds");
+  it.scoring_seconds = reader.Number("scoring_seconds");
+  it.label_seconds = reader.Number("label_seconds");
+  it.wait_seconds = reader.Number("wait_seconds");
+  it.scored_examples = reader.Uint("scored_examples");
+  it.pruned_examples = reader.Uint("pruned_examples");
+  it.dnf_atoms = reader.Uint("dnf_atoms");
+  it.tree_depth = reader.Int("tree_depth");
+  it.ensemble_size = reader.Uint("ensemble_size");
+  return it;
 }
 
 }  // namespace
 
 bool ParseReportJson(std::string_view text, RunReport* report,
                      std::string* error) {
+  auto fail = [error](std::string message) {
+    if (error != nullptr) *error = std::move(message);
+    return false;
+  };
   JsonValue root;
   std::string parse_error;
   if (!JsonValue::Parse(text, &root, &parse_error)) {
-    if (error != nullptr) *error = "malformed JSON: " + parse_error;
-    return false;
+    return fail("malformed JSON: " + parse_error);
   }
-  if (!root.is_object()) {
-    if (error != nullptr) *error = "report root is not an object";
-    return false;
-  }
+  if (!root.is_object()) return fail("report root is not an object");
 
-  std::string missing;
-  FieldReader top{root, &missing, ""};
+  using Kind = JsonValue::Kind;
+  SchemaErrors errors;
+  const FieldReader top{root, &errors, ""};
   RunReport parsed;
-  parsed.schema_version = static_cast<int>(top.Number("schema_version"));
+  parsed.schema_version = top.Int("schema_version");
   parsed.kind = top.String("kind");
   parsed.tool = top.String("tool");
   parsed.build = top.String("build");
 
-  const JsonValue* config = top.Get("config", true);
-  if (config != nullptr && config->is_object()) {
-    FieldReader cfg{*config, &missing, "config."};
+  if (const JsonValue* config = top.Get("config", Kind::kObject)) {
+    const FieldReader cfg{*config, &errors, "config."};
     parsed.dataset = cfg.String("dataset");
     parsed.approach = cfg.String("approach");
     parsed.data_seed = cfg.Uint("data_seed");
     parsed.run_seed = cfg.Uint("run_seed");
     parsed.scale = cfg.Number("scale");
-    parsed.threads = static_cast<int>(cfg.Number("threads"));
+    parsed.threads = cfg.Int("threads");
     parsed.seed_size = cfg.Uint("seed_size");
     parsed.batch_size = cfg.Uint("batch_size");
     parsed.max_labels = cfg.Uint("max_labels");
@@ -510,29 +593,21 @@ bool ParseReportJson(std::string_view text, RunReport* report,
     if (!kernel_backend.empty()) parsed.kernel_backend = kernel_backend;
     const std::string session = cfg.String("session", /*required=*/false);
     if (!session.empty()) parsed.session = session;
-    if (cfg.Get("session_resumes", false) != nullptr) {
-      parsed.session_resumes = cfg.Uint("session_resumes");
-    }
+    parsed.session_resumes = cfg.Uint("session_resumes", /*required=*/false);
     const std::string warm_start = cfg.String("warm_start", /*required=*/false);
     if (!warm_start.empty()) parsed.warm_start = warm_start;
   }
 
   const bool is_run = parsed.kind == "run";
-  const JsonValue* curve = top.Get("curve", is_run);
-  if (curve != nullptr && curve->is_array()) {
-    for (const JsonValue& element : curve->array()) {
-      ReportIteration it;
-      if (!ParseIteration(element, &it, &missing)) {
-        if (error != nullptr) *error = "curve element is not an object";
-        return false;
-      }
-      parsed.curve.push_back(it);
-    }
-  }
-  const JsonValue* summary = top.Get("summary", is_run);
-  if (summary != nullptr && summary->is_object()) {
-    FieldReader sum{*summary, &missing, "summary."};
-    sum.Uint("iterations");
+  ForEachObject(top.Get("curve", Kind::kArray, is_run), "curve", &errors,
+                [&parsed](const FieldReader& point) {
+                  parsed.curve.push_back(ParseIteration(point));
+                });
+  const JsonValue* summary = top.Get("summary", Kind::kObject, is_run);
+  uint64_t iterations = 0;
+  if (summary != nullptr) {
+    const FieldReader sum{*summary, &errors, "summary."};
+    iterations = sum.Uint("iterations");
     parsed.best_f1 = sum.Number("best_f1");
     parsed.final_f1 = sum.Number("final_f1");
     parsed.labels_to_converge = sum.Uint("labels_to_converge");
@@ -540,134 +615,113 @@ bool ParseReportJson(std::string_view text, RunReport* report,
     parsed.ensemble_accepted = sum.Uint("ensemble_accepted");
   }
 
-  const JsonValue* counters = top.Get("counters", true);
-  if (counters != nullptr && counters->is_object()) {
+  if (const JsonValue* counters = top.Get("counters", Kind::kObject)) {
     for (const auto& [name, value] : counters->object()) {
-      parsed.counters.emplace_back(
-          name, value.is_number()
-                    ? static_cast<uint64_t>(value.number_value() + 0.5)
-                    : 0);
+      parsed.counters.emplace_back(name,
+                                   ToUint(value, "counters." + name, &errors));
     }
   }
-  const JsonValue* gauges = top.Get("gauges", true);
-  if (gauges != nullptr && gauges->is_object()) {
+  if (const JsonValue* gauges = top.Get("gauges", Kind::kObject)) {
     for (const auto& [name, value] : gauges->object()) {
-      parsed.gauges.emplace_back(
-          name, value.is_number() ? value.number_value() : 0.0);
+      if (!value.is_number()) errors.Invalid("gauges." + name, "a number");
+      parsed.gauges.emplace_back(name, value.number_value());
     }
   }
-  const JsonValue* spans = top.Get("spans", true);
-  if (spans != nullptr && spans->is_array()) {
-    for (const JsonValue& element : spans->array()) {
-      if (!element.is_object()) continue;
-      FieldReader span{element, &missing, "spans[]."};
-      SpanRollupEntry entry;
-      entry.name = span.String("name");
-      entry.count = span.Uint("count");
-      entry.total_seconds = span.Number("total_seconds");
-      entry.self_seconds = span.Number("self_seconds");
-      parsed.spans.push_back(std::move(entry));
-    }
-  }
+  ForEachObject(top.Get("spans", Kind::kArray), "spans", &errors,
+                [&parsed](const FieldReader& span) {
+                  SpanRollupEntry entry;
+                  entry.name = span.String("name");
+                  entry.count = span.Uint("count");
+                  entry.total_seconds = span.Number("total_seconds");
+                  entry.self_seconds = span.Number("self_seconds");
+                  parsed.spans.push_back(std::move(entry));
+                });
   // Optional sections (pre-telemetry reports stay loadable).
-  const JsonValue* latency = top.Get("latency", /*required=*/false);
-  if (latency != nullptr && latency->is_array()) {
-    for (const JsonValue& element : latency->array()) {
-      if (!element.is_object()) continue;
-      FieldReader lat{element, &missing, "latency[]."};
-      LatencyEntry entry;
-      entry.name = lat.String("name");
-      entry.count = lat.Uint("count");
-      entry.sum_seconds = lat.Number("sum_seconds");
-      entry.p50_seconds = lat.Number("p50_seconds");
-      entry.p95_seconds = lat.Number("p95_seconds");
-      entry.p99_seconds = lat.Number("p99_seconds");
-      parsed.latency.push_back(std::move(entry));
-    }
-  }
-  const JsonValue* pool = top.Get("pool", /*required=*/false);
-  if (pool != nullptr && pool->is_object()) {
+  ForEachObject(top.Get("latency", Kind::kArray, /*required=*/false),
+                "latency", &errors, [&parsed](const FieldReader& lat) {
+                  LatencyEntry entry;
+                  entry.name = lat.String("name");
+                  entry.count = lat.Uint("count");
+                  entry.sum_seconds = lat.Number("sum_seconds");
+                  entry.p50_seconds = lat.Number("p50_seconds");
+                  entry.p95_seconds = lat.Number("p95_seconds");
+                  entry.p99_seconds = lat.Number("p99_seconds");
+                  parsed.latency.push_back(std::move(entry));
+                });
+  if (const JsonValue* pool =
+          top.Get("pool", Kind::kObject, /*required=*/false)) {
     parsed.has_pool = true;
-    FieldReader p{*pool, &missing, "pool."};
-    parsed.pool.workers = static_cast<int>(p.Number("workers"));
+    const FieldReader p{*pool, &errors, "pool."};
+    parsed.pool.workers = p.Int("workers");
     parsed.pool.busy_seconds = p.Number("busy_seconds");
     parsed.pool.idle_seconds = p.Number("idle_seconds");
     parsed.pool.queue_wait_seconds = p.Number("queue_wait_seconds");
     parsed.pool.worker_wall_seconds = p.Number("worker_wall_seconds");
     parsed.pool.utilization = p.Number("utilization");
-    const JsonValue* regions = p.Get("regions", true);
-    if (regions != nullptr && regions->is_array()) {
-      for (const JsonValue& element : regions->array()) {
-        if (!element.is_object()) continue;
-        FieldReader reg{element, &missing, "pool.regions[]."};
-        PoolRegionStats region;
-        region.name = reg.String("name");
-        region.runs = reg.Uint("runs");
-        region.chunks = reg.Uint("chunks");
-        region.min_chunk_seconds = reg.Number("min_chunk_seconds");
-        region.max_chunk_seconds = reg.Number("max_chunk_seconds");
-        region.mean_chunk_seconds = reg.Number("mean_chunk_seconds");
-        region.utilization = reg.Number("utilization");
-        parsed.pool.regions.push_back(std::move(region));
-      }
-    }
+    ForEachObject(p.Get("regions", Kind::kArray), "pool.regions", &errors,
+                  [&parsed](const FieldReader& reg) {
+                    PoolRegionStats region;
+                    region.name = reg.String("name");
+                    region.runs = reg.Uint("runs");
+                    region.chunks = reg.Uint("chunks");
+                    region.min_chunk_seconds = reg.Number("min_chunk_seconds");
+                    region.max_chunk_seconds = reg.Number("max_chunk_seconds");
+                    region.mean_chunk_seconds =
+                        reg.Number("mean_chunk_seconds");
+                    region.utilization = reg.Number("utilization");
+                    parsed.pool.regions.push_back(std::move(region));
+                  });
   }
-  const JsonValue* profile = top.Get("profile", /*required=*/false);
-  if (profile != nullptr && profile->is_object()) {
+  if (const JsonValue* profile =
+          top.Get("profile", Kind::kObject, /*required=*/false)) {
     parsed.has_profile = true;
-    FieldReader prof{*profile, &missing, "profile."};
+    const FieldReader prof{*profile, &errors, "profile."};
     parsed.profile.hw = prof.String("hw");
-    const JsonValue* regions = prof.Get("regions", true);
-    if (regions != nullptr && regions->is_array()) {
-      for (const JsonValue& element : regions->array()) {
-        if (!element.is_object()) continue;
-        FieldReader reg{element, &missing, "profile.regions[]."};
-        ProfileRegionStats region;
-        region.name = reg.String("name");
-        region.spans = reg.Uint("spans");
-        region.seconds = reg.Number("seconds");
-        region.items = reg.Uint("items");
-        region.bytes = reg.Uint("bytes");
-        region.flops = reg.Uint("flops");
-        region.cycles = reg.Uint("cycles");
-        region.instructions = reg.Uint("instructions");
-        region.cache_refs = reg.Uint("cache_refs");
-        region.cache_misses = reg.Uint("cache_misses");
-        region.branch_misses = reg.Uint("branch_misses");
-        region.items_per_sec = reg.Number("items_per_sec");
-        region.bytes_per_sec = reg.Number("bytes_per_sec");
-        region.flops_per_sec = reg.Number("flops_per_sec");
-        region.ipc = reg.Number("ipc");
-        parsed.profile.regions.push_back(std::move(region));
-      }
-    }
+    ForEachObject(prof.Get("regions", Kind::kArray), "profile.regions",
+                  &errors, [&parsed](const FieldReader& reg) {
+                    ProfileRegionStats region;
+                    region.name = reg.String("name");
+                    region.spans = reg.Uint("spans");
+                    region.seconds = reg.Number("seconds");
+                    region.items = reg.Uint("items");
+                    region.bytes = reg.Uint("bytes");
+                    region.flops = reg.Uint("flops");
+                    region.cycles = reg.Uint("cycles");
+                    region.instructions = reg.Uint("instructions");
+                    region.cache_refs = reg.Uint("cache_refs");
+                    region.cache_misses = reg.Uint("cache_misses");
+                    region.branch_misses = reg.Uint("branch_misses");
+                    region.items_per_sec = reg.Number("items_per_sec");
+                    region.bytes_per_sec = reg.Number("bytes_per_sec");
+                    region.flops_per_sec = reg.Number("flops_per_sec");
+                    region.ipc = reg.Number("ipc");
+                    parsed.profile.regions.push_back(std::move(region));
+                  });
   }
-  const JsonValue* process = top.Get("process", true);
-  if (process != nullptr && process->is_object()) {
-    FieldReader proc{*process, &missing, "process."};
+  if (const JsonValue* process = top.Get("process", Kind::kObject)) {
+    const FieldReader proc{*process, &errors, "process."};
     parsed.wall_seconds = proc.Number("wall_seconds");
     parsed.peak_rss_bytes = proc.Uint("peak_rss_bytes");
   }
 
-  if (!missing.empty()) {
-    if (error != nullptr) *error = "missing required fields: " + missing;
-    return false;
+  if (!errors.missing.empty() || !errors.invalid.empty()) {
+    return fail(errors.Message());
   }
   if (parsed.schema_version != kReportSchemaVersion) {
-    if (error != nullptr) {
-      *error = "unsupported schema_version " +
-               std::to_string(parsed.schema_version) + " (expected " +
-               std::to_string(kReportSchemaVersion) + ")";
-    }
-    return false;
+    return fail("unsupported schema_version " +
+                std::to_string(parsed.schema_version) + " (expected " +
+                std::to_string(kReportSchemaVersion) + ")");
   }
   if (parsed.kind != "run" && parsed.kind != "bench") {
-    if (error != nullptr) *error = "unknown report kind '" + parsed.kind + "'";
-    return false;
+    return fail("unknown report kind '" + parsed.kind + "'");
   }
   if (is_run && parsed.curve.empty()) {
-    if (error != nullptr) *error = "run report has an empty curve";
-    return false;
+    return fail("run report has an empty curve");
+  }
+  if (summary != nullptr && iterations != parsed.curve.size()) {
+    return fail("summary.iterations " + std::to_string(iterations) +
+                " does not match the curve's " +
+                std::to_string(parsed.curve.size()) + " points");
   }
   *report = std::move(parsed);
   return true;
@@ -703,6 +757,45 @@ std::string FormatDouble(double v) {
   return buf;
 }
 
+// "name baseline/candidate" when a curve field differs, else "". Doubles
+// print all 17 digits so a one-ulp divergence is visible.
+template <typename T>
+std::string FieldDifference(const char* name, T baseline, T candidate) {
+  if (baseline == candidate) return "";
+  auto format = [](T v) {
+    if constexpr (std::is_floating_point_v<T>) {
+      char buf[64];
+      std::snprintf(buf, sizeof(buf), "%.17g", v);
+      return std::string(buf);
+    } else {
+      return std::to_string(v);
+    }
+  };
+  return std::string(name) + " " + format(baseline) + "/" + format(candidate);
+}
+
+// The first deterministic field in which two curve points differ.
+std::string CurvePointDifference(const ReportIteration& a,
+                                 const ReportIteration& b) {
+  for (std::string difference :
+       {FieldDifference("iteration", a.iteration, b.iteration),
+        FieldDifference("labels_used", a.labels_used, b.labels_used),
+        FieldDifference("precision", a.precision, b.precision),
+        FieldDifference("recall", a.recall, b.recall),
+        FieldDifference("f1", a.f1, b.f1),
+        FieldDifference("scored_examples", a.scored_examples,
+                        b.scored_examples),
+        FieldDifference("pruned_examples", a.pruned_examples,
+                        b.pruned_examples),
+        FieldDifference("dnf_atoms", a.dnf_atoms, b.dnf_atoms),
+        FieldDifference("tree_depth", a.tree_depth, b.tree_depth),
+        FieldDifference("ensemble_size", a.ensemble_size,
+                        b.ensemble_size)}) {
+    if (!difference.empty()) return difference;
+  }
+  return "";
+}
+
 void CheckLatency(const char* what, double baseline, double candidate,
                   double tolerance, std::vector<std::string>* failures) {
   // Relative tolerance with a 10ms absolute grace so micro-runs do not
@@ -735,15 +828,11 @@ std::vector<std::string> CheckReports(const RunReport& baseline,
           " vs " + std::to_string(candidate.curve.size()));
     } else {
       for (size_t i = 0; i < baseline.curve.size(); ++i) {
-        const ReportIteration& a = baseline.curve[i];
-        const ReportIteration& b = candidate.curve[i];
-        if (a.labels_used != b.labels_used || a.f1 != b.f1 ||
-            a.precision != b.precision || a.recall != b.recall) {
-          failures.push_back(
-              "curve diverges at iteration " + std::to_string(i + 1) +
-              ": labels " + std::to_string(a.labels_used) + "/" +
-              std::to_string(b.labels_used) + ", F1 " + FormatDouble(a.f1) +
-              "/" + FormatDouble(b.f1));
+        const std::string difference =
+            CurvePointDifference(baseline.curve[i], candidate.curve[i]);
+        if (!difference.empty()) {
+          failures.push_back("curve diverges at iteration " +
+                             std::to_string(i + 1) + ": " + difference);
           break;
         }
       }
@@ -762,13 +851,6 @@ std::vector<std::string> CheckReports(const RunReport& baseline,
           "best F1 regressed: " + FormatDouble(candidate.best_f1) +
           " vs baseline " + FormatDouble(baseline.best_f1) + " (tolerance " +
           FormatDouble(options.f1_tol) + ")");
-    }
-    // A run that scored no examples or queried no labels measured nothing.
-    for (const char* name : {"oracle.queries", "selector.scored_examples"}) {
-      if (candidate.CounterOr(name) == 0) {
-        failures.push_back(std::string("counter ") + name +
-                           " is zero or missing in candidate");
-      }
     }
   }
 
@@ -845,6 +927,237 @@ std::vector<std::string> CheckReports(const RunReport& baseline,
             FormatDouble(cand->items_per_sec) + " items/s vs baseline " +
             FormatDouble(base.items_per_sec) + " items/s (floor " +
             FormatDouble(floor) + ")");
+      }
+    }
+  }
+  return failures;
+}
+
+// ---- Single-report invariants -------------------------------------------
+
+std::vector<std::string> ValidateReport(const RunReport& report) {
+  std::vector<std::string> failures;
+  auto fail = [&failures](std::string message) {
+    failures.push_back(std::move(message));
+  };
+  auto has_counter = [&report](const char* name) {
+    return report.CounterOr(name, UINT64_MAX) != UINT64_MAX;
+  };
+  auto counter = [&report](const char* name) {
+    return std::to_string(report.CounterOr(name));
+  };
+  auto in_unit_interval = [](double v) { return v >= 0.0 && v <= 1.0 + 1e-9; };
+  const bool is_run = report.kind == "run";
+
+  if (is_run) {
+    for (size_t i = 0; i < report.curve.size(); ++i) {
+      const ReportIteration& point = report.curve[i];
+      const std::string where = "curve[" + std::to_string(i) + "]: ";
+      if (i > 0 && point.labels_used < report.curve[i - 1].labels_used) {
+        fail(where + "labels_used " + std::to_string(point.labels_used) +
+             " decreases (the curve must be monotone)");
+      }
+      if (!(point.f1 >= 0.0 && point.f1 <= 1.0)) {
+        fail(where + "F1 " + FormatDouble(point.f1) + " outside [0, 1]");
+      }
+    }
+    if (!report.curve.empty() &&
+        std::abs(report.final_f1 - report.curve.back().f1) > 1e-12) {
+      fail("summary.final_f1 " + FormatDouble(report.final_f1) +
+           " does not match the last curve point's F1 " +
+           FormatDouble(report.curve.back().f1));
+    }
+    // A run that queried no labels or scored no examples measured nothing.
+    for (const char* name : {"oracle.queries", "selector.scored_examples"}) {
+      if (report.CounterOr(name) == 0) {
+        fail(std::string("counter ") + name + " is zero or missing");
+      }
+    }
+  }
+
+  for (const SpanRollupEntry& span : report.spans) {
+    if (span.self_seconds > span.total_seconds + 1e-9) {
+      fail("span " + span.name + ": self_seconds " +
+           FormatDouble(span.self_seconds) + " exceeds total_seconds " +
+           FormatDouble(span.total_seconds));
+    }
+  }
+
+  // Feature cache. The telemetry sampler registers zero-valued hit/miss
+  // counters, so only a nonzero one means the cache was touched. A resumed
+  // report's counters include the saving process's prepare while its spans
+  // cover only the resuming process, so it needs no cache span.
+  const uint64_t hits = report.CounterOr("featurize.cache.hit");
+  const uint64_t misses = report.CounterOr("featurize.cache.miss");
+  const uint64_t writes = report.CounterOr("featurize.cache.write");
+  if (hits + misses + writes > 0) {
+    if (writes > misses) {
+      fail("featurize.cache.write " + std::to_string(writes) +
+           " exceeds featurize.cache.miss " + std::to_string(misses) +
+           " (every write follows a miss)");
+    }
+    const bool has_cache_span =
+        std::any_of(report.spans.begin(), report.spans.end(),
+                    [](const SpanRollupEntry& span) {
+                      return span.name == "harness.featurize.cache";
+                    });
+    if (!has_cache_span && report.session != "resumed") {
+      fail("featurize.cache.* counters present but no "
+           "harness.featurize.cache span recorded");
+    }
+    if (is_run && (report.cache == "off" ||
+                   (report.cache == "hit" && hits == 0) ||
+                   (report.cache == "miss" && misses == 0))) {
+      fail("config.cache '" + report.cache +
+           "' disagrees with featurize.cache.hit " + std::to_string(hits) +
+           " / featurize.cache.miss " + std::to_string(misses));
+    }
+  }
+
+  // Fits: every Learner::Fit lands in exactly one of the split counters.
+  const uint64_t warm = report.CounterOr("ml.warm_fits");
+  if ((has_counter("ml.warm_fits") || has_counter("ml.cold_fits")) &&
+      warm + report.CounterOr("ml.cold_fits") !=
+          report.CounterOr("ml.fit_calls")) {
+    fail("ml.warm_fits " + counter("ml.warm_fits") + " + ml.cold_fits " +
+         counter("ml.cold_fits") + " != ml.fit_calls " +
+         counter("ml.fit_calls"));
+  }
+  if (report.warm_start != "off" && report.warm_start != "on") {
+    fail("config.warm_start is '" + report.warm_start +
+         "' (expected off or on)");
+  } else if (report.warm_start == "off" && warm > 0) {
+    fail("config.warm_start is 'off' but ml.warm_fits is " +
+         std::to_string(warm));
+  }
+
+  // Evaluation: each curve point rescores at most the whole pool, plus at
+  // most one full-rescore audit.
+  if (is_run) {
+    double pool_rows = 0.0;
+    for (const auto& [name, value] : report.gauges) {
+      if (name == "eval.pool_rows") pool_rows = value;
+    }
+    const uint64_t rescored = report.CounterOr("eval.rows_rescored");
+    if (rescored == 0) fail("counter eval.rows_rescored is zero or missing");
+    if (!(pool_rows > 0.0)) {
+      fail("gauge eval.pool_rows is zero or missing");
+    } else if (static_cast<double>(rescored) >
+               2.0 * static_cast<double>(report.curve.size()) * pool_rows) {
+      fail("eval.rows_rescored " + std::to_string(rescored) + " exceeds 2 * " +
+           std::to_string(report.curve.size()) + " iterations * " +
+           FormatDouble(pool_rows) + " pool rows");
+    }
+  }
+
+  for (const LatencyEntry& entry : report.latency) {
+    if (entry.count == 0) {
+      fail("latency " + entry.name + ": count is 0 (empty regions are "
+           "omitted)");
+    }
+    if (!(0.0 <= entry.p50_seconds && entry.p50_seconds <= entry.p95_seconds &&
+          entry.p95_seconds <= entry.p99_seconds)) {
+      fail("latency " + entry.name + ": percentiles not ordered (p50 " +
+           FormatDouble(entry.p50_seconds) + ", p95 " +
+           FormatDouble(entry.p95_seconds) + ", p99 " +
+           FormatDouble(entry.p99_seconds) + ")");
+    }
+  }
+
+  if (report.has_pool) {
+    const PoolStats& pool = report.pool;
+    if (pool.workers < 1) {
+      fail("pool workers " + std::to_string(pool.workers) + " must be >= 1");
+    }
+    const double accounted =
+        pool.busy_seconds + pool.idle_seconds + pool.queue_wait_seconds;
+    const double wall = pool.worker_wall_seconds;
+    if (std::abs(accounted - wall) > std::max(0.01 * wall, 0.01)) {
+      fail("pool accounting gap: busy + idle + queue_wait " +
+           FormatDouble(accounted) + "s vs worker_wall " + FormatDouble(wall) +
+           "s (must agree within 1% or 10ms)");
+    }
+    if (!in_unit_interval(pool.utilization)) {
+      fail("pool utilization " + FormatDouble(pool.utilization) +
+           " outside [0, 1]");
+    }
+    for (const PoolRegionStats& region : pool.regions) {
+      const std::string where = "pool region " + region.name + ": ";
+      if (region.runs == 0 || region.chunks == 0) {
+        fail(where + "runs/chunks must be positive");
+      }
+      if (!(0.0 <= region.min_chunk_seconds &&
+            region.min_chunk_seconds <= region.mean_chunk_seconds + 1e-12 &&
+            region.mean_chunk_seconds <= region.max_chunk_seconds + 1e-12)) {
+        fail(where + "chunk stats not ordered (min " +
+             FormatDouble(region.min_chunk_seconds) + ", mean " +
+             FormatDouble(region.mean_chunk_seconds) + ", max " +
+             FormatDouble(region.max_chunk_seconds) + ")");
+      }
+      if (!in_unit_interval(region.utilization)) {
+        fail(where + "utilization " + FormatDouble(region.utilization) +
+             " outside [0, 1]");
+      }
+    }
+  }
+
+  if (report.has_profile) {
+    const std::string& hw = report.profile.hw;
+    if (hw != "available" && hw != "unavailable") {
+      fail("profile.hw '" + hw + "' must be 'available' or 'unavailable'");
+    }
+    for (const ProfileRegionStats& region : report.profile.regions) {
+      const std::string where = "profile " + region.name + ": ";
+      for (const auto& [field, value] :
+           {std::pair{"seconds", region.seconds},
+            std::pair{"items_per_sec", region.items_per_sec},
+            std::pair{"bytes_per_sec", region.bytes_per_sec},
+            std::pair{"flops_per_sec", region.flops_per_sec},
+            std::pair{"ipc", region.ipc}}) {
+        if (value < 0.0) {
+          fail(where + field + " " + FormatDouble(value) + " is negative");
+        }
+      }
+      if (hw == "unavailable" && region.cycles != 0) {
+        fail(where + "cycles " + std::to_string(region.cycles) +
+             " nonzero with hw unavailable");
+      }
+      if (region.cycles > 0) {
+        const double ipc = static_cast<double>(region.instructions) /
+                           static_cast<double>(region.cycles);
+        if (!(ipc > 0.0 && ipc < 16.0)) {
+          fail(where + "IPC " + FormatDouble(ipc) + " outside (0, 16)");
+        }
+        if (std::abs(region.ipc - ipc) > 0.01 * ipc) {
+          fail(where + "stamped ipc " + FormatDouble(region.ipc) +
+               " != instructions/cycles " + FormatDouble(ipc));
+        }
+      } else if (region.ipc != 0.0) {
+        fail(where + "ipc " + FormatDouble(region.ipc) +
+             " nonzero with zero cycles");
+      }
+      // Rates are stamped as work / seconds (StampObservability); drift
+      // means a stamping bug.
+      for (const auto& [rate, stamped, work] :
+           {std::tuple{"items_per_sec", region.items_per_sec, region.items},
+            std::tuple{"bytes_per_sec", region.bytes_per_sec, region.bytes},
+            std::tuple{"flops_per_sec", region.flops_per_sec,
+                       region.flops}}) {
+        if (region.seconds > 0.0) {
+          const double derived = static_cast<double>(work) / region.seconds;
+          if (std::abs(stamped - derived) > 0.01 * std::max(derived, 1e-12)) {
+            fail(where + rate + " " + FormatDouble(stamped) +
+                 " != work/seconds " + FormatDouble(derived) +
+                 " (within 1%)");
+          }
+        } else if (stamped != 0.0) {
+          fail(where + rate + " " + FormatDouble(stamped) +
+               " nonzero with zero seconds");
+        }
+      }
+      if (region.cache_misses > region.cache_refs) {
+        fail(where + "cache_misses " + std::to_string(region.cache_misses) +
+             " exceed cache_refs " + std::to_string(region.cache_refs));
       }
     }
   }

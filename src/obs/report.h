@@ -14,7 +14,8 @@
 // Consumers:
 //   * tools/alem_report                   show / compare / diff / check /
 //                                         aggregate (BENCH_alembench.json)
-//   * tools/trace_summary.py --check      schema validation
+//   * ValidateReport() below              the single-report invariants
+//                                         (`alem_report check REPORT`)
 //   * CheckReports() below                the regression gate ctest runs
 //                                         against the golden baseline
 //
@@ -252,8 +253,11 @@ void StampObservability(RunReport* report);
 
 std::string ReportToJson(const RunReport& report);
 
-// Parses and schema-validates a report. Missing required fields, a wrong
-// schema version, or malformed JSON fail with a message in *error.
+// Parses and schema-validates a report. Malformed JSON, a missing required
+// field, a present field of the wrong JSON type, a negative or fractional
+// value in an unsigned field, a non-numeric counter or gauge, a
+// summary.iterations that disagrees with the curve length, or a wrong
+// schema version fail with a message naming the fields in *error.
 bool ParseReportJson(std::string_view text, RunReport* report,
                      std::string* error);
 
@@ -286,17 +290,33 @@ struct ReportCheckOptions {
   // CLI prints an explicit skip notice). Off by default: throughput gates
   // need a quiet, comparable machine.
   double throughput_tol = -1.0;
-  // Require the curves to be bit-identical (lengths, labels_used, f1) —
-  // the determinism contract across thread counts.
+  // Require the curves to be bit-identical in every deterministic field
+  // (length; iteration, labels_used, precision, recall, f1,
+  // scored_examples, pruned_examples, dnf_atoms, tree_depth and
+  // ensemble_size per point) — the determinism contract across thread
+  // counts, backends and save/resume.
   bool exact_curve = false;
 };
 
 // Compares a candidate report against a baseline; returns human-readable
-// failure strings (empty = gate passes). Both "run"-kind reports must
-// carry nonzero oracle.queries / selector.scored_examples counters.
+// failure strings (empty = gate passes). Single-report invariants are
+// ValidateReport's job; `alem_report check` runs it on the candidate.
 std::vector<std::string> CheckReports(const RunReport& baseline,
                                       const RunReport& candidate,
                                       const ReportCheckOptions& options);
+
+// Checks the invariants a report must satisfy on its own; returns
+// human-readable failure strings (empty = valid). Run reports: monotone
+// labels_used, F1 in [0, 1], final_f1 == the last point's F1, nonzero
+// oracle.queries / selector.scored_examples, 0 < eval.rows_rescored <=
+// 2 * iterations * eval.pool_rows. All reports: span self <= total; with
+// feature-cache activity, writes <= misses, a cache span (unless resumed)
+// and a config.cache that agrees with the counters; warm + cold fits ==
+// ml.fit_calls and config.warm_start off|on (off: no warm fits); ordered
+// latency percentiles; pool accounting that tiles worker wall time within
+// max(1%, 10 ms) with sane region stats; profile rates == work / seconds
+// and ipc == instructions / cycles within 1% (docs/observability.md).
+std::vector<std::string> ValidateReport(const RunReport& report);
 
 }  // namespace obs
 }  // namespace alem

@@ -7,14 +7,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cctype>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "parallel/pool.h"
+#include "util/json.h"
 
 namespace alem {
 namespace obs {
@@ -39,150 +40,13 @@ class ObsTest : public ::testing::Test {
   }
 };
 
-// ---- Minimal JSON parser -----------------------------------------------
-// Just enough JSON to parse the exporter's own output back and verify it
-// is well-formed (objects, arrays, strings with escapes, numbers).
-
-struct JsonValue {
-  enum Kind { kNull, kBool, kNumber, kString, kArray, kObject } kind = kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string string;
-  std::vector<JsonValue> array;
-  std::map<std::string, JsonValue> object;
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
-
-  bool Parse(JsonValue* out) {
-    pos_ = 0;
-    if (!ParseValue(out)) return false;
-    SkipSpace();
-    return pos_ == text_.size();
-  }
-
- private:
-  void SkipSpace() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])) != 0) {
-      ++pos_;
-    }
-  }
-  bool Consume(char c) {
-    SkipSpace();
-    if (pos_ >= text_.size() || text_[pos_] != c) return false;
-    ++pos_;
-    return true;
-  }
-  bool ParseValue(JsonValue* out) {
-    SkipSpace();
-    if (pos_ >= text_.size()) return false;
-    const char c = text_[pos_];
-    if (c == '{') return ParseObject(out);
-    if (c == '[') return ParseArray(out);
-    if (c == '"') {
-      out->kind = JsonValue::kString;
-      return ParseString(&out->string);
-    }
-    if (text_.compare(pos_, 4, "true") == 0) {
-      out->kind = JsonValue::kBool;
-      out->boolean = true;
-      pos_ += 4;
-      return true;
-    }
-    if (text_.compare(pos_, 5, "false") == 0) {
-      out->kind = JsonValue::kBool;
-      pos_ += 5;
-      return true;
-    }
-    if (text_.compare(pos_, 4, "null") == 0) {
-      pos_ += 4;
-      return true;
-    }
-    return ParseNumber(out);
-  }
-  bool ParseString(std::string* out) {
-    if (!Consume('"')) return false;
-    out->clear();
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') return true;
-      if (c == '\\') {
-        if (pos_ >= text_.size()) return false;
-        const char escaped = text_[pos_++];
-        switch (escaped) {
-          case '"': out->push_back('"'); break;
-          case '\\': out->push_back('\\'); break;
-          case '/': out->push_back('/'); break;
-          case 'n': out->push_back('\n'); break;
-          case 't': out->push_back('\t'); break;
-          case 'r': out->push_back('\r'); break;
-          case 'b': out->push_back('\b'); break;
-          case 'f': out->push_back('\f'); break;
-          case 'u': {
-            if (pos_ + 4 > text_.size()) return false;
-            pos_ += 4;  // Escaped control char; value irrelevant here.
-            out->push_back('?');
-            break;
-          }
-          default: return false;
-        }
-      } else {
-        out->push_back(c);
-      }
-    }
-    return false;
-  }
-  bool ParseNumber(JsonValue* out) {
-    const size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
-    }
-    if (pos_ == start) return false;
-    out->kind = JsonValue::kNumber;
-    out->number = std::stod(text_.substr(start, pos_ - start));
-    return true;
-  }
-  bool ParseArray(JsonValue* out) {
-    if (!Consume('[')) return false;
-    out->kind = JsonValue::kArray;
-    SkipSpace();
-    if (Consume(']')) return true;
-    while (true) {
-      JsonValue element;
-      if (!ParseValue(&element)) return false;
-      out->array.push_back(std::move(element));
-      if (Consume(']')) return true;
-      if (!Consume(',')) return false;
-    }
-  }
-  bool ParseObject(JsonValue* out) {
-    if (!Consume('{')) return false;
-    out->kind = JsonValue::kObject;
-    SkipSpace();
-    if (Consume('}')) return true;
-    while (true) {
-      SkipSpace();
-      std::string key;
-      if (!ParseString(&key)) return false;
-      if (!Consume(':')) return false;
-      JsonValue value;
-      if (!ParseValue(&value)) return false;
-      out->object.emplace(std::move(key), std::move(value));
-      if (Consume('}')) return true;
-      if (!Consume(',')) return false;
-    }
-  }
-
-  const std::string& text_;
-  size_t pos_ = 0;
-};
+// Member `key` of a parsed JSON object; null when absent, so a missing
+// field fails the expectation on it instead of crashing the test.
+const JsonValue& Member(const JsonValue& object, std::string_view key) {
+  static const JsonValue kAbsent;
+  const JsonValue* value = object.Find(key);
+  return value != nullptr ? *value : kAbsent;
+}
 
 // ---- Spans -------------------------------------------------------------
 
@@ -321,9 +185,9 @@ TEST_F(ObsTest, ParallelForStressKeepsTracesWellFormed) {
   // The full 84k-span trace still exports as valid Chrome-trace JSON.
   const std::string json = TraceRecorder::Global().ToChromeTraceJson();
   JsonValue root;
-  ASSERT_TRUE(JsonParser(json).Parse(&root));
-  ASSERT_EQ(root.kind, JsonValue::kObject);
-  EXPECT_EQ(root.object.at("traceEvents").array.size(), spans.size());
+  std::string error;
+  ASSERT_TRUE(JsonValue::Parse(json, &root, &error)) << error;
+  EXPECT_EQ(Member(root, "traceEvents").array().size(), spans.size());
 }
 
 TEST_F(ObsTest, ChromeTraceJsonParsesBack) {
@@ -334,24 +198,24 @@ TEST_F(ObsTest, ChromeTraceJsonParsesBack) {
   const std::string json = TraceRecorder::Global().ToChromeTraceJson();
 
   JsonValue root;
-  ASSERT_TRUE(JsonParser(json).Parse(&root)) << json;
-  ASSERT_EQ(root.kind, JsonValue::kObject);
-  ASSERT_TRUE(root.object.count("traceEvents"));
-  const JsonValue& events = root.object.at("traceEvents");
-  ASSERT_EQ(events.kind, JsonValue::kArray);
-  ASSERT_EQ(events.array.size(), 2u);
+  std::string error;
+  ASSERT_TRUE(JsonValue::Parse(json, &root, &error)) << error << "\n" << json;
+  const JsonValue& events = Member(root, "traceEvents");
+  ASSERT_TRUE(events.is_array());
+  ASSERT_EQ(events.array().size(), 2u);
 
-  for (const JsonValue& event : events.array) {
-    ASSERT_EQ(event.kind, JsonValue::kObject);
-    EXPECT_EQ(event.object.at("ph").string, "X");
-    EXPECT_EQ(event.object.at("pid").number, 1.0);
-    EXPECT_GE(event.object.at("dur").number, 0.0);
-    EXPECT_GE(event.object.at("ts").number, 0.0);
+  for (const JsonValue& event : events.array()) {
+    ASSERT_TRUE(event.is_object());
+    EXPECT_EQ(Member(event, "ph").string_value(), "X");
+    EXPECT_EQ(Member(event, "pid").number_value(), 1.0);
+    EXPECT_TRUE(Member(event, "dur").is_number());
+    EXPECT_GE(Member(event, "dur").number_value(), 0.0);
+    EXPECT_GE(Member(event, "ts").number_value(), 0.0);
   }
   // Escaping round-trips: the quoted/newlined name survives parsing.
   bool found_quoted = false;
-  for (const JsonValue& event : events.array) {
-    if (event.object.at("name").string == "phase \"quoted\"\n") {
+  for (const JsonValue& event : events.array()) {
+    if (Member(event, "name").string_value() == "phase \"quoted\"\n") {
       found_quoted = true;
     }
   }
@@ -373,10 +237,11 @@ TEST_F(ObsTest, JsonlEmitsOneObjectPerLine) {
     if (!line.empty()) {
       ++lines;
       JsonValue value;
-      EXPECT_TRUE(JsonParser(line).Parse(&value)) << line;
-      EXPECT_EQ(value.kind, JsonValue::kObject);
-      EXPECT_TRUE(value.object.count("name"));
-      EXPECT_TRUE(value.object.count("dur_us"));
+      std::string error;
+      EXPECT_TRUE(JsonValue::Parse(line, &value, &error)) << error << line;
+      EXPECT_TRUE(value.is_object());
+      EXPECT_NE(value.Find("name"), nullptr);
+      EXPECT_NE(value.Find("dur_us"), nullptr);
     }
     start = end + 1;
   }
@@ -612,13 +477,14 @@ TEST_F(ObsTest, CounterEventsExportAsChromeCounterPhase) {
 
   const std::string json = TraceRecorder::Global().ToChromeTraceJson();
   JsonValue root;
-  ASSERT_TRUE(JsonParser(json).Parse(&root)) << json;
-  const JsonValue& events = root.object.at("traceEvents");
-  ASSERT_EQ(events.array.size(), 2u);
-  for (const JsonValue& event : events.array) {
-    EXPECT_EQ(event.object.at("ph").string, "C");
-    EXPECT_EQ(event.object.at("name").string, "telemetry.test_series");
-    EXPECT_GE(event.object.at("args").object.at("value").number, 42.0);
+  std::string error;
+  ASSERT_TRUE(JsonValue::Parse(json, &root, &error)) << error << "\n" << json;
+  const JsonValue& events = Member(root, "traceEvents");
+  ASSERT_EQ(events.array().size(), 2u);
+  for (const JsonValue& event : events.array()) {
+    EXPECT_EQ(Member(event, "ph").string_value(), "C");
+    EXPECT_EQ(Member(event, "name").string_value(), "telemetry.test_series");
+    EXPECT_GE(Member(Member(event, "args"), "value").number_value(), 42.0);
   }
 
   TraceRecorder::Global().Clear();

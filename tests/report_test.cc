@@ -1,6 +1,7 @@
 // Tests for the RunReport flight recorder (src/obs/report.h): JSON
-// round-trip fidelity, schema validation, the span self-time rollup, the
-// regression-gate comparator, and the JSON parser underneath it all.
+// round-trip fidelity, strict schema parsing, the span self-time rollup,
+// the single-report validator, the regression-gate comparator, and the
+// JSON parser underneath it all.
 
 #include "obs/report.h"
 
@@ -169,6 +170,49 @@ TEST(ReportJsonTest, BenchReportNeedsNoCurve) {
   std::string error;
   EXPECT_TRUE(ParseReportJson(ReportToJson(report), &parsed, &error))
       << error;
+}
+
+TEST(ReportJsonTest, StrictParseNamesEachBadField) {
+  // Each row corrupts one field of a valid report; the parse must fail
+  // with a message naming that field instead of reading it as 0.
+  struct Case {
+    const char* original;
+    const char* replacement;
+    const char* message;
+  };
+  const Case cases[] = {
+      {"\"threads\": 4", "\"threads\": \"four\"",
+       "config.threads (expected a non-negative integer)"},
+      {"\"threads\": 4", "\"threads\": 4294967296",
+       "config.threads (expected an integer below 2^31)"},
+      {"\"seed_size\": 30", "\"seed_size\": 30.5",
+       "config.seed_size (expected a non-negative integer)"},
+      {"\"holdout\": true", "\"holdout\": 1",
+       "config.holdout (expected a boolean)"},
+      {"\"labels_used\":40", "\"labels_used\":-30.7",
+       "curve[0].labels_used (expected a non-negative integer)"},
+      {"\"count\": 1", "\"count\": -3",
+       "spans[0].count (expected a non-negative integer)"},
+      {"\"oracle.queries\": 60", "\"oracle.queries\": \"lots\"",
+       "counters.oracle.queries (expected a non-negative integer)"},
+      {"\"process.peak_rss_bytes\": 8500000",
+       "\"process.peak_rss_bytes\": null",
+       "gauges.process.peak_rss_bytes (expected a number)"},
+      {"\"iterations\": 3", "\"iterations\": 999",
+       "summary.iterations 999 does not match the curve's 3 points"},
+  };
+  const std::string json = ReportToJson(MakeReport());
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.replacement);
+    std::string corrupt = json;
+    const size_t at = corrupt.find(c.original);
+    ASSERT_NE(at, std::string::npos);
+    corrupt.replace(at, std::string_view(c.original).size(), c.replacement);
+    RunReport parsed;
+    std::string error;
+    EXPECT_FALSE(ParseReportJson(corrupt, &parsed, &error));
+    EXPECT_NE(error.find(c.message), std::string::npos) << error;
+  }
 }
 
 TEST(ReportJsonTest, RejectsMalformedJson) {
@@ -356,16 +400,18 @@ TEST(CheckReportsTest, ExactCurveCatchesLengthMismatch) {
   EXPECT_FALSE(CheckReports(baseline, candidate, options).empty());
 }
 
-TEST(CheckReportsTest, ZeroRequiredCounterFails) {
+TEST(CheckReportsTest, ExactCurveCatchesScoredExamplesDivergence) {
+  ReportCheckOptions options;
+  options.exact_curve = true;
   const RunReport baseline = MakeReport();
   RunReport candidate = baseline;
-  for (auto& [name, value] : candidate.counters) {
-    if (name == "oracle.queries") value = 0;
-  }
+  candidate.curve[2].scored_examples += 1;
   const std::vector<std::string> failures =
-      CheckReports(baseline, candidate, ReportCheckOptions());
-  ASSERT_FALSE(failures.empty());
-  EXPECT_NE(failures[0].find("oracle.queries"), std::string::npos);
+      CheckReports(baseline, candidate, options);
+  ASSERT_EQ(failures.size(), 1u);
+  EXPECT_NE(failures[0].find("iteration 3: scored_examples 500/501"),
+            std::string::npos)
+      << failures[0];
 }
 
 TEST(CheckReportsTest, KindMismatchFails) {
@@ -520,6 +566,226 @@ TEST(CheckReportsTest, CounterGateIsOptIn) {
       CheckReports(baseline, candidate, options);
   ASSERT_FALSE(failures.empty());
   EXPECT_NE(failures[0].find("sim.calls"), std::string::npos);
+}
+
+// ---- Single-report invariants -------------------------------------------
+
+void SetCounter(RunReport* report, const std::string& name, uint64_t value) {
+  for (auto& [counter_name, counter_value] : report->counters) {
+    if (counter_name == name) {
+      counter_value = value;
+      return;
+    }
+  }
+  report->counters.emplace_back(name, value);
+}
+
+// A report that satisfies every ValidateReport invariant while exercising
+// each section it covers: the run curve, feature cache, fit split,
+// evaluation bound, latency, pool and profile.
+RunReport MakeValidReport() {
+  RunReport report = MakeReportWithTelemetry();
+  report.cache = "miss";
+  report.warm_start = "on";
+  report.counters = {{"eval.rows_rescored", 900},
+                     {"featurize.cache.miss", 1},
+                     {"featurize.cache.write", 1},
+                     {"ml.cold_fits", 1},
+                     {"ml.fit_calls", 3},
+                     {"ml.warm_fits", 2},
+                     {"oracle.queries", 60},
+                     {"selector.scored_examples", 1500}};
+  report.gauges = {{"eval.pool_rows", 500.0}};
+  report.spans.push_back({"harness.featurize.cache", 1, 0.004, 0.004});
+  report.has_profile = true;
+  report.profile.hw = "available";
+  ProfileRegionStats sim;
+  sim.name = "sim.batch";
+  sim.spans = 4;
+  sim.seconds = 0.5;
+  sim.items = 1000;
+  sim.bytes = 4000;
+  sim.cycles = 2000000;
+  sim.instructions = 3000000;
+  sim.cache_refs = 100;
+  sim.cache_misses = 10;
+  sim.items_per_sec = 2000.0;
+  sim.bytes_per_sec = 8000.0;
+  sim.ipc = 1.5;
+  ProfileRegionStats idle;  // Allowlisted but never entered: all zero.
+  idle.name = "idle";
+  report.profile.regions = {sim, idle};
+  return report;
+}
+
+struct InvariantCase {
+  const char* name;
+  void (*mutate)(RunReport*);
+  // Text of the one failure the mutation must cause; "" = still valid.
+  const char* failure;
+};
+
+const InvariantCase kInvariantCases[] = {
+    {"labels_used decreases",
+     [](RunReport* r) { r->curve[1].labels_used = 35; },
+     "curve[1]: labels_used 35 decreases"},
+    {"F1 above 1", [](RunReport* r) { r->curve[0].f1 = 1.5; },
+     "curve[0]: F1 1.5 outside [0, 1]"},
+    {"final_f1 off the curve", [](RunReport* r) { r->final_f1 = 0.5; },
+     "summary.final_f1 0.5 does not match"},
+    {"no oracle queries",
+     [](RunReport* r) { SetCounter(r, "oracle.queries", 0); },
+     "counter oracle.queries is zero or missing"},
+    {"no scored examples",
+     [](RunReport* r) {
+       std::erase_if(r->counters, [](const auto& counter) {
+         return counter.first == "selector.scored_examples";
+       });
+     },
+     "counter selector.scored_examples is zero or missing"},
+    {"span self exceeds total",
+     [](RunReport* r) { r->spans[0].self_seconds = 1.0; },
+     "span loop.run: self_seconds 1 exceeds total_seconds"},
+    {"cache write without a miss",
+     [](RunReport* r) { SetCounter(r, "featurize.cache.write", 2); },
+     "every write follows a miss"},
+    {"cache counters without the cache span",
+     [](RunReport* r) { r->spans.pop_back(); },
+     "no harness.featurize.cache span"},
+    {"resumed report needs no cache span",
+     [](RunReport* r) {
+       r->spans.pop_back();
+       r->session = "resumed";
+     },
+     ""},
+    {"zero-valued cache counters are no cache activity",
+     [](RunReport* r) {
+       SetCounter(r, "featurize.cache.miss", 0);
+       SetCounter(r, "featurize.cache.write", 0);
+       SetCounter(r, "featurize.cache.hit", 0);
+       r->spans.pop_back();
+       r->cache = "off";
+     },
+     ""},
+    {"cache off with cache activity", [](RunReport* r) { r->cache = "off"; },
+     "config.cache 'off' disagrees"},
+    {"cache hit without hits", [](RunReport* r) { r->cache = "hit"; },
+     "config.cache 'hit' disagrees"},
+    {"cache miss without misses",
+     [](RunReport* r) {
+       SetCounter(r, "featurize.cache.miss", 0);
+       SetCounter(r, "featurize.cache.write", 0);
+       SetCounter(r, "featurize.cache.hit", 1);
+     },
+     "config.cache 'miss' disagrees"},
+    {"fit split does not tally",
+     [](RunReport* r) { SetCounter(r, "ml.cold_fits", 2); },
+     "ml.warm_fits 2 + ml.cold_fits 2 != ml.fit_calls 3"},
+    {"unknown warm-start mode", [](RunReport* r) { r->warm_start = "auto"; },
+     "config.warm_start is 'auto'"},
+    {"warm fits with warm start off",
+     [](RunReport* r) { r->warm_start = "off"; },
+     "config.warm_start is 'off' but ml.warm_fits is 2"},
+    {"no eval pool size", [](RunReport* r) { r->gauges.clear(); },
+     "gauge eval.pool_rows is zero or missing"},
+    {"no rows rescored",
+     [](RunReport* r) { SetCounter(r, "eval.rows_rescored", 0); },
+     "counter eval.rows_rescored is zero or missing"},
+    {"rows rescored beyond the bound",
+     [](RunReport* r) { SetCounter(r, "eval.rows_rescored", 3001); },
+     "eval.rows_rescored 3001 exceeds 2 * 3 iterations * 500 pool rows"},
+    {"empty latency region", [](RunReport* r) { r->latency[0].count = 0; },
+     "latency loop.train: count is 0"},
+    {"unordered percentiles",
+     [](RunReport* r) { r->latency[1].p95_seconds = 0.001; },
+     "latency selector.scoring: percentiles not ordered"},
+    {"pool without workers", [](RunReport* r) { r->pool.workers = 0; },
+     "pool workers 0 must be >= 1"},
+    {"pool accounting gap", [](RunReport* r) { r->pool.idle_seconds = 0.5; },
+     "pool accounting gap"},
+    {"pool utilization above 1",
+     [](RunReport* r) { r->pool.utilization = 1.5; },
+     "pool utilization 1.5 outside [0, 1]"},
+    {"pool region without chunks",
+     [](RunReport* r) { r->pool.regions[0].chunks = 0; },
+     "pool region ml.batch: runs/chunks must be positive"},
+    {"pool region chunk stats unordered",
+     [](RunReport* r) { r->pool.regions[0].min_chunk_seconds = 0.002; },
+     "pool region ml.batch: chunk stats not ordered"},
+    {"pool region utilization below 0",
+     [](RunReport* r) { r->pool.regions[0].utilization = -0.1; },
+     "pool region ml.batch: utilization -0.1 outside [0, 1]"},
+    {"unknown hw state", [](RunReport* r) { r->profile.hw = "maybe"; },
+     "profile.hw 'maybe'"},
+    {"negative seconds",
+     [](RunReport* r) { r->profile.regions[1].seconds = -0.001; },
+     "profile idle: seconds -0.001 is negative"},
+    {"cycles without hw",
+     [](RunReport* r) { r->profile.hw = "unavailable"; },
+     "profile sim.batch: cycles 2000000 nonzero with hw unavailable"},
+    {"IPC out of range",
+     [](RunReport* r) {
+       r->profile.regions[0].instructions = 40000000;
+       r->profile.regions[0].ipc = 20.0;
+     },
+     "profile sim.batch: IPC 20 outside (0, 16)"},
+    {"stamped ipc off instructions / cycles",
+     [](RunReport* r) { r->profile.regions[0].ipc = 1.0; },
+     "profile sim.batch: stamped ipc 1 != instructions/cycles 1.5"},
+    {"ipc without cycles",
+     [](RunReport* r) { r->profile.regions[0].cycles = 0; },
+     "profile sim.batch: ipc 1.5 nonzero with zero cycles"},
+    {"rate off work / seconds",
+     [](RunReport* r) { r->profile.regions[0].items_per_sec = 2500.0; },
+     "profile sim.batch: items_per_sec 2500 != work/seconds 2000"},
+    {"rate without seconds",
+     [](RunReport* r) { r->profile.regions[1].bytes_per_sec = 5.0; },
+     "profile idle: bytes_per_sec 5 nonzero with zero seconds"},
+    {"more cache misses than references",
+     [](RunReport* r) { r->profile.regions[0].cache_misses = 200; },
+     "profile sim.batch: cache_misses 200 exceed cache_refs 100"},
+};
+
+std::string Join(const std::vector<std::string>& failures) {
+  std::string joined;
+  for (const std::string& failure : failures) joined += failure + "\n";
+  return joined;
+}
+
+TEST(ValidateReportTest, ValidReportPasses) {
+  EXPECT_EQ(Join(ValidateReport(MakeValidReport())), "");
+  // The JSON round trip keeps it valid.
+  RunReport parsed;
+  std::string error;
+  ASSERT_TRUE(ParseReportJson(ReportToJson(MakeValidReport()), &parsed,
+                              &error))
+      << error;
+  EXPECT_EQ(Join(ValidateReport(parsed)), "");
+}
+
+TEST(ValidateReportTest, EachInvariantFailsAlone) {
+  for (const InvariantCase& c : kInvariantCases) {
+    SCOPED_TRACE(c.name);
+    RunReport report = MakeValidReport();
+    c.mutate(&report);
+    const std::vector<std::string> failures = ValidateReport(report);
+    if (*c.failure == '\0') {
+      EXPECT_EQ(Join(failures), "");
+      continue;
+    }
+    ASSERT_EQ(failures.size(), 1u) << Join(failures);
+    EXPECT_NE(failures[0].find(c.failure), std::string::npos) << failures[0];
+  }
+}
+
+TEST(ValidateReportTest, BenchReportSkipsRunRules) {
+  // Bench reports carry no curve, labels or evaluation of their own.
+  RunReport report = MakeValidReport();
+  report.kind = "bench";
+  report.curve.clear();
+  report.counters.clear();
+  report.gauges.clear();
+  EXPECT_EQ(Join(ValidateReport(report)), "");
 }
 
 }  // namespace

@@ -12,14 +12,19 @@
 //       per-region profile throughput when both carry one).
 //   alem_report diff A.json B.json
 //       Lists every differing summary field, counter, and span rollup row.
+//   alem_report check REPORT.json
+//       Validates one report: exits nonzero (printing each violation) when
+//       it breaks an invariant of obs::ValidateReport (monotone curve,
+//       nonzero work counters, cache provenance, fit split, rescore bound,
+//       ordered percentiles, pool accounting, profile rates).
 //   alem_report check BASELINE.json CANDIDATE.json
 //       [--f1-tol=0.02] [--latency-tol=FRAC] [--counter-tol=FRAC]
 //       [--latency-p95-tol=FRAC] [--throughput-tol=FRAC] [--exact-curve]
-//       The regression gate: exits nonzero (printing each violation) when
-//       the candidate's F1 trails the baseline beyond --f1-tol, when a
-//       run-kind candidate has zero oracle.queries /
-//       selector.scored_examples, when latency/counter/throughput gates
-//       (opt-in) trip, or when --exact-curve finds any curve divergence.
+//       The regression gate: validates the candidate as above (committed
+//       baselines may predate newer invariants, so they are not), then
+//       fails when the candidate's F1 trails the baseline beyond --f1-tol,
+//       when latency/counter/throughput gates (opt-in) trip, or when
+//       --exact-curve finds any divergence in a deterministic curve field.
 //       --throughput-tol gates per-region profile items/sec; it is
 //       explicitly skipped (with a notice, not a silent pass) when either
 //       report lacks a "profile" section. This is what the `report` ctest
@@ -298,6 +303,22 @@ int CommandDiff(const std::string& path_a, const std::string& path_b) {
   return 0;
 }
 
+// Prints each failure to stderr; true when there are none.
+bool Passes(const std::vector<std::string>& failures) {
+  for (const std::string& failure : failures) {
+    std::fprintf(stderr, "FAIL: %s\n", failure.c_str());
+  }
+  return failures.empty();
+}
+
+int CommandValidate(const std::string& path) {
+  RunReport report;
+  if (!Load(path, &report)) return 1;
+  if (!Passes(obs::ValidateReport(report))) return 1;
+  std::printf("report check OK (%s)\n", path.c_str());
+  return 0;
+}
+
 int CommandCheck(const FlagParser& flags, const std::string& baseline_path,
                  const std::string& candidate_path) {
   RunReport baseline, candidate;
@@ -325,12 +346,12 @@ int CommandCheck(const FlagParser& flags, const std::string& baseline_path,
                     : (!baseline.has_profile ? "baseline report has"
                                              : "candidate report has"));
   }
-  const std::vector<std::string> failures =
-      obs::CheckReports(baseline, candidate, options);
-  for (const std::string& failure : failures) {
-    std::fprintf(stderr, "FAIL: %s\n", failure.c_str());
+  std::vector<std::string> failures = obs::ValidateReport(candidate);
+  for (std::string& failure :
+       obs::CheckReports(baseline, candidate, options)) {
+    failures.push_back(std::move(failure));
   }
-  if (!failures.empty()) return 1;
+  if (!Passes(failures)) return 1;
   std::printf("report check OK (%s vs %s, f1-tol=%.4g%s)\n",
               candidate_path.c_str(), baseline_path.c_str(), options.f1_tol,
               options.exact_curve ? ", exact-curve" : "");
@@ -511,6 +532,7 @@ int Usage() {
       "  alem_report show RUN.report.json\n"
       "  alem_report compare A.report.json B.report.json\n"
       "  alem_report diff A.report.json B.report.json\n"
+      "  alem_report check REPORT.json\n"
       "  alem_report check BASELINE.json CANDIDATE.json [--f1-tol=0.02]\n"
       "      [--latency-tol=FRAC] [--counter-tol=FRAC]\n"
       "      [--latency-p95-tol=FRAC] [--throughput-tol=FRAC]\n"
@@ -531,6 +553,7 @@ int Main(int argc, char** argv) {
   if (command == "diff" && args.size() == 3) {
     return CommandDiff(args[1], args[2]);
   }
+  if (command == "check" && args.size() == 2) return CommandValidate(args[1]);
   if (command == "check" && args.size() == 3) {
     return CommandCheck(flags, args[1], args[2]);
   }

@@ -4,6 +4,10 @@
 # runnable by hand after a build:
 #   tools/report_gate.sh [BUILD_DIR]   (default: build)
 #
+# Every `alem_report check` first validates its candidate (or its one
+# report) against the single-report invariants of obs::ValidateReport, so
+# each report a stage checks is also invariant-checked.
+#
 # Gates, in order:
 #   1. Determinism: the CLI's learning curve must be bitwise identical at
 #      --threads=1 (cold, fresh feature-cache dir) and --threads=4 with
@@ -18,14 +22,16 @@
 #      counter exact (--exact-curve --counter-tol=0, including
 #      featurize.cache.*).
 #   4. Sensitivity: a baseline whose F1 is perturbed beyond tolerance
-#      must make the check FAIL (guards against a gate that passes
-#      everything).
+#      must make the check FAIL, and so must a fresh report whose fit
+#      split no longer tallies (warm + cold != fit_calls), alone and as a
+#      candidate (guards against a gate that passes everything, or one
+#      not wired to the validator).
 #   5. Bench path: a tiny bench run with ALEM_REPORT_DIR set must emit a
-#      schema-valid bench report, and `alem_report aggregate` must roll
-#      it into a BENCH_alembench.json.
+#      valid bench report, and `alem_report aggregate` must roll it into
+#      a BENCH_alembench.json.
 #   6. Tail latency: a 4-thread telemetry run must produce a trace with
-#      sampler counter events, a schema-valid pool section satisfying
-#      the busy+idle+queue-wait ≈ worker-wall invariant, per-region
+#      sampler counter events, a valid pool section (busy + idle +
+#      queue-wait ≈ worker-wall is a validator invariant), per-region
 #      latency counts identical to the serial run for every region
 #      present in both (deterministic structure), p95s within a generous
 #      tolerance — and a perturbed-latency baseline must make
@@ -39,11 +45,10 @@
 #      kernels-labeled ctest matrix (docs/kernels.md).
 #   8. Roofline profile: a --profile-regions run must replay the golden
 #      baseline bitwise (profiling must not perturb results), emit a
-#      schema-valid "profile" section whose work counters satisfy the
-#      cross-layer invariants (sim.batch items == sim.calls, ml.batch
-#      items == ml.predict_calls), stamp profile.hw as available or
-#      unavailable, and aggregate into the BENCH trajectory
-#      (docs/observability.md, "Profiling").
+#      valid "profile" section whose work counters satisfy this
+#      workload's cross-layer invariants (sim.batch items == sim.calls,
+#      ml.batch items == ml.predict_calls), and aggregate into the BENCH
+#      trajectory (docs/observability.md, "Profiling").
 #   9. Resumable sessions: the golden linear-margin workload saved after
 #      2 iterations (`alem_cli session save`) and the golden ensemble
 #      saved after 3 (its first member accepted, so the ENSM coverage
@@ -53,8 +58,9 @@
 #      (--exact-curve --counter-tol=0), stamped config.session="resumed" /
 #      session_resumes=1 (docs/sessions.md).
 #  10. Warm start (docs/training.md): a --warm-start=on run must stay
-#      within the F1 tolerance of a cold run with warm/cold fit counters
-#      consistent and config.warm_start stamped; and the warm run paused
+#      within the F1 tolerance of a cold run, take the warm path on every
+#      refit after the first and stamp config.warm_start; and the warm run
+#      paused
 #      after 2 iterations and resumed in a fresh process must replay the
 #      uninterrupted warm run bitwise (warm refits are restartable; the
 #      IEVL section stitches eval.rows_rescored exactly). Stages 3, 7 and
@@ -107,8 +113,6 @@ echo "[2/10] cache warmth: warm rerun identical, provenance says hit"
 run_cli linear-margin 1 "$work/warm.report.json" --cache-dir="$work/cache"
 "$report_tool" check "$work/t1.report.json" "$work/warm.report.json" \
     --exact-curve
-python3 "$repo_root/tools/trace_summary.py" --check \
-    --report "$work/warm.report.json"
 python3 - "$work/t1.report.json" "$work/warm.report.json" <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
@@ -157,14 +161,33 @@ if "$report_tool" check "$work/perturbed.json" "$work/t1.report.json" \
   exit 1
 fi
 echo "perturbed baseline rejected as expected"
+# The validator: a fresh report whose fit split no longer tallies must
+# fail on its own and as the candidate of a baseline comparison.
+python3 - "$work/t1.report.json" "$work/broken_fits.json" <<'EOF'
+import json, sys
+with open(sys.argv[1]) as f:
+    report = json.load(f)
+counters = report["counters"]
+counters["ml.cold_fits"] = counters.get("ml.cold_fits", 0) + 1
+with open(sys.argv[2], "w") as f:
+    json.dump(report, f)
+EOF
+if "$report_tool" check "$work/broken_fits.json" 2> /dev/null ||
+    "$report_tool" check "$work/t1.report.json" "$work/broken_fits.json" \
+    2> /dev/null; then
+  echo "FAIL: check passed a report with warm + cold != fit_calls" >&2
+  exit 1
+fi
+echo "report breaking an invariant rejected as expected"
 
 echo "[5/10] bench path: ALEM_REPORT_DIR export + aggregation"
 mkdir -p "$work/reports"
 ALEM_REPORT_DIR="$work/reports" ALEM_SCALE=0.2 ALEM_MAX_LABELS=40 \
     ALEM_THREADS=2 "$build_dir/bench/bench_fig10d_blocking_time" \
     > /dev/null
-python3 "$repo_root/tools/trace_summary.py" --check \
-    --report "$work/reports"/*.report.json
+for report in "$work/reports"/*.report.json; do
+  "$report_tool" check "$report"
+done
 (cd "$work" && "$report_tool" aggregate reports --out=BENCH_gate.json)
 python3 - "$work/BENCH_gate.json" <<'EOF'
 import json, sys
@@ -179,8 +202,7 @@ run_cli linear-margin 4 "$work/lat4.report.json" --no-cache \
     --telemetry-hz=50 --trace="$work/lat4.trace.json" \
     --metrics="$work/lat4.metrics.csv"
 python3 "$repo_root/tools/trace_summary.py" --check "$work/lat4.trace.json" \
-    --metrics "$work/lat4.metrics.csv" --report "$work/lat4.report.json" \
-    --expect-telemetry
+    --metrics "$work/lat4.metrics.csv" --expect-telemetry
 # Latency structure is deterministic: every region recorded in both the
 # serial and the 4-thread report must observe the same number of events
 # (pool-only regions like parallel.chunk are legitimately t4-only).
@@ -273,18 +295,16 @@ run_cli linear-margin 1 "$work/profiled.report.json" \
 "$report_tool" check \
     "$baseline_dir/cli_abtbuy_linear_margin.report.json" \
     "$work/profiled.report.json" --exact-curve --counter-tol=0
-# Schema + self-consistency of the emitted profile section.
-python3 "$repo_root/tools/trace_summary.py" --check \
-    --report "$work/profiled.report.json"
 # Cross-layer work-counter invariants: the profile layer and the metric
-# registry count the same events through independent code paths.
+# registry count the same events through independent code paths. They
+# hold for this workload, not for every report: IWAL's committee vote
+# counts scalar predictions, which add no ml.batch items.
 python3 - "$work/profiled.report.json" <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
     report = json.load(f)
 profile = report.get("profile")
 assert profile, "profiled run emitted no profile section"
-assert profile["hw"] in ("available", "unavailable"), profile["hw"]
 regions = {r["name"]: r for r in profile["regions"]}
 expected = ("sim.batch", "ml.batch", "selector.scoring",
             "harness.featurize", "loop.evaluate")
@@ -344,8 +364,6 @@ mkdir -p "$work/cache_session"
 "$report_tool" check \
     "$baseline_dir/cli_abtbuy_linear_margin.report.json" \
     "$work/resumed.report.json" --exact-curve --counter-tol=0
-python3 "$repo_root/tools/trace_summary.py" --check \
-    --report "$work/resumed.report.json"
 # The golden ensemble, paused after its first acceptance (iteration 3):
 # the ENSM section carries the coverage mask into the resumed process.
 mkdir -p "$work/cache_session_ensemble"
@@ -388,13 +406,12 @@ echo "[10/10] warm start: warm gated, warm resume"
 "$report_tool" check \
     "$work/warm_cold_ref.report.json" "$work/warm_on150.report.json" \
     --f1-tol=0.05
-# The 60-label warm run feeds the counter-identity asserts and the
-# save/resume replay below.
+# The 60-label warm run feeds the warm-path assert and the save/resume
+# replay below.
 mkdir -p "$work/cache_warm_on"
 run_cli linear-margin 1 "$work/warm_on.report.json" \
     --cache-dir="$work/cache_warm_on" --warm-start=on
-python3 "$repo_root/tools/trace_summary.py" --check \
-    --report "$work/warm_on.report.json"
+"$report_tool" check "$work/warm_on.report.json"
 python3 - "$work/warm_on.report.json" <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
@@ -403,10 +420,6 @@ assert on["config"].get("warm_start") == "on", on["config"]
 c = on["counters"]
 fits = c.get("ml.fit_calls", 0)
 warm = c.get("ml.warm_fits", 0)
-cold = c.get("ml.cold_fits", 0)
-assert fits > 0 and warm + cold == fits, (
-    f"warm {warm} + cold {cold} != fit_calls {fits}")
-assert c.get("eval.rows_rescored", 0) > 0, "no rescore counter"
 # Warm mode must actually take the warm path after the first (cold) fit.
 assert warm == fits - 1, c
 EOF

@@ -8,14 +8,16 @@ Runs the golden linear-margin workload three ways in separate processes:
   3. second half:    alem_cli session resume --snapshot=s.alss (4 threads)
                                              --report=resumed.json
 
-and asserts the stitched resumed report matches the uninterrupted one on
-every deterministic field: curve (labels/precision/recall/F1, scored and
-pruned example counts) and all counters, exactly. Timing fields are
+and requires `alem_report check --exact-curve --counter-tol=0` to pass in
+both directions: every deterministic curve field and every counter must
+match exactly (a counter on only one side fails one direction), and both
+reports must pass the single-report validator. Timing fields are
 wall-clock and excluded (docs/sessions.md). Also checks the resumed
 report's session provenance and that a corrupted snapshot is rejected
 with a clean error.
 
 Usage: session_smoke.py --cli PATH_TO_ALEM_CLI
+(alem_report is taken from the directory that holds alem_cli.)
 """
 
 import argparse
@@ -32,19 +34,6 @@ WORKLOAD = [
     "--max-labels=60",
     "--no-cache",
     "--quiet",
-]
-
-DETERMINISTIC_CURVE_FIELDS = [
-    "iteration",
-    "labels_used",
-    "precision",
-    "recall",
-    "f1",
-    "scored_examples",
-    "pruned_examples",
-    "dnf_atoms",
-    "tree_depth",
-    "ensemble_size",
 ]
 
 
@@ -67,6 +56,7 @@ def main():
     parser.add_argument("--cli", required=True, help="path to alem_cli")
     args = parser.parse_args()
     cli = Path(args.cli)
+    alem_report = cli.with_name("alem_report")
 
     with tempfile.TemporaryDirectory(prefix="alem_session_smoke_") as tmp:
         tmp = Path(tmp)
@@ -96,26 +86,10 @@ def main():
         if resumed["config"]["session_resumes"] != 1:
             sys.exit("FAIL: resumed report session_resumes != 1")
 
-        if len(fresh["curve"]) != len(resumed["curve"]):
-            sys.exit(
-                f"FAIL: curve lengths differ: {len(fresh['curve'])} vs "
-                f"{len(resumed['curve'])}"
-            )
-        for i, (a, b) in enumerate(zip(fresh["curve"], resumed["curve"])):
-            for field in DETERMINISTIC_CURVE_FIELDS:
-                if a[field] != b[field]:
-                    sys.exit(
-                        f"FAIL: curve[{i}].{field} differs: "
-                        f"{a[field]} vs {b[field]}"
-                    )
-
-        counter_diffs = {
-            name: (fresh["counters"].get(name), resumed["counters"].get(name))
-            for name in set(fresh["counters"]) | set(resumed["counters"])
-            if fresh["counters"].get(name) != resumed["counters"].get(name)
-        }
-        if counter_diffs:
-            sys.exit(f"FAIL: counters do not stitch up: {counter_diffs}")
+        for baseline, candidate in ((fresh_path, resumed_path),
+                                    (resumed_path, fresh_path)):
+            run([alem_report, "check", baseline, candidate, "--exact-curve",
+                 "--counter-tol=0"])
 
         # A corrupted snapshot must be rejected with a clean error.
         blob = bytearray(snapshot.read_bytes())
