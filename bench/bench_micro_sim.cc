@@ -66,9 +66,9 @@ BENCHMARK(BM_FullFeatureVector);
 
 // ---- Per-backend kernel rows (docs/kernels.md) -------------------------
 //
-// EvaluateBatch over a fixed pair pool for the kernel-dispatched edit
+// EvaluateBatch over a fixed pair pool for the kernel-dispatched alignment
 // similarities, one row per kernel backend plus "auto", so the JSON
-// trajectory shows per-backend speedups of the token-similarity chunk.
+// trajectory shows per-backend speedups of the align_scores kernel.
 // Registered at runtime because the backend list is a host property.
 
 struct SimBatchPool {
@@ -138,11 +138,11 @@ void RunSimBatchBackend(benchmark::State& state, const std::string& function,
   }
   backends.emplace_back("auto");
   for (const std::string& backend : backends) {
-    // The kernel-dispatched edit similarities: Jaro/JaroWinkler exercise
-    // the match-scan kernel, Levenshtein the DP-row kernel, MongeElkan the
-    // scan kernel across its token cross product.
+    // The four similarities whose batch path dispatches to the backend's
+    // align_scores kernel.
     for (const char* function :
-         {"Jaro", "JaroWinkler", "Levenshtein", "MongeElkan"}) {
+         {"NeedlemanWunsch", "SmithWaterman", "SmithWatermanGotoh",
+          "LongestCommonSubstring"}) {
       benchmark::RegisterBenchmark(
           ("BM_SimBatch_" + std::string(function) + "/backend:" + backend)
               .c_str(),

@@ -8,7 +8,6 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
-#include <sstream>
 #include <utility>
 
 #include "obs/obs.h"
@@ -85,14 +84,17 @@ bool FeatureCache::Load(const FeatureCacheKey& key, FeatureMatrix* out) const {
     CountCacheMiss();
     return false;
   }
-  std::ifstream file(EntryPath(key), std::ios::binary);
+  std::ifstream file(EntryPath(key), std::ios::binary | std::ios::ate);
   if (!file.is_open()) {
     CountCacheMiss();
     return false;
   }
-  std::ostringstream content;
-  content << file.rdbuf();
-  const std::string blob = content.str();
+  // One buffer of the file's exact size: a multi-MB entry is read without
+  // the grow-and-copy steps of a stream buffer.
+  const std::streamoff size = file.tellg();
+  std::string blob(size > 0 ? static_cast<size_t>(size) : 0, '\0');
+  file.seekg(0);
+  file.read(blob.data(), static_cast<std::streamsize>(blob.size()));
   FeatureMatrix parsed;
   if (!file.good() || !FeatureMatrix::Deserialize(blob, &parsed) ||
       parsed.dims() != key.num_dims) {

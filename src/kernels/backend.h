@@ -15,9 +15,9 @@
 //     per output value it performs the same arithmetic operations in the
 //     same order and rounding as the scalar reference, so results are
 //     bitwise-identical. The AVX2 kernels vectorize across independent
-//     outputs (rows, units, candidate positions), never across a single
-//     floating-point accumulation, and their translation units are built
-//     with -ffp-contract=off so no FMA contraction can change rounding.
+//     outputs (rows, units, pairs), never across a single floating-point
+//     accumulation, and their translation units are built with
+//     -ffp-contract=off so no FMA contraction can change rounding.
 //   * A future backend MAY register a reassociating kernel (e.g. an
 //     FMA-tiled GEMV); such kernels are ULP-BOUNDED instead of bitwise and
 //     must document their tolerance in docs/kernels.md. The differential
@@ -50,6 +50,30 @@ namespace kernels {
 // at most this many rows to svm_margin_block).
 inline constexpr size_t kSvmMarginBlock = 8;
 
+// Longest input, in bytes per side, of the alignment dynamic programs
+// (the similarity layer caps its inputs at this length).
+inline constexpr size_t kMaxAlignLength = 64;
+
+// The integer alignment dynamic programs behind align_scores. Each scores
+// in units that make every step an integer, so the similarity layer's
+// double-valued score is the integer divided by the unit:
+enum class Alignment : int {
+  // Global: match +1, mismatch -1, gap -1; the score at (|a|, |b|).
+  kNeedlemanWunsch = 0,
+  // Local, in halves: match +2, mismatch -2, gap -1; the best cell, >= 0.
+  kSmithWaterman = 1,
+  // Local with affine gaps, in quarters: match +4, mismatch -4, gap open
+  // -2, gap extend -1; the best cell, >= 0.
+  kSmithWatermanGotoh = 2,
+  // Length of the longest common contiguous substring.
+  kLongestCommonSubstring = 3,
+};
+
+// Scalar reference of one pair's alignment score; `a` and `b` hold at most
+// kMaxAlignLength bytes. This one DP body is both the scalar backend's
+// align_scores and the per-pair SimilarityFunction::Similarity path.
+int AlignmentScore(Alignment kind, std::string_view a, std::string_view b);
+
 // Dispatch table: one function pointer per hot inner loop. All pointers are
 // always non-null; nn_wants_transpose tells the NN batch path whether to
 // hand the kernels a [in x out] transposed copy of each layer's weights
@@ -57,24 +81,15 @@ inline constexpr size_t kSvmMarginBlock = 8;
 struct KernelOps {
   const char* name;
 
-  // ---- similarity kernels (sim/edit_based.cc, via sim/token_based.cc) ----
+  // ---- similarity kernel (sim/edit_based.cc) ----
 
-  // Jaro match scan: first index j in [lo, hi) with b[j] == c and
-  // matched[j] == 0; returns hi when no such j exists. Exact (integer)
-  // semantics, so every backend is bitwise-equivalent.
-  size_t (*jaro_scan)(const char* b, const uint8_t* matched, size_t lo,
-                      size_t hi, char c);
-
-  // One Levenshtein DP row update over columns 0..m:
-  //   cur[0] = row_index
-  //   cur[j] = min(prev[j] + 1, cur[j-1] + 1,
-  //                prev[j-1] + (a_char == b[j-1] ? 0 : 1))
-  // `prev` and `cur` hold m+1 ints; `b` holds m chars. Exact (integer)
-  // semantics — the AVX2 version decomposes the column-carried dependency
-  // into a vectorized prefix-min, which is exact because integer min is
-  // associative.
-  void (*lev_row)(const int* prev, int* cur, const char* b, size_t m,
-                  char a_char, int row_index);
+  // Alignment scores of a batch of pairs: scores[i] =
+  // AlignmentScore(kind, a[i], b[i]) for i < count. Exact (integer)
+  // semantics, so every backend is bitwise-equivalent; the AVX2 version
+  // runs 16 pairs per vector, sorted by length so each group's dynamic
+  // program spans about its own pairs' lengths.
+  void (*align_scores)(Alignment kind, const std::string_view* a,
+                       const std::string_view* b, size_t count, int* scores);
 
   // ---- ml kernels ----
 

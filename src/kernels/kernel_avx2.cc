@@ -3,126 +3,209 @@
 // unless __builtin_cpu_supports("avx2") passed in backend.cc.
 //
 // Every kernel below is REORDER-FREE with respect to the scalar reference
-// (kernel_scalar.cc): the integer kernels compute the same exact values,
-// and the floating-point kernels vectorize across independent accumulators
-// (rows for the SVM GEMV, units for the NN affine) so each accumulator
-// still sees its terms in ascending j with one rounded multiply and one
-// rounded add per term. The TU is additionally built with -ffp-contract=off
-// (and WITHOUT -mfma) so the compiler cannot fuse that multiply-add pair
-// into a single differently-rounded FMA. Net effect: bitwise-identical
-// outputs, verified by tests/kernel_backend_test.cc and the per-backend
-// golden-baseline replay in report_gate.sh stage 7.
+// (kernel_scalar.cc): the integer alignment kernel computes the same exact
+// values, and the floating-point kernels vectorize across independent
+// accumulators (rows for the SVM GEMV, units for the NN affine) so each
+// accumulator still sees its terms in ascending j with one rounded
+// multiply and one rounded add per term. The TU is additionally built with
+// -ffp-contract=off (and WITHOUT -mfma) so the compiler cannot fuse that
+// multiply-add pair into a single differently-rounded FMA. Net effect:
+// bitwise-identical outputs, verified by tests/kernel_backend_test.cc and
+// the per-backend golden-baseline replay in report_gate.sh stage 7.
 
 #include <immintrin.h>
 
 #include <algorithm>
-#include <climits>
 #include <cstddef>
 #include <cstdint>
+#include <string_view>
 
 #include "kernels/kernels_internal.h"
+#include "util/check.h"
 
 namespace alem {
 namespace kernels {
 namespace internal {
 namespace {
 
-// ---- jaro_scan ---------------------------------------------------------
+// ---- align_scores ------------------------------------------------------
 //
-// First-match scan: 32 candidate positions per step; a byte qualifies when
-// b[j] == c AND matched[j] == 0. movemask + countr_zero picks the lowest
-// qualifying index, which is exactly the scalar loop's first hit.
+// 16 pairs per vector, one int16 lane each, every lane running the scalar
+// reference's integer recurrence (kernel_scalar.cc) cell for cell. A
+// group's DP spans the largest n and m of its lanes, so shorter pairs are
+// padded: past its own length a lane's a holds kPadA and its b kPadB,
+// values outside 0..255 that never equal a real byte nor each other. Cell
+// (i, j) depends only on cells (i' <= i, j' <= j), so every cell inside a
+// lane's own n x m rectangle equals the scalar DP's. Outside it:
+//   * Needleman-Wunsch reads each lane's score at the lane's own (n, m);
+//   * in the local alignments every step into or inside the padding is a
+//     mismatch or a gap, which only lowers a score, so no padded cell
+//     exceeds max(0, best in-range cell) and the lane maximum is the
+//     scalar one;
+//   * the longest common substring is 0 on every padded cell.
+// Scores fit int16 with room to spare: |NW| <= 128, SW <= 128, SWG <= 256,
+// LCSubstr <= 64, and E/F never drift below -2 after their seed.
+// Within each block of 256 pairs the pairs are sorted by (n, m), so a
+// group of 16 spans about its own lengths.
 
-size_t JaroScanAvx2(const char* b, const uint8_t* matched, size_t lo,
-                    size_t hi, char c) {
-  const __m256i needle = _mm256_set1_epi8(c);
+constexpr size_t kLanes = 16;
+constexpr size_t kBlock = 256;
+constexpr int16_t kPadA = -1;
+constexpr int16_t kPadB = -2;
+constexpr int16_t kNoGap = -(1 << 14);
+
+struct LaneGroup {
+  // a[i][l]: byte i of lane l's first string, or kPadA past its end; b
+  // likewise with kPadB.
+  alignas(32) int16_t a[kMaxAlignLength][kLanes];
+  alignas(32) int16_t b[kMaxAlignLength][kLanes];
+  size_t n[kLanes];
+  size_t m[kLanes];
+  size_t rows = 0;  // max n
+  size_t cols = 0;  // max m
+};
+
+inline __m256i Load(const int16_t* p) {
+  return _mm256_load_si256(reinterpret_cast<const __m256i*>(p));
+}
+
+inline void Store(int16_t* p, __m256i v) {
+  _mm256_store_si256(reinterpret_cast<__m256i*>(p), v);
+}
+
+// Match/mismatch step per lane: `match` where eq is set, else -match.
+inline __m256i Substitution(__m256i eq, int16_t match) {
+  return _mm256_blendv_epi8(_mm256_set1_epi16(static_cast<int16_t>(-match)),
+                            _mm256_set1_epi16(match), eq);
+}
+
+template <Alignment kKind>
+void AlignGroup(const LaneGroup& group, int16_t* scores) {
+  constexpr bool kGlobal = kKind == Alignment::kNeedlemanWunsch;
+  alignas(32) int16_t h[kMaxAlignLength + 1][kLanes];
+  alignas(32) int16_t f[kMaxAlignLength + 1][kLanes];
   const __m256i zero = _mm256_setzero_si256();
-  size_t j = lo;
-  for (; j + 32 <= hi; j += 32) {
-    const __m256i text =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + j));
-    const __m256i used =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(matched + j));
-    const __m256i hit = _mm256_and_si256(_mm256_cmpeq_epi8(text, needle),
-                                         _mm256_cmpeq_epi8(used, zero));
-    const uint32_t mask =
-        static_cast<uint32_t>(_mm256_movemask_epi8(hit));
-    if (mask != 0) {
-      return j + static_cast<size_t>(__builtin_ctz(mask));
+  const __m256i one = _mm256_set1_epi16(1);
+  const __m256i two = _mm256_set1_epi16(2);
+  for (size_t j = 0; j <= group.cols; ++j) {
+    Store(h[j], kGlobal ? _mm256_set1_epi16(static_cast<int16_t>(-j)) : zero);
+    if constexpr (kKind == Alignment::kSmithWatermanGotoh) {
+      Store(f[j], _mm256_set1_epi16(kNoGap));
     }
   }
-  for (; j < hi; ++j) {
-    if (matched[j] == 0 && b[j] == c) return j;
+  __m256i best = zero;
+  for (size_t i = 0; i <= group.rows; ++i) {
+    if (i > 0) {
+      const __m256i ai = Load(group.a[i - 1]);
+      __m256i diagonal = Load(h[0]);
+      __m256i left = zero;
+      if constexpr (kGlobal) {
+        left = _mm256_set1_epi16(static_cast<int16_t>(-i));
+        Store(h[0], left);
+      }
+      __m256i e = _mm256_set1_epi16(kNoGap);
+      for (size_t j = 1; j <= group.cols; ++j) {
+        const __m256i up = Load(h[j]);
+        const __m256i eq = _mm256_cmpeq_epi16(ai, Load(group.b[j - 1]));
+        __m256i cell;
+        if constexpr (kKind == Alignment::kNeedlemanWunsch) {
+          cell = _mm256_max_epi16(
+              _mm256_add_epi16(diagonal, Substitution(eq, 1)),
+              _mm256_sub_epi16(_mm256_max_epi16(up, left), one));
+        } else if constexpr (kKind == Alignment::kSmithWaterman) {
+          cell = _mm256_max_epi16(
+              _mm256_max_epi16(_mm256_add_epi16(diagonal, Substitution(eq, 2)),
+                               zero),
+              _mm256_sub_epi16(_mm256_max_epi16(up, left), one));
+        } else if constexpr (kKind == Alignment::kSmithWatermanGotoh) {
+          e = _mm256_max_epi16(_mm256_sub_epi16(e, one),
+                               _mm256_sub_epi16(left, two));
+          const __m256i fj = _mm256_max_epi16(
+              _mm256_sub_epi16(Load(f[j]), one), _mm256_sub_epi16(up, two));
+          Store(f[j], fj);
+          cell = _mm256_max_epi16(
+              _mm256_max_epi16(_mm256_add_epi16(diagonal, Substitution(eq, 4)),
+                               zero),
+              _mm256_max_epi16(e, fj));
+        } else {
+          cell = _mm256_and_si256(eq, _mm256_add_epi16(diagonal, one));
+        }
+        if constexpr (!kGlobal) best = _mm256_max_epi16(best, cell);
+        Store(h[j], cell);
+        diagonal = up;
+        left = cell;
+      }
+    }
+    if constexpr (kGlobal) {
+      for (size_t l = 0; l < kLanes; ++l) {
+        if (group.n[l] == i) scores[l] = h[group.m[l]][l];
+      }
+    }
   }
-  return hi;
+  if constexpr (!kGlobal) Store(scores, best);
 }
 
-// ---- lev_row -----------------------------------------------------------
-//
-// The scalar recurrence
-//   cur[j] = min(prev[j] + 1, cur[j-1] + 1, prev[j-1] + cost(j))
-// carries a dependency through cur[j-1]. Defining
-//   t[j] = min(prev[j] + 1, prev[j-1] + cost(j))
-// and unrolling the carry gives the closed form
-//   cur[j] = j + min(row_index, min_{1 <= k <= j} (t[k] - k)),
-// i.e. a prefix-min of the dependency-free values t[k] - k, seeded with
-// cur[0] = row_index. Integer min is associative, so the vectorized
-// prefix-min computes exactly the scalar result.
-
-// Lane-wise inclusive prefix-min over 8 int32 lanes: log-step shifts
-// toward higher lanes with an INT_MAX identity filling the vacated lanes.
-inline __m256i PrefixMinLanes(__m256i v) {
-  const __m256i top = _mm256_set1_epi32(INT_MAX);
-  const __m256i idx1 = _mm256_setr_epi32(0, 0, 1, 2, 3, 4, 5, 6);
-  const __m256i idx2 = _mm256_setr_epi32(0, 1, 0, 1, 2, 3, 4, 5);
-  v = _mm256_min_epi32(
-      v, _mm256_blend_epi32(_mm256_permutevar8x32_epi32(v, idx1), top, 0x01));
-  v = _mm256_min_epi32(
-      v, _mm256_blend_epi32(_mm256_permutevar8x32_epi32(v, idx2), top, 0x03));
-  // Shift by 4 lanes: low 128 bits become the identity, high 128 bits take
-  // the old low half.
-  v = _mm256_min_epi32(
-      v, _mm256_blend_epi32(_mm256_permute2x128_si256(v, v, 0x08), top, 0x0F));
-  return v;
+template <Alignment kKind>
+void AlignScoresAvx2Kind(const std::string_view* a, const std::string_view* b,
+                         size_t count, int* scores) {
+  for (size_t begin = 0; begin < count; begin += kBlock) {
+    const size_t size = count - begin < kBlock ? count - begin : kBlock;
+    const std::string_view* block_a = a + begin;
+    const std::string_view* block_b = b + begin;
+    uint16_t order[kBlock];
+    for (size_t k = 0; k < size; ++k) order[k] = static_cast<uint16_t>(k);
+    std::sort(order, order + size, [block_a, block_b](uint16_t x, uint16_t y) {
+      return block_a[x].size() != block_a[y].size()
+                 ? block_a[x].size() < block_a[y].size()
+                 : block_b[x].size() < block_b[y].size();
+    });
+    for (size_t first = 0; first < size; first += kLanes) {
+      const size_t lanes = size - first < kLanes ? size - first : kLanes;
+      LaneGroup group;
+      for (size_t l = 0; l < kLanes; ++l) {
+        group.n[l] = l < lanes ? block_a[order[first + l]].size() : 0;
+        group.m[l] = l < lanes ? block_b[order[first + l]].size() : 0;
+        ALEM_CHECK_LE(group.n[l], kMaxAlignLength);
+        ALEM_CHECK_LE(group.m[l], kMaxAlignLength);
+        if (group.n[l] > group.rows) group.rows = group.n[l];
+        if (group.m[l] > group.cols) group.cols = group.m[l];
+      }
+      for (size_t l = 0; l < kLanes; ++l) {
+        const std::string_view sa = l < lanes ? block_a[order[first + l]] : "";
+        const std::string_view sb = l < lanes ? block_b[order[first + l]] : "";
+        for (size_t i = 0; i < group.rows; ++i) {
+          group.a[i][l] = i < sa.size() ? static_cast<unsigned char>(sa[i])
+                                        : kPadA;
+        }
+        for (size_t j = 0; j < group.cols; ++j) {
+          group.b[j][l] = j < sb.size() ? static_cast<unsigned char>(sb[j])
+                                        : kPadB;
+        }
+      }
+      alignas(32) int16_t lane_scores[kLanes];
+      AlignGroup<kKind>(group, lane_scores);
+      for (size_t l = 0; l < lanes; ++l) {
+        scores[begin + order[first + l]] = lane_scores[l];
+      }
+    }
+  }
 }
 
-void LevRowAvx2(const int* prev, int* cur, const char* b, size_t m,
-                char a_char, int row_index) {
-  cur[0] = row_index;
-  const __m256i one = _mm256_set1_epi32(1);
-  const __m256i lane_offsets = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
-  const __m256i a_broadcast =
-      _mm256_set1_epi32(static_cast<int8_t>(a_char));
-  // Running min of {row_index} ∪ {t[k] - k : k already processed}.
-  int carry = row_index;
-  size_t j = 1;
-  for (; j + 8 <= m + 1; j += 8) {
-    const __m256i prev_j =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(prev + j));
-    const __m256i prev_jm1 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(prev + j - 1));
-    // b[j-1 .. j+6] sign-extended to int32 (a_broadcast is sign-extended
-    // the same way, so byte equality is preserved).
-    const __m256i text = _mm256_cvtepi8_epi32(_mm_loadl_epi64(
-        reinterpret_cast<const __m128i*>(b + j - 1)));
-    // cost = 0 where equal, 1 where not: cmpeq yields -1/0, +1 flips it.
-    const __m256i cost =
-        _mm256_add_epi32(_mm256_cmpeq_epi32(text, a_broadcast), one);
-    const __m256i t = _mm256_min_epi32(_mm256_add_epi32(prev_j, one),
-                                       _mm256_add_epi32(prev_jm1, cost));
-    const __m256i jvec =
-        _mm256_add_epi32(_mm256_set1_epi32(static_cast<int>(j)),
-                         lane_offsets);
-    const __m256i pm = _mm256_min_epi32(
-        PrefixMinLanes(_mm256_sub_epi32(t, jvec)), _mm256_set1_epi32(carry));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(cur + j),
-                        _mm256_add_epi32(pm, jvec));
-    // Lane 7 of pm is min(carry, min over this strip of t[k] - k).
-    carry = _mm256_extract_epi32(pm, 7);
-  }
-  for (; j <= m; ++j) {
-    const int substitution = prev[j - 1] + (a_char == b[j - 1] ? 0 : 1);
-    cur[j] = std::min({prev[j] + 1, cur[j - 1] + 1, substitution});
+void AlignScoresAvx2(Alignment kind, const std::string_view* a,
+                     const std::string_view* b, size_t count, int* scores) {
+  switch (kind) {
+    case Alignment::kNeedlemanWunsch:
+      return AlignScoresAvx2Kind<Alignment::kNeedlemanWunsch>(a, b, count,
+                                                              scores);
+    case Alignment::kSmithWaterman:
+      return AlignScoresAvx2Kind<Alignment::kSmithWaterman>(a, b, count,
+                                                            scores);
+    case Alignment::kSmithWatermanGotoh:
+      return AlignScoresAvx2Kind<Alignment::kSmithWatermanGotoh>(a, b, count,
+                                                                 scores);
+    case Alignment::kLongestCommonSubstring:
+      return AlignScoresAvx2Kind<Alignment::kLongestCommonSubstring>(
+          a, b, count, scores);
   }
 }
 
@@ -232,8 +315,7 @@ void NnAffineAvx2(const double* w, const double* wt, const double* bias,
 
 const KernelOps kAvx2Ops = {
     /*name=*/"avx2",
-    /*jaro_scan=*/JaroScanAvx2,
-    /*lev_row=*/LevRowAvx2,
+    /*align_scores=*/AlignScoresAvx2,
     /*svm_margin_block=*/SvmMarginBlockAvx2,
     /*nn_wants_transpose=*/true,
     /*nn_affine_f32=*/NnAffineAvx2<float>,

@@ -1,34 +1,110 @@
 // Portable scalar kernels — the reference implementations every other
 // backend is differentially tested against (tests/kernel_backend_test.cc).
-// These are verbatim extractions of the inner loops that previously lived
-// inline in sim/edit_based.cc, ml/linear_svm.cc, and ml/neural_net.cc;
-// changing any arithmetic here changes the framework's golden baselines.
+// The ml kernels are verbatim extractions of the inner loops that
+// previously lived inline in ml/linear_svm.cc and ml/neural_net.cc; the
+// alignment DPs compute sim/edit_based.cc's double-valued alignments in
+// exact integer units. Changing any arithmetic here changes the
+// framework's golden baselines.
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
 
 #include "kernels/kernels_internal.h"
+#include "util/check.h"
 
 namespace alem {
 namespace kernels {
+
+int AlignmentScore(Alignment kind, std::string_view a, std::string_view b) {
+  const size_t n = a.size();
+  const size_t m = b.size();
+  ALEM_CHECK_LE(n, kMaxAlignLength);
+  ALEM_CHECK_LE(m, kMaxAlignLength);
+  // Row j of the previous/current DP row, updated in place: before the
+  // write, row[j] is the cell above and `diagonal` the cell above-left.
+  int row[kMaxAlignLength + 1];
+  switch (kind) {
+    case Alignment::kNeedlemanWunsch: {
+      for (size_t j = 0; j <= m; ++j) row[j] = -static_cast<int>(j);
+      for (size_t i = 1; i <= n; ++i) {
+        int diagonal = row[0];
+        row[0] = -static_cast<int>(i);
+        for (size_t j = 1; j <= m; ++j) {
+          const int up = row[j];
+          const int match = a[i - 1] == b[j - 1] ? 1 : -1;
+          row[j] = std::max({diagonal + match, up - 1, row[j - 1] - 1});
+          diagonal = up;
+        }
+      }
+      return row[m];
+    }
+    case Alignment::kSmithWaterman: {
+      std::fill(row, row + m + 1, 0);
+      int best = 0;
+      for (size_t i = 1; i <= n; ++i) {
+        int diagonal = 0;
+        for (size_t j = 1; j <= m; ++j) {
+          const int up = row[j];
+          const int match = a[i - 1] == b[j - 1] ? 2 : -2;
+          row[j] = std::max({0, diagonal + match, up - 1, row[j - 1] - 1});
+          best = std::max(best, row[j]);
+          diagonal = up;
+        }
+      }
+      return best;
+    }
+    case Alignment::kSmithWatermanGotoh: {
+      // row holds H (best local score ending at the cell); f holds F (best
+      // ending in a vertical gap), e is E (horizontal gap) along the row.
+      // Every E and F is a real cell's H plus a gap penalty from the first
+      // column or row on, so kNoGap only seeds the maxima.
+      constexpr int kNoGap = -(1 << 14);
+      int f[kMaxAlignLength + 1];
+      std::fill(row, row + m + 1, 0);
+      std::fill(f, f + m + 1, kNoGap);
+      int best = 0;
+      for (size_t i = 1; i <= n; ++i) {
+        int e = kNoGap;
+        int diagonal = 0;
+        for (size_t j = 1; j <= m; ++j) {
+          const int up = row[j];
+          e = std::max(e - 1, row[j - 1] - 2);
+          f[j] = std::max(f[j] - 1, up - 2);
+          const int match = a[i - 1] == b[j - 1] ? 4 : -4;
+          row[j] = std::max({0, diagonal + match, e, f[j]});
+          best = std::max(best, row[j]);
+          diagonal = up;
+        }
+      }
+      return best;
+    }
+    case Alignment::kLongestCommonSubstring: {
+      std::fill(row, row + m + 1, 0);
+      int best = 0;
+      for (size_t i = 1; i <= n; ++i) {
+        int diagonal = 0;
+        for (size_t j = 1; j <= m; ++j) {
+          const int up = row[j];
+          row[j] = a[i - 1] == b[j - 1] ? diagonal + 1 : 0;
+          best = std::max(best, row[j]);
+          diagonal = up;
+        }
+      }
+      return best;
+    }
+  }
+  return 0;
+}
+
 namespace internal {
 namespace {
 
-size_t JaroScanScalar(const char* b, const uint8_t* matched, size_t lo,
-                      size_t hi, char c) {
-  for (size_t j = lo; j < hi; ++j) {
-    if (matched[j] == 0 && b[j] == c) return j;
-  }
-  return hi;
-}
-
-void LevRowScalar(const int* prev, int* cur, const char* b, size_t m,
-                  char a_char, int row_index) {
-  cur[0] = row_index;
-  for (size_t j = 1; j <= m; ++j) {
-    const int substitution = prev[j - 1] + (a_char == b[j - 1] ? 0 : 1);
-    cur[j] = std::min({prev[j] + 1, cur[j - 1] + 1, substitution});
+void AlignScoresScalar(Alignment kind, const std::string_view* a,
+                       const std::string_view* b, size_t count,
+                       int* scores) {
+  for (size_t i = 0; i < count; ++i) {
+    scores[i] = AlignmentScore(kind, a[i], b[i]);
   }
 }
 
@@ -62,8 +138,7 @@ void NnAffineScalar(const double* w, const double* /*wt*/, const double* bias,
 
 const KernelOps kScalarOps = {
     /*name=*/"scalar",
-    /*jaro_scan=*/JaroScanScalar,
-    /*lev_row=*/LevRowScalar,
+    /*align_scores=*/AlignScoresScalar,
     /*svm_margin_block=*/SvmMarginBlockScalar,
     /*nn_wants_transpose=*/false,
     /*nn_affine_f32=*/NnAffineScalar<float>,

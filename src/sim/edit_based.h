@@ -1,41 +1,28 @@
 // Character-level (edit/alignment-based) similarity functions.
 //
-// All O(n*m) dynamic programs operate on a bounded prefix of the input
+// All edit and alignment distances operate on a bounded prefix of the input
 // (kMaxAlignmentLength characters) so that long free-text attributes such as
 // product descriptions do not blow up feature-extraction cost. The public EM
 // datasets' discriminative signal for these functions lives in short
-// attributes (names, titles), which fit well under the cap.
+// attributes (names, titles), which fit well under the cap. The cap is one
+// machine word, so Levenshtein, Damerau-Levenshtein (OSA) and the longest
+// common subsequence run as bit-parallel word operations, one word step per
+// character of b; the four alignment scores go through the kernel
+// backend's integer align_scores (docs/kernels.md). Jaro is uncapped and
+// bit-parallel over ceil(|b| / 64) words.
 
 #ifndef ALEM_SIM_EDIT_BASED_H_
 #define ALEM_SIM_EDIT_BASED_H_
 
-#include <cstdint>
+#include <cstddef>
 #include <string_view>
-#include <vector>
 
 #include "sim/similarity.h"
 
 namespace alem {
 
-namespace internal_edit {
-
-// Reusable scratch buffers for the alignment dynamic programs and the Jaro
-// matched-flag arrays. The scalar similarity path constructs one per call
-// (equivalent to the old per-call std::vector allocations); the batch
-// kernels construct one per chunk and reuse it across pairs, which is what
-// hoists the allocation cost out of the pair loop. Every function that
-// takes an EditScratch fully (re)initializes the rows it reads via
-// assign(), so a reused scratch computes bitwise-identical results to a
-// fresh one.
-struct EditScratch {
-  std::vector<int> int_rows[3];
-  std::vector<double> dbl_rows[4];
-  std::vector<uint8_t> flags[2];
-};
-
-}  // namespace internal_edit
-
-// Maximum prefix length considered by the quadratic alignment functions.
+// Maximum prefix length, in bytes, that every function here except Identity
+// and Jaro(-Winkler) considers.
 inline constexpr size_t kMaxAlignmentLength = 64;
 
 // Exact string equality on the normalized text (Simmetrics "Identity").
@@ -56,9 +43,6 @@ class LevenshteinSimilarity final : public SimilarityFunction {
  protected:
   double ComputeNonNull(const AttributeProfile& a,
                         const AttributeProfile& b) const override;
-  void EvaluateChunk(const AttributeProfile* const* left,
-                     const AttributeProfile* const* right, size_t begin,
-                     size_t end, float* out) const override;
 };
 
 // Optimal-string-alignment variant of Damerau-Levenshtein (adjacent
@@ -70,9 +54,6 @@ class DamerauLevenshteinSimilarity final : public SimilarityFunction {
  protected:
   double ComputeNonNull(const AttributeProfile& a,
                         const AttributeProfile& b) const override;
-  void EvaluateChunk(const AttributeProfile* const* left,
-                     const AttributeProfile* const* right, size_t begin,
-                     size_t end, float* out) const override;
 };
 
 // Jaro similarity.
@@ -83,9 +64,6 @@ class JaroSimilarity final : public SimilarityFunction {
  protected:
   double ComputeNonNull(const AttributeProfile& a,
                         const AttributeProfile& b) const override;
-  void EvaluateChunk(const AttributeProfile* const* left,
-                     const AttributeProfile* const* right, size_t begin,
-                     size_t end, float* out) const override;
 };
 
 // Jaro-Winkler with the standard prefix scale 0.1 and max prefix 4.
@@ -96,9 +74,6 @@ class JaroWinklerSimilarity final : public SimilarityFunction {
  protected:
   double ComputeNonNull(const AttributeProfile& a,
                         const AttributeProfile& b) const override;
-  void EvaluateChunk(const AttributeProfile* const* left,
-                     const AttributeProfile* const* right, size_t begin,
-                     size_t end, float* out) const override;
 };
 
 // Global alignment (Needleman-Wunsch) with match +1, mismatch -1, gap -1,
@@ -153,9 +128,6 @@ class LongestCommonSubsequenceSimilarity final : public SimilarityFunction {
  protected:
   double ComputeNonNull(const AttributeProfile& a,
                         const AttributeProfile& b) const override;
-  void EvaluateChunk(const AttributeProfile* const* left,
-                     const AttributeProfile* const* right, size_t begin,
-                     size_t end, float* out) const override;
 };
 
 // Longest common contiguous substring: lcstr / max(|a|, |b|).
@@ -177,13 +149,8 @@ namespace internal_edit {
 // metric). Exposed for tests.
 double JaroRaw(std::string_view a, std::string_view b);
 
-// Raw Jaro-Winkler on string views.
+// Raw Jaro-Winkler on string views (Monge-Elkan's inner metric).
 double JaroWinklerRaw(std::string_view a, std::string_view b);
-
-// Raw Jaro-Winkler using caller-provided scratch (Monge-Elkan's batch
-// kernel reuses one scratch across its whole token-pair inner loop).
-double JaroWinklerRawWith(std::string_view a, std::string_view b,
-                          EditScratch& scratch);
 
 // Raw Levenshtein distance (uncapped). Exposed for tests.
 int LevenshteinDistance(std::string_view a, std::string_view b);

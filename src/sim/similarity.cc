@@ -8,7 +8,7 @@ namespace alem {
 namespace {
 
 // Chunk size for batch evaluation. Large enough that per-chunk overhead
-// (span bookkeeping, scratch-buffer warmup in the overrides) is amortized,
+// (span bookkeeping, the alignment kernels' 16-pair groups) is amortized,
 // small enough that a few thousand pairs still fan out across workers.
 constexpr size_t kBatchGrain = 256;
 

@@ -55,9 +55,9 @@ class SimilarityFunction {
                                 const AttributeProfile& b) const = 0;
 
   // One contiguous chunk of EvaluateBatch. The default loops Similarity();
-  // functions whose scalar path allocates per call (the edit-based dynamic
-  // programs, Monge-Elkan) override it to hoist their scratch buffers out
-  // of the pair loop while running the exact same arithmetic.
+  // the alignment functions override it to score the whole chunk through
+  // the kernel backend (kernels::KernelOps::align_scores) with the exact
+  // integer arithmetic of their per-pair path.
   virtual void EvaluateChunk(const AttributeProfile* const* left,
                              const AttributeProfile* const* right,
                              size_t begin, size_t end, float* out) const;

@@ -82,28 +82,22 @@ double EuclideanSimilarity::ComputeNonNull(const AttributeProfile& a,
   return 1.0 - distance / bound;
 }
 
-namespace {
-
-// Core symmetric Monge-Elkan with caller-provided Jaro-Winkler scratch:
-// the single implementation behind both the scalar path (fresh scratch per
-// call) and the batch kernel (one scratch per chunk).
-double MongeElkanSim(const AttributeProfile& a, const AttributeProfile& b,
-                     internal_edit::EditScratch& scratch) {
+double MongeElkanSimilarity::ComputeNonNull(const AttributeProfile& a,
+                                            const AttributeProfile& b) const {
   // Cost control: the inner loop is |A| * |B| Jaro-Winkler calls.
   constexpr size_t kMaxTokens = 30;
   const size_t na = std::min(a.tokens.size(), kMaxTokens);
   const size_t nb = std::min(b.tokens.size(), kMaxTokens);
   if (na == 0 || nb == 0) return na == nb ? 1.0 : 0.0;
 
-  auto directed = [&scratch](const std::vector<std::string>& from,
-                             const std::vector<std::string>& to, size_t nf,
-                             size_t nt) {
+  auto directed = [](const std::vector<std::string>& from,
+                     const std::vector<std::string>& to, size_t nf,
+                     size_t nt) {
     double sum = 0.0;
     for (size_t i = 0; i < nf; ++i) {
       double best = 0.0;
       for (size_t j = 0; j < nt; ++j) {
-        best = std::max(best, internal_edit::JaroWinklerRawWith(
-                                  from[i], to[j], scratch));
+        best = std::max(best, internal_edit::JaroWinklerRaw(from[i], to[j]));
         if (best >= 1.0) break;
       }
       sum += best;
@@ -112,29 +106,6 @@ double MongeElkanSim(const AttributeProfile& a, const AttributeProfile& b,
   };
   return 0.5 * (directed(a.tokens, b.tokens, na, nb) +
                 directed(b.tokens, a.tokens, nb, na));
-}
-
-}  // namespace
-
-double MongeElkanSimilarity::ComputeNonNull(const AttributeProfile& a,
-                                            const AttributeProfile& b) const {
-  internal_edit::EditScratch scratch;
-  return MongeElkanSim(a, b, scratch);
-}
-
-void MongeElkanSimilarity::EvaluateChunk(const AttributeProfile* const* left,
-                                         const AttributeProfile* const* right,
-                                         size_t begin, size_t end,
-                                         float* out) const {
-  internal_edit::EditScratch scratch;
-  for (size_t i = begin; i < end; ++i) {
-    const AttributeProfile& a = *left[i];
-    const AttributeProfile& b = *right[i];
-    out[i] = (a.is_null || b.is_null)
-                 ? 0.0f
-                 : static_cast<float>(
-                       std::clamp(MongeElkanSim(a, b, scratch), 0.0, 1.0));
-  }
 }
 
 }  // namespace alem

@@ -93,9 +93,6 @@ class MongeElkanSimilarity final : public SimilarityFunction {
  protected:
   double ComputeNonNull(const AttributeProfile& a,
                         const AttributeProfile& b) const override;
-  void EvaluateChunk(const AttributeProfile* const* left,
-                     const AttributeProfile* const* right, size_t begin,
-                     size_t end, float* out) const override;
 };
 
 }  // namespace alem

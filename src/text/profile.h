@@ -9,50 +9,68 @@
 #ifndef ALEM_TEXT_PROFILE_H_
 #define ALEM_TEXT_PROFILE_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 namespace alem {
 
-// Sparse multiset of strings with cached aggregate statistics.
-class CountedMultiset {
+// Multiset stored as a flat array of (key, count) entries sorted by key,
+// with cached aggregate statistics. Every pairwise operation is one linear
+// merge of the two arrays. Counts are integers, so Dot, SquaredL2Distance
+// and norm are exact sums of integers (well below 2^53) and come out the
+// same whatever order the entries are visited in.
+template <typename Key>
+class FlatMultiset {
  public:
-  CountedMultiset() = default;
-  explicit CountedMultiset(const std::vector<std::string>& items);
+  FlatMultiset() = default;
+  // Counts `items`; their order does not matter.
+  explicit FlatMultiset(std::vector<Key> items);
 
-  const std::unordered_map<std::string, int>& counts() const {
-    return counts_;
-  }
   // Total number of items, with multiplicity.
   int total() const { return total_; }
   // Number of distinct items.
-  size_t distinct() const { return counts_.size(); }
+  size_t distinct() const { return entries_.size(); }
   // Euclidean norm of the count vector.
   double norm() const { return norm_; }
 
-  int CountOf(const std::string& item) const;
+  int CountOf(const Key& item) const;
 
   // Size of the multiset intersection (sum of min counts).
-  static int MultisetIntersection(const CountedMultiset& a,
-                                  const CountedMultiset& b);
+  static int MultisetIntersection(const FlatMultiset& a,
+                                  const FlatMultiset& b);
   // Number of distinct items present in both.
-  static int SetIntersection(const CountedMultiset& a,
-                             const CountedMultiset& b);
+  static int SetIntersection(const FlatMultiset& a, const FlatMultiset& b);
   // Dot product of the two count vectors.
-  static double Dot(const CountedMultiset& a, const CountedMultiset& b);
+  static double Dot(const FlatMultiset& a, const FlatMultiset& b);
   // L1 distance between the count vectors.
-  static int L1Distance(const CountedMultiset& a, const CountedMultiset& b);
+  static int L1Distance(const FlatMultiset& a, const FlatMultiset& b);
   // Squared L2 distance between the count vectors.
-  static double SquaredL2Distance(const CountedMultiset& a,
-                                  const CountedMultiset& b);
+  static double SquaredL2Distance(const FlatMultiset& a,
+                                  const FlatMultiset& b);
 
  private:
-  std::unordered_map<std::string, int> counts_;
+  struct Entry {
+    Key key;
+    int count;
+  };
+
+  std::vector<Entry> entries_;  // Strictly ascending keys, counts > 0.
   int total_ = 0;
   double norm_ = 0.0;
 };
+
+extern template class FlatMultiset<std::string>;
+extern template class FlatMultiset<uint16_t>;
+
+// Multiset of word tokens.
+using CountedMultiset = FlatMultiset<std::string>;
+
+// Multiset of padded character bigrams (QGrams(text, 2)); the bigram "xy"
+// is stored as the code (x << 8) | y of its two bytes.
+using BigramMultiset = FlatMultiset<uint16_t>;
 
 // Pre-tokenized view of one attribute value.
 struct AttributeProfile {
@@ -70,7 +88,7 @@ struct AttributeProfile {
   CountedMultiset token_counts;
 
   // Padded character 2-gram multiset (for the q-gram family).
-  CountedMultiset bigram_counts;
+  BigramMultiset bigram_counts;
 
   // Builds a profile; `raw` is stripped and lower-cased first.
   static AttributeProfile Build(std::string_view raw);

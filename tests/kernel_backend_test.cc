@@ -143,7 +143,7 @@ TEST(KernelDispatchTest, BackendNamesRoundTrip) {
 // Each test fetches the scalar table once, then replays identical inputs
 // through every available non-scalar backend's table and demands exact
 // agreement. Inputs deliberately cover empty ranges, single elements,
-// sizes straddling the vector widths (8/32 lanes), and misaligned
+// sizes straddling the vector widths (4/8/16 lanes), and misaligned
 // pointers (the kernels use unaligned loads; slicing buffers at odd
 // offsets would catch any alignment assumption).
 
@@ -154,64 +154,56 @@ const kernels::KernelOps& OpsFor(const std::string& name) {
   return kernels::Active();
 }
 
-TEST(KernelDifferentialTest, JaroScanMatchesScalar) {
+TEST(KernelDifferentialTest, AlignScoresMatchScalarBitwise) {
   const kernels::KernelOps& scalar = OpsFor("scalar");
-  for (const std::string& backend : NonScalarBackends()) {
-    const kernels::KernelOps& ops = OpsFor(backend);
-    Rng rng(1234);
-    const char alphabet[] = "abcdz";  // Few symbols => many matches.
-    for (int round = 0; round < 200; ++round) {
-      const size_t m = rng.NextBelow(130);  // 0..129: straddles 32, 64, 96.
-      std::string b(m, 'x');
-      std::vector<uint8_t> matched(m + 1, 0);  // +1 so m==0 has a pointer.
-      for (size_t j = 0; j < m; ++j) {
-        b[j] = alphabet[rng.NextBelow(5)];
-        matched[j] = rng.NextBernoulli(0.3) ? 1 : 0;
-      }
-      const char c = alphabet[rng.NextBelow(5)];
-      // Random window, including empty (lo == hi) and full-width.
-      size_t lo = rng.NextBelow(m + 1);
-      size_t hi = rng.NextBelow(m + 1);
-      if (lo > hi) std::swap(lo, hi);
-      const size_t expected =
-          scalar.jaro_scan(b.data(), matched.data(), lo, hi, c);
-      const size_t actual = ops.jaro_scan(b.data(), matched.data(), lo, hi, c);
-      ASSERT_EQ(actual, expected)
-          << backend << " round " << round << " m=" << m << " lo=" << lo
-          << " hi=" << hi << " c=" << c;
-    }
-  }
-}
-
-TEST(KernelDifferentialTest, LevRowMatchesScalar) {
-  const kernels::KernelOps& scalar = OpsFor("scalar");
+  const kernels::Alignment kinds[] = {
+      kernels::Alignment::kNeedlemanWunsch,
+      kernels::Alignment::kSmithWaterman,
+      kernels::Alignment::kSmithWatermanGotoh,
+      kernels::Alignment::kLongestCommonSubstring,
+  };
+  // Few symbols => long matches and many ties; raw bytes >= 0x80 check
+  // that no byte is mistaken for the lanes' out-of-byte-range padding.
+  const std::string alphabets[] = {"ab", "abcd", "abcdefghijklmnopqrstuvwxyz ",
+                                   "\x80\xc3\xa9\xff\xfe"};
+  // Counts straddle the 16-lane groups and the 256-pair sort blocks.
+  const size_t counts[] = {0, 1, 15, 16, 17, 255, 256, 257, 600};
   for (const std::string& backend : NonScalarBackends()) {
     const kernels::KernelOps& ops = OpsFor(backend);
     Rng rng(99);
-    const size_t lengths[] = {0, 1, 2, 7, 8, 9, 15, 16, 17, 63, 64, 65, 100};
-    for (const size_t m : lengths) {
-      for (int round = 0; round < 40; ++round) {
-        std::string b(m, 'x');
-        for (size_t j = 0; j < m; ++j) {
-          b[j] = static_cast<char>('a' + rng.NextBelow(4));
+    for (const size_t count : counts) {
+      std::vector<std::string> a_text(count);
+      std::vector<std::string> b_text(count);
+      for (size_t i = 0; i < count; ++i) {
+        const std::string& alphabet =
+            alphabets[rng.NextBelow(std::size(alphabets))];
+        for (std::string* text : {&a_text[i], &b_text[i]}) {
+          // Lengths 0..64 (the kernel's cap), biased toward the cap and
+          // toward empty so both extremes share groups.
+          const size_t length = rng.NextBernoulli(0.2)
+                                    ? (rng.NextBernoulli(0.5) ? 0 : 64)
+                                    : rng.NextBelow(65);
+          for (size_t k = 0; k < length; ++k) {
+            text->push_back(alphabet[rng.NextBelow(alphabet.size())]);
+          }
         }
-        // Random previous row: arbitrary non-negative ints, not just valid
-        // DP states, so the prefix-min decomposition is stressed beyond
-        // what real edit distances produce.
-        std::vector<int> prev(m + 1);
-        for (size_t j = 0; j <= m; ++j) {
-          prev[j] = static_cast<int>(rng.NextBelow(200));
+      }
+      std::vector<std::string_view> a(a_text.begin(), a_text.end());
+      std::vector<std::string_view> b(b_text.begin(), b_text.end());
+      for (const kernels::Alignment kind : kinds) {
+        std::vector<int> expected(count + 1, -1000);
+        std::vector<int> actual(count + 1, -2000);
+        scalar.align_scores(kind, a.data(), b.data(), count, expected.data());
+        ops.align_scores(kind, a.data(), b.data(), count, actual.data());
+        for (size_t i = 0; i < count; ++i) {
+          ASSERT_EQ(expected[i], kernels::AlignmentScore(kind, a[i], b[i]));
+          ASSERT_EQ(actual[i], expected[i])
+              << backend << " kind " << static_cast<int>(kind) << " count "
+              << count << " pair " << i << ": '" << a[i] << "' vs '" << b[i]
+              << "'";
         }
-        const char a_char = static_cast<char>('a' + rng.NextBelow(4));
-        const int row_index = static_cast<int>(rng.NextBelow(100));
-        std::vector<int> expected(m + 1, -1);
-        std::vector<int> actual(m + 1, -2);
-        scalar.lev_row(prev.data(), expected.data(), b.data(), m, a_char,
-                       row_index);
-        ops.lev_row(prev.data(), actual.data(), b.data(), m, a_char,
-                    row_index);
-        ASSERT_EQ(actual, expected)
-            << backend << " m=" << m << " round " << round;
+        // Nothing past `count` is written.
+        ASSERT_EQ(actual[count], -2000);
       }
     }
   }
@@ -332,8 +324,9 @@ TEST(KernelDifferentialTest, NnAffineMatchesScalarBitwise) {
 //
 // All 21 similarity functions, run through the public batch entry point
 // under every available backend and compared bitwise against the forced-
-// scalar result. Pair counts straddle the sim.batch grain (256): 0, 1,
-// 255, 256, 257. String material includes empty, single-char, multi-byte
+// scalar result. Pair counts straddle the 16-pair groups of the AVX2
+// alignment kernel and the sim.batch grain (256): 0, 1, 15, 16, 17, 255,
+// 256, 257. String material includes empty, single-char, multi-byte
 // UTF-8 (odd q-gram tails), and strings at/over the kMaxAlignmentLength
 // cap of the edit-based functions.
 
@@ -365,7 +358,7 @@ std::vector<AttributeProfile> FuzzProfiles() {
 TEST(KernelBatchDifferentialTest, AllSimilaritiesMatchScalarAtChunkEdges) {
   const std::vector<AttributeProfile> profiles = FuzzProfiles();
   Rng rng(42);
-  const size_t pair_counts[] = {0, 1, 255, 256, 257};
+  const size_t pair_counts[] = {0, 1, 15, 16, 17, 255, 256, 257};
   const std::vector<std::string> backends = NonScalarBackends();
   for (const SimilarityFunction* function : AllSimilarityFunctions()) {
     for (const size_t count : pair_counts) {
