@@ -20,8 +20,7 @@
 //                   "bench"-kind RunReport flight-recorder JSON
 //                   (<dir>/<sanitized artifact>.report.json: build stamp,
 //                   counters, span self-time rollup, wall/peak-RSS totals)
-//                   at exit; `alem_report aggregate <dir>` rolls a
-//                   directory of these into BENCH_alembench.json
+//                   at exit; read one with `alem_report show`
 //   ALEM_CACHE_DIR  when set, PrepareDataset persists each float feature
 //                   matrix there and reloads it on subsequent runs
 //                   (content-addressed, so profile/seed/scale/similarity

@@ -7,7 +7,6 @@
 #include <unordered_set>
 
 #include "obs/obs.h"
-#include "obs/profile.h"
 #include "text/tokenizer.h"
 #include "util/check.h"
 
@@ -103,17 +102,11 @@ double SortedJaccard(const std::vector<int>& a, const std::vector<int>& b) {
 
 namespace {
 
-// Reports the size of an offline-blocking result to the metrics registry
-// and, when the producing region is being profiled (obs/profile.h), as
-// that region's work items so candidate pairs/sec shows up in the
-// roofline tables.
-void CountCandidatePairs(size_t pairs, std::string_view region) {
+// Reports the size of an offline-blocking result to the metrics registry.
+void CountCandidatePairs(size_t pairs) {
   static obs::Counter& counter =
       obs::MetricsRegistry::Global().GetCounter("blocking.candidate_pairs");
   counter.Add(pairs);
-  if (obs::profile::Region* profiled = obs::profile::ActiveRegion(region)) {
-    obs::profile::AddWork(*profiled, pairs);
-  }
 }
 
 }  // namespace
@@ -159,7 +152,7 @@ std::vector<RecordPair> JaccardBlocking(const EmDataset& dataset,
                                            const RecordPair& b) {
     return a.left != b.left ? a.left < b.left : a.right < b.right;
   });
-  CountCandidatePairs(pairs.size(), "blocking.jaccard");
+  CountCandidatePairs(pairs.size());
   return pairs;
 }
 

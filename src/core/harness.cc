@@ -13,7 +13,6 @@
 #include "features/feature_extractor.h"
 #include "features/feature_schema.h"
 #include "obs/obs.h"
-#include "obs/profile.h"
 #include "parallel/pool.h"
 #include "sim/similarity.h"
 #include "synth/generator.h"
@@ -90,17 +89,6 @@ PreparedDataset PrepareDataset(const PrepareOptions& options) {
     prepared.featurizer = std::make_shared<BooleanFeaturizer>(schema);
     prepared.boolean_features =
         prepared.featurizer->Featurize(prepared.float_features);
-    // Roofline items for the featurize region (obs/profile.h): one item
-    // per candidate pair, whether the matrix was recomputed or loaded from
-    // cache; output traffic is the produced float matrix.
-    if (obs::profile::Region* profiled =
-            obs::profile::ActiveRegion("harness.featurize")) {
-      obs::profile::AddWork(*profiled, prepared.pairs.size(),
-                            static_cast<uint64_t>(
-                                prepared.float_features.rows()) *
-                                prepared.float_features.dims() *
-                                sizeof(float));
-    }
   }
   return prepared;
 }

@@ -5,7 +5,6 @@
 #include <random>
 
 #include "obs/obs.h"
-#include "obs/profile.h"
 #include "parallel/pool.h"
 #include "util/check.h"
 
@@ -51,18 +50,11 @@ std::vector<size_t> TopKSmallest(std::vector<ScoredRow>& scored, size_t k) {
 }
 
 // Metrics shared by all selectors: #examples fully scored and #examples
-// skipped by selection-time blocking (paper Section 5.1). Scored examples
-// double as the selector.scoring region's work items when that region is
-// profiled (obs/profile.h) — every CountScored call happens inside the
-// selector's scoring span.
+// skipped by selection-time blocking (paper Section 5.1).
 void CountScored(size_t scored) {
   static obs::Counter& counter =
       obs::MetricsRegistry::Global().GetCounter("selector.scored_examples");
   counter.Add(scored);
-  if (obs::profile::Region* profiled =
-          obs::profile::ActiveRegion("selector.scoring")) {
-    obs::profile::AddWork(*profiled, scored);
-  }
 }
 
 void CountPruned(size_t pruned) {

@@ -6,7 +6,6 @@
 #include <sstream>
 #include <utility>
 
-#include "obs/profile.h"
 #include "util/check.h"
 
 namespace alem {
@@ -698,11 +697,6 @@ bool LabelingSession::Step() {
   {
     obs::ObsSpan evaluate_span("loop.evaluate", "core");
     const std::vector<size_t>& eval_rows = evaluator_.eval_rows();
-    // Roofline items: one per evaluated row (obs/profile.h).
-    if (obs::profile::Region* profiled =
-            obs::profile::ActiveRegion("loop.evaluate")) {
-      obs::profile::AddWork(*profiled, eval_rows.size());
-    }
     std::vector<int> predictions(eval_rows.size());
     if (ensemble()) {
       // The candidate joins the union only while it looks precise (or

@@ -5,7 +5,6 @@
 #include <numeric>
 
 #include "kernels/backend.h"
-#include "obs/profile.h"
 #include "util/check.h"
 #include "util/rng.h"
 
@@ -466,21 +465,6 @@ void NeuralNetwork::MarginBatch(const FeatureMatrix& features,
   size_t max_width = 0;
   for (const Layer& layer : layers_) {
     max_width = std::max(max_width, static_cast<size_t>(layer.out));
-  }
-  // Roofline accounting: one multiply-add per (row, layer weight) plus the
-  // output dot product — 2·Σ(in·out) + 2·out_last FLOPs per row
-  // (docs/observability.md).
-  static obs::profile::Region& profile_region =
-      obs::profile::GetRegion("ml.batch");
-  if (profile_region.active.load(std::memory_order_relaxed)) {
-    uint64_t flops_per_row = 0;
-    for (const Layer& layer : layers_) {
-      flops_per_row += 2ULL * static_cast<uint64_t>(layer.in) *
-                       static_cast<uint64_t>(layer.out);
-    }
-    flops_per_row += 2ULL * static_cast<uint64_t>(layers_.back().out);
-    obs::profile::AddWork(profile_region, 0, 0,
-                          static_cast<uint64_t>(rows.size()) * flops_per_row);
   }
   // Per-call scratch, allocated once and reused for every chunk. The
   // batch-norm divisors are hoisted per layer so each sqrt is taken once

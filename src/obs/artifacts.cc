@@ -5,8 +5,6 @@
 #include <cstdlib>
 
 #include "obs/obs.h"
-#include "obs/profile.h"
-#include "obs/telemetry.h"
 
 namespace alem {
 namespace obs {
@@ -41,18 +39,6 @@ ArtifactOptions ArtifactOptionsFromEnv(const std::string& artifact) {
                                         ".metrics.csv");
   options.report_path = PathFromDirEnv("ALEM_REPORT_DIR", artifact,
                                        ".report.json");
-  const char* hz = std::getenv("ALEM_TELEMETRY_HZ");
-  if (hz != nullptr && *hz != '\0') {
-    const double parsed = std::atof(hz);
-    if (parsed > 0.0) options.telemetry_hz = parsed;
-  }
-  // Presence of ALEM_PROFILE_REGIONS enables profiling; an empty value
-  // selects the curated default region set.
-  const char* profile_regions = std::getenv("ALEM_PROFILE_REGIONS");
-  if (profile_regions != nullptr) {
-    options.profile_enabled = true;
-    options.profile_regions = profile_regions;
-  }
   // cache_dir stays empty: FeatureCache::ResolveDir reads ALEM_CACHE_DIR.
   return options;
 }
@@ -62,9 +48,6 @@ ArtifactOptions ArtifactOptionsFromFlags(const FlagParser& flags,
   ArtifactOptions options = ArtifactOptionsFromEnv(artifact);
   if (flags.Has("trace")) {
     options.trace_path = flags.GetString("trace", "trace.json");
-  }
-  if (flags.Has("trace-jsonl")) {
-    options.trace_jsonl_path = flags.GetString("trace-jsonl", "trace.jsonl");
   }
   if (flags.Has("metrics")) {
     options.metrics_path = flags.GetString("metrics", "metrics.csv");
@@ -76,30 +59,15 @@ ArtifactOptions ArtifactOptionsFromFlags(const FlagParser& flags,
     options.cache_dir = flags.GetString("cache-dir", "");
   }
   options.use_cache = !flags.GetBool("no-cache", false);
-  if (flags.Has("telemetry-hz")) {
-    options.telemetry_hz = flags.GetDouble("telemetry-hz", 0.0);
-  }
-  if (flags.Has("profile-regions")) {
-    options.profile_enabled = true;
-    options.profile_regions = flags.GetString("profile-regions", "");
-  }
   return options;
 }
 
 void ArtifactOptions::EnableObservability() const {
   if (tracing_wanted()) SetTracingEnabled(true);
   if (metrics_wanted()) SetMetricsEnabled(true);
-  if (profile_enabled) {
-    profile::Enable(profile_regions.empty() ? profile::kDefaultRegions
-                                            : profile_regions);
-  }
-  if (telemetry_hz > 0.0) TelemetrySampler::Global().Start(telemetry_hz);
 }
 
 int ArtifactOptions::ExportTraceAndMetrics() const {
-  // Freeze the counter series before snapshotting any artifact (no-op when
-  // the sampler never started).
-  TelemetrySampler::Global().Stop();
   int status = 0;
   if (!trace_path.empty()) {
     if (TraceRecorder::Global().WriteChromeTrace(trace_path)) {
@@ -108,15 +76,6 @@ int ArtifactOptions::ExportTraceAndMetrics() const {
     } else {
       std::fprintf(stderr, "failed to write trace to %s\n",
                    trace_path.c_str());
-      status = 1;
-    }
-  }
-  if (!trace_jsonl_path.empty()) {
-    if (TraceRecorder::Global().WriteJsonl(trace_jsonl_path)) {
-      std::printf("(span JSONL written to %s)\n", trace_jsonl_path.c_str());
-    } else {
-      std::fprintf(stderr, "failed to write spans to %s\n",
-                   trace_jsonl_path.c_str());
       status = 1;
     }
   }

@@ -1,6 +1,8 @@
 // ArtifactOptions — the single resolution point for observability artifact
 // destinations and the feature-cache policy, shared by alem_cli and the
-// bench binaries.
+// bench binaries. There are three artifacts: the Chrome trace (the one
+// trace format; `alem_report check-trace` validates it), the metrics CSV,
+// and the RunReport.
 //
 // Before this lived here, alem_cli parsed --trace/--metrics/--report flags
 // while bench_util.cc separately interpreted ALEM_TRACE_DIR /
@@ -29,49 +31,31 @@ namespace obs {
 
 struct ArtifactOptions {
   // Destination paths; empty = that artifact is off.
-  std::string trace_path;        // Chrome trace-event JSON
-  std::string trace_jsonl_path;  // span-per-line JSONL
-  std::string metrics_path;      // counter/gauge/histogram CSV
-  std::string report_path;       // RunReport flight-recorder JSON
+  std::string trace_path;    // Chrome trace-event JSON
+  std::string metrics_path;  // counter/gauge/histogram CSV
+  std::string report_path;   // RunReport flight-recorder JSON
 
   // Feature-cache policy, forwarded into PrepareOptions.
   std::string cache_dir;  // explicit override; "" defers to ALEM_CACHE_DIR
   bool use_cache = true;  // false (--no-cache) disables the cache outright
 
-  // Sampling rate for the background telemetry sampler (obs/telemetry.h);
-  // <= 0 keeps it off. --telemetry-hz flag > ALEM_TELEMETRY_HZ env > off.
-  // A positive rate implies tracing + metrics (the samples are trace
-  // counter events reading the metric registry).
-  double telemetry_hz = 0.0;
-
-  // Roofline profiling (obs/profile.h). The --profile-regions flag or the
-  // ALEM_PROFILE_REGIONS environment variable turns it on; the value is a
-  // comma-separated region allowlist, and an empty value selects the
-  // curated default hot set (profile::kDefaultRegions). Off by default so
-  // unprofiled runs stay byte-identical.
-  bool profile_enabled = false;
-  std::string profile_regions;
-
   // The report needs spans (self-time rollup) and counters, so it implies
   // both subsystems; a metrics CSV alone only needs the metric registry.
   bool tracing_wanted() const {
-    return !trace_path.empty() || !trace_jsonl_path.empty() ||
-           !report_path.empty() || telemetry_hz > 0.0;
+    return !trace_path.empty() || !report_path.empty();
   }
   bool metrics_wanted() const {
     return tracing_wanted() || !metrics_path.empty();
   }
 
-  // Switches the tracing / metrics subsystems on as implied by the paths
-  // and starts the telemetry sampler when telemetry_hz > 0. Must run
-  // before PrepareDataset so preprocessing spans are captured.
+  // Switches the tracing / metrics subsystems on as implied by the paths.
+  // Must run before PrepareDataset so preprocessing spans are captured.
   void EnableObservability() const;
 
-  // Stops the telemetry sampler (if running), then writes the trace /
-  // JSONL / metrics artifacts from the global registries, printing one
-  // line per file. Returns 0 on success, 1 if any write failed. The report
-  // is written by the caller (run- and bench-kind reports are assembled
-  // differently).
+  // Writes the trace and metrics artifacts from the global registries,
+  // printing one line per file. Returns 0 on success, 1 if any write
+  // failed. The report is written by the caller (run- and bench-kind
+  // reports are assembled differently).
   int ExportTraceAndMetrics() const;
 };
 

@@ -1,7 +1,5 @@
 #include "obs/obs.h"
 
-#include "obs/profile.h"
-
 #include <algorithm>
 #include <chrono>
 #include <cinttypes>
@@ -13,7 +11,6 @@
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
-#include <unistd.h>
 #endif
 
 namespace alem {
@@ -104,22 +101,6 @@ void AppendChromeEvent(std::string* out, const SpanRecord& record) {
   out->append("}}");
 }
 
-// One sampled counter value as a Chrome trace-event "counter" ("C")
-// object; Perfetto plots consecutive samples of a name as a curve.
-void AppendChromeCounterEvent(std::string* out, const CounterRecord& record) {
-  char buf[64];
-  out->append("{\"name\":\"");
-  AppendJsonEscaped(out, record.name);
-  out->append("\",\"cat\":\"telemetry\",\"ph\":\"C\",\"ts\":");
-  std::snprintf(buf, sizeof(buf), "%.3f",
-                static_cast<double>(record.ts_ns) / 1e3);
-  out->append(buf);
-  out->append(",\"pid\":1,\"tid\":0,\"args\":{\"value\":");
-  std::snprintf(buf, sizeof(buf), "%.9g", record.value);
-  out->append(buf);
-  out->append("}}");
-}
-
 bool WriteStringToFile(const std::string& path, const std::string& content) {
   std::ofstream file(path, std::ios::binary | std::ios::trunc);
   if (!file.is_open()) return false;
@@ -181,20 +162,6 @@ uint64_t RuMaxRssToBytes(long ru_maxrss) {
 }
 
 }  // namespace detail
-
-uint64_t CurrentRssBytes() {
-#if defined(__linux__)
-  // /proc/self/statm: "size resident shared ..." in pages.
-  std::ifstream statm("/proc/self/statm");
-  uint64_t size_pages = 0;
-  uint64_t resident_pages = 0;
-  if (statm >> size_pages >> resident_pages) {
-    const long page = sysconf(_SC_PAGESIZE);
-    if (page > 0) return resident_pages * static_cast<uint64_t>(page);
-  }
-#endif
-  return 0;
-}
 
 // ---- Histogram --------------------------------------------------------
 
@@ -444,76 +411,22 @@ size_t TraceRecorder::size() const {
 void TraceRecorder::Clear() {
   std::lock_guard<std::mutex> lock(mutex_);
   records_.clear();
-  counters_.clear();
-}
-
-void TraceRecorder::RecordCounter(std::string_view name, double value) {
-  if (!TracingEnabled()) return;
-  CounterRecord record;
-  record.name = std::string(name);
-  record.ts_ns = TraceNowNanos();
-  record.value = value;
-  std::lock_guard<std::mutex> lock(mutex_);
-  counters_.push_back(std::move(record));
-}
-
-std::vector<CounterRecord> TraceRecorder::CounterSnapshot() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return counters_;
-}
-
-size_t TraceRecorder::counter_size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return counters_.size();
 }
 
 std::string TraceRecorder::ToChromeTraceJson() const {
   const std::vector<SpanRecord> records = Snapshot();
-  const std::vector<CounterRecord> counters = CounterSnapshot();
   std::string out = "{\"traceEvents\":[";
-  size_t emitted = 0;
-  for (const SpanRecord& record : records) {
-    if (emitted++ > 0) out.push_back(',');
+  for (size_t i = 0; i < records.size(); ++i) {
+    if (i > 0) out.push_back(',');
     out.push_back('\n');
-    AppendChromeEvent(&out, record);
-  }
-  for (const CounterRecord& record : counters) {
-    if (emitted++ > 0) out.push_back(',');
-    out.push_back('\n');
-    AppendChromeCounterEvent(&out, record);
+    AppendChromeEvent(&out, records[i]);
   }
   out.append("\n],\"displayTimeUnit\":\"ms\"}\n");
   return out;
 }
 
-std::string TraceRecorder::ToJsonl() const {
-  const std::vector<SpanRecord> records = Snapshot();
-  std::string out;
-  char buf[96];
-  for (const SpanRecord& record : records) {
-    out.append("{\"name\":\"");
-    AppendJsonEscaped(&out, record.name);
-    out.append("\",\"cat\":\"");
-    AppendJsonEscaped(&out, record.category);
-    out.append("\",\"detail\":\"");
-    AppendJsonEscaped(&out, record.detail);
-    std::snprintf(buf, sizeof(buf),
-                  "\",\"tid\":%u,\"depth\":%d,\"start_us\":%.3f,"
-                  "\"dur_us\":%.3f}\n",
-                  record.thread_id, record.depth,
-                  static_cast<double>(record.start_ns) / 1e3,
-                  static_cast<double>(record.duration_ns) / 1e3);
-    out.append(buf);
-  }
-  return out;
-}
-
 bool TraceRecorder::WriteChromeTrace(const std::string& path) const {
   return WriteStringToFile(path, ToChromeTraceJson());
-}
-
-bool TraceRecorder::WriteJsonl(const std::string& path) const {
-  return WriteStringToFile(path, ToJsonl());
 }
 
 // ---- ObsSpan ----------------------------------------------------------
@@ -524,10 +437,7 @@ ObsSpan::ObsSpan(std::string_view name, std::string_view category,
       category_(category),
       detail_(detail),
       start_ns_(TraceNowNanos()),
-      depth_(t_span_depth++) {
-  // One relaxed load when profiling is off (obs/profile.h).
-  if (profile::Enabled()) profiled_ = profile::SpanOpen(name_);
-}
+      depth_(t_span_depth++) {}
 
 ObsSpan::~ObsSpan() { Close(); }
 
@@ -536,10 +446,6 @@ double ObsSpan::Close() {
     open_ = false;
     --t_span_depth;
     duration_ns_ = TraceNowNanos() - start_ns_;
-    if (profiled_) {
-      profiled_ = false;
-      profile::SpanClose(name_, duration_ns_);
-    }
     if (TracingEnabled()) {
       SpanRecord record;
       record.name = name_;

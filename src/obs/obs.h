@@ -10,8 +10,7 @@
 //                    latency stats from it); records into the global
 //                    TraceRecorder only while tracing is enabled.
 //   * TraceRecorder  lock-protected global span sink, exportable as Chrome
-//                    trace-event JSON (chrome://tracing / Perfetto) or flat
-//                    JSONL.
+//                    trace-event JSON (chrome://tracing / Perfetto).
 //   * MetricsRegistry named Counters / Gauges / Histograms with a
 //                    Snapshot() API and text/CSV dumps.
 //
@@ -219,15 +218,6 @@ struct SpanRecord {
   uint64_t duration_ns = 0;
 };
 
-// One sampled value of a time-series counter (the telemetry sampler's
-// output): exported as a Chrome trace-event counter ("C" phase) so
-// Perfetto renders the series as a resource curve over the run.
-struct CounterRecord {
-  std::string name;
-  uint64_t ts_ns = 0;  // Nanoseconds relative to the trace epoch.
-  double value = 0.0;
-};
-
 // Global lock-protected span sink.
 class TraceRecorder {
  public:
@@ -235,31 +225,21 @@ class TraceRecorder {
 
   void Record(SpanRecord record);
   std::vector<SpanRecord> Snapshot() const;
-  size_t size() const;  // Span records only (counter samples not included).
-  void Clear();         // Drops spans and counter samples.
+  size_t size() const;
+  void Clear();
 
-  // Appends one counter sample; no-op while tracing is disabled.
-  void RecordCounter(std::string_view name, double value);
-  std::vector<CounterRecord> CounterSnapshot() const;
-  size_t counter_size() const;
-
-  // {"traceEvents":[...]} with "X" (complete) span events plus "C"
-  // (counter) events for sampled series, ts/dur in microseconds —
-  // loadable by chrome://tracing and Perfetto.
+  // {"traceEvents":[...]} with one "X" (complete) event per span, ts/dur
+  // in microseconds — loadable by chrome://tracing and Perfetto, and read
+  // back by ParseChromeTrace (obs/report.h).
   std::string ToChromeTraceJson() const;
-  // One JSON object per line: name, cat, detail, tid, depth, start_us,
-  // dur_us.
-  std::string ToJsonl() const;
 
   bool WriteChromeTrace(const std::string& path) const;
-  bool WriteJsonl(const std::string& path) const;
 
  private:
   TraceRecorder() = default;
 
   mutable std::mutex mutex_;
   std::vector<SpanRecord> records_;
-  std::vector<CounterRecord> counters_;
 };
 
 // RAII trace span. Construction starts the clock; Close() (or destruction)
@@ -293,10 +273,6 @@ class ObsSpan {
   uint64_t duration_ns_ = 0;
   int depth_;
   bool open_ = true;
-  // True when this span's name is an actively profiled region
-  // (obs/profile.h): Close() then feeds the duration and this thread's
-  // hardware-counter delta into that region's accumulators.
-  bool profiled_ = false;
 };
 
 // Nanoseconds since the process-wide trace epoch (first use).
@@ -314,11 +290,6 @@ namespace detail {
 // values (unset / unsupported platforms) normalize to 0.
 uint64_t RuMaxRssToBytes(long ru_maxrss);
 }  // namespace detail
-
-// Current resident set size in bytes (Linux /proc/self/statm); 0 when
-// unavailable. Sampled by the telemetry sampler (obs/telemetry.h) to plot
-// the memory curve over a run.
-uint64_t CurrentRssBytes();
 
 }  // namespace obs
 }  // namespace alem

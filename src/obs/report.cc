@@ -2,13 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <limits>
+#include <map>
 #include <sstream>
-#include <tuple>
 #include <type_traits>
 
-#include "obs/profile.h"
 #include "util/json.h"
 
 // Injected by src/obs/CMakeLists.txt from `git describe` at configure time.
@@ -123,39 +124,6 @@ void StampObservability(RunReport* report) {
     entry.p95_seconds = histogram.P95();
     entry.p99_seconds = histogram.P99();
     report->latency.push_back(std::move(entry));
-  }
-  // Roofline profile (obs/profile.h): stamped only when profiling ran, so
-  // profiling-off reports stay byte-identical to pre-profile ones.
-  report->has_profile = false;
-  report->profile = ProfileStats();
-  if (profile::Enabled()) {
-    const profile::Snapshot snapshot_profile = profile::TakeSnapshot();
-    report->has_profile = true;
-    report->profile.hw = snapshot_profile.hw;
-    for (const profile::RegionSnapshot& region : snapshot_profile.regions) {
-      ProfileRegionStats entry;
-      entry.name = region.name;
-      entry.spans = region.spans;
-      entry.seconds = region.seconds;
-      entry.items = region.items;
-      entry.bytes = region.bytes;
-      entry.flops = region.flops;
-      entry.cycles = region.hw[profile::kCycles];
-      entry.instructions = region.hw[profile::kInstructions];
-      entry.cache_refs = region.hw[profile::kCacheReferences];
-      entry.cache_misses = region.hw[profile::kCacheMisses];
-      entry.branch_misses = region.hw[profile::kBranchMisses];
-      if (entry.seconds > 0.0) {
-        entry.items_per_sec = static_cast<double>(entry.items) / entry.seconds;
-        entry.bytes_per_sec = static_cast<double>(entry.bytes) / entry.seconds;
-        entry.flops_per_sec = static_cast<double>(entry.flops) / entry.seconds;
-      }
-      if (entry.cycles > 0) {
-        entry.ipc = static_cast<double>(entry.instructions) /
-                    static_cast<double>(entry.cycles);
-      }
-      report->profile.regions.push_back(std::move(entry));
-    }
   }
 }
 
@@ -355,48 +323,6 @@ std::string ReportToJson(const RunReport& report) {
       out.append("}");
     }
     if (!report.pool.regions.empty()) out.append("\n  ");
-    out.append("]}");
-  }
-  if (report.has_profile) {
-    out.append(",\n  \"profile\": {\"hw\": ");
-    AppendJsonString(&out, report.profile.hw);
-    out.append(", \"regions\": [");
-    for (size_t i = 0; i < report.profile.regions.size(); ++i) {
-      const ProfileRegionStats& region = report.profile.regions[i];
-      if (i > 0) out.append(",");
-      out.append("\n    {\"name\": ");
-      AppendJsonString(&out, region.name);
-      out.append(", \"spans\": ");
-      AppendJsonUint(&out, region.spans);
-      out.append(", \"seconds\": ");
-      AppendJsonDouble(&out, region.seconds);
-      out.append(", \"items\": ");
-      AppendJsonUint(&out, region.items);
-      out.append(", \"bytes\": ");
-      AppendJsonUint(&out, region.bytes);
-      out.append(", \"flops\": ");
-      AppendJsonUint(&out, region.flops);
-      out.append(", \"cycles\": ");
-      AppendJsonUint(&out, region.cycles);
-      out.append(", \"instructions\": ");
-      AppendJsonUint(&out, region.instructions);
-      out.append(", \"cache_refs\": ");
-      AppendJsonUint(&out, region.cache_refs);
-      out.append(", \"cache_misses\": ");
-      AppendJsonUint(&out, region.cache_misses);
-      out.append(", \"branch_misses\": ");
-      AppendJsonUint(&out, region.branch_misses);
-      out.append(", \"items_per_sec\": ");
-      AppendJsonDouble(&out, region.items_per_sec);
-      out.append(", \"bytes_per_sec\": ");
-      AppendJsonDouble(&out, region.bytes_per_sec);
-      out.append(", \"flops_per_sec\": ");
-      AppendJsonDouble(&out, region.flops_per_sec);
-      out.append(", \"ipc\": ");
-      AppendJsonDouble(&out, region.ipc);
-      out.append("}");
-    }
-    if (!report.profile.regions.empty()) out.append("\n  ");
     out.append("]}");
   }
   out.append(",\n  \"process\": {\"wall_seconds\": ");
@@ -636,7 +562,7 @@ bool ParseReportJson(std::string_view text, RunReport* report,
                   entry.self_seconds = span.Number("self_seconds");
                   parsed.spans.push_back(std::move(entry));
                 });
-  // Optional sections (pre-telemetry reports stay loadable).
+  // Optional sections (older reports stay loadable).
   ForEachObject(top.Get("latency", Kind::kArray, /*required=*/false),
                 "latency", &errors, [&parsed](const FieldReader& lat) {
                   LatencyEntry entry;
@@ -670,32 +596,6 @@ bool ParseReportJson(std::string_view text, RunReport* report,
                         reg.Number("mean_chunk_seconds");
                     region.utilization = reg.Number("utilization");
                     parsed.pool.regions.push_back(std::move(region));
-                  });
-  }
-  if (const JsonValue* profile =
-          top.Get("profile", Kind::kObject, /*required=*/false)) {
-    parsed.has_profile = true;
-    const FieldReader prof{*profile, &errors, "profile."};
-    parsed.profile.hw = prof.String("hw");
-    ForEachObject(prof.Get("regions", Kind::kArray), "profile.regions",
-                  &errors, [&parsed](const FieldReader& reg) {
-                    ProfileRegionStats region;
-                    region.name = reg.String("name");
-                    region.spans = reg.Uint("spans");
-                    region.seconds = reg.Number("seconds");
-                    region.items = reg.Uint("items");
-                    region.bytes = reg.Uint("bytes");
-                    region.flops = reg.Uint("flops");
-                    region.cycles = reg.Uint("cycles");
-                    region.instructions = reg.Uint("instructions");
-                    region.cache_refs = reg.Uint("cache_refs");
-                    region.cache_misses = reg.Uint("cache_misses");
-                    region.branch_misses = reg.Uint("branch_misses");
-                    region.items_per_sec = reg.Number("items_per_sec");
-                    region.bytes_per_sec = reg.Number("bytes_per_sec");
-                    region.flops_per_sec = reg.Number("flops_per_sec");
-                    region.ipc = reg.Number("ipc");
-                    parsed.profile.regions.push_back(std::move(region));
                   });
   }
   if (const JsonValue* process = top.Get("process", Kind::kObject)) {
@@ -902,34 +802,6 @@ std::vector<std::string> CheckReports(const RunReport& baseline,
       }
     }
   }
-
-  if (options.throughput_tol >= 0.0 && baseline.has_profile &&
-      candidate.has_profile) {
-    // Gate only regions profiled on both sides with a measurable items/sec
-    // on both sides: allowlist changes add or remove regions structurally,
-    // and a region that never ran (zero work or zero time) has no
-    // throughput to regress.
-    for (const ProfileRegionStats& base : baseline.profile.regions) {
-      if (base.items_per_sec <= 0.0) continue;
-      const ProfileRegionStats* cand = nullptr;
-      for (const ProfileRegionStats& entry : candidate.profile.regions) {
-        if (entry.name == base.name) {
-          cand = &entry;
-          break;
-        }
-      }
-      if (cand == nullptr || cand->items_per_sec <= 0.0) continue;
-      const double floor = base.items_per_sec *
-                           (1.0 - options.throughput_tol);
-      if (cand->items_per_sec < floor) {
-        failures.push_back(
-            "throughput " + base.name + " regressed: " +
-            FormatDouble(cand->items_per_sec) + " items/s vs baseline " +
-            FormatDouble(base.items_per_sec) + " items/s (floor " +
-            FormatDouble(floor) + ")");
-      }
-    }
-  }
   return failures;
 }
 
@@ -983,8 +855,8 @@ std::vector<std::string> ValidateReport(const RunReport& report) {
     }
   }
 
-  // Feature cache. The telemetry sampler registers zero-valued hit/miss
-  // counters, so only a nonzero one means the cache was touched. A resumed
+  // Feature cache. Only a nonzero hit/miss/write counter means the cache
+  // was touched (a registered counter may sit at zero). A resumed
   // report's counters include the saving process's prepare while its spans
   // cover only the resuming process, so it needs no cache span.
   const uint64_t hits = report.CounterOr("featurize.cache.hit");
@@ -1101,64 +973,260 @@ std::vector<std::string> ValidateReport(const RunReport& report) {
     }
   }
 
-  if (report.has_profile) {
-    const std::string& hw = report.profile.hw;
-    if (hw != "available" && hw != "unavailable") {
-      fail("profile.hw '" + hw + "' must be 'available' or 'unavailable'");
+  return failures;
+}
+
+// ---- Trace checker ------------------------------------------------------
+
+namespace {
+
+// Containment grace at window edges: one nanosecond, the resolution of the
+// trace's three-decimal microsecond timestamps.
+constexpr uint64_t kTraceGraceNs = 1;
+
+// Largest ts/dur accepted, in microseconds (about 104 days): converted to
+// nanoseconds, start + duration stays far inside uint64_t.
+constexpr double kMaxTraceMicros = 9e12;
+
+// Phase spans every loop.iteration contains.
+constexpr const char* kPhaseSpans[] = {"loop.train", "loop.evaluate",
+                                       "loop.select", "loop.label"};
+// A batch-inference fan-out is issued by the phase that gathered its rows.
+constexpr const char* kMlBatchParents[] = {"selector.scoring", "loop.train",
+                                           "loop.evaluate",
+                                           "ensemble.coverage"};
+
+template <size_t N>
+bool IsOneOf(const std::string& name, const char* const (&names)[N]) {
+  return std::find(std::begin(names), std::end(names), name) !=
+         std::end(names);
+}
+
+uint64_t SpanEnd(const SpanRecord& span) {
+  return span.start_ns + span.duration_ns;
+}
+
+std::string SpanAt(const SpanRecord& span) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), " at ts=%.3fus",
+                static_cast<double>(span.start_ns) / 1e3);
+  return span.name + buf;
+}
+
+// [start, end] windows answering "does one window contain this interval?"
+// in O(log n): sorted by start, each entry carries the running maximum end,
+// so the farthest-reaching window that starts early enough decides.
+class WindowSet {
+ public:
+  void Add(const SpanRecord& span) {
+    windows_.emplace_back(span.start_ns, SpanEnd(span));
+  }
+  // Call once after the last Add.
+  void Seal() {
+    std::sort(windows_.begin(), windows_.end());
+    for (size_t i = 1; i < windows_.size(); ++i) {
+      windows_[i].second = std::max(windows_[i].second, windows_[i - 1].second);
     }
-    for (const ProfileRegionStats& region : report.profile.regions) {
-      const std::string where = "profile " + region.name + ": ";
-      for (const auto& [field, value] :
-           {std::pair{"seconds", region.seconds},
-            std::pair{"items_per_sec", region.items_per_sec},
-            std::pair{"bytes_per_sec", region.bytes_per_sec},
-            std::pair{"flops_per_sec", region.flops_per_sec},
-            std::pair{"ipc", region.ipc}}) {
-        if (value < 0.0) {
-          fail(where + field + " " + FormatDouble(value) + " is negative");
-        }
+  }
+  // Whether some window starts at or before span.start_ns + start_grace and
+  // ends at or after SpanEnd(span) - kTraceGraceNs.
+  bool Contains(const SpanRecord& span, uint64_t start_grace) const {
+    const auto it = std::upper_bound(
+        windows_.begin(), windows_.end(), span.start_ns + start_grace,
+        [](uint64_t start, const std::pair<uint64_t, uint64_t>& window) {
+          return start < window.first;
+        });
+    return it != windows_.begin() &&
+           SpanEnd(span) <= std::prev(it)->second + kTraceGraceNs;
+  }
+
+ private:
+  std::vector<std::pair<uint64_t, uint64_t>> windows_;
+};
+
+}  // namespace
+
+bool ParseChromeTrace(std::string_view text, std::vector<SpanRecord>* spans,
+                      std::string* error) {
+  auto fail = [error](std::string message) {
+    if (error != nullptr) *error = std::move(message);
+    return false;
+  };
+  JsonValue root;
+  std::string parse_error;
+  if (!JsonValue::Parse(text, &root, &parse_error)) {
+    return fail("malformed JSON: " + parse_error);
+  }
+  const JsonValue* events = root.Find("traceEvents");
+  if (events == nullptr || !events->is_array()) {
+    return fail("no traceEvents array");
+  }
+  std::vector<SpanRecord> parsed;
+  for (size_t i = 0; i < events->array().size(); ++i) {
+    const JsonValue& event = events->array()[i];
+    const std::string where = "traceEvents[" + std::to_string(i) + "]";
+    if (!event.is_object()) return fail(where + " is not an object");
+    const JsonValue* phase = event.Find("ph");
+    if (phase == nullptr || !phase->is_string() ||
+        phase->string_value() != "X") {
+      continue;
+    }
+    const JsonValue* name = event.Find("name");
+    if (name == nullptr || !name->is_string()) {
+      return fail(where + ": name " +
+                  (name == nullptr ? "missing" : "is not a string"));
+    }
+    SpanRecord span;
+    span.name = name->string_value();
+    const std::string span_where = where + " (" + span.name + "): ";
+    for (const auto& [key, out] : {std::pair{"ts", &span.start_ns},
+                                   std::pair{"dur", &span.duration_ns}}) {
+      const JsonValue* value = event.Find(key);
+      if (value == nullptr || !value->is_number()) {
+        return fail(span_where + key +
+                    (value == nullptr ? " missing" : " is not a number"));
       }
-      if (hw == "unavailable" && region.cycles != 0) {
-        fail(where + "cycles " + std::to_string(region.cycles) +
-             " nonzero with hw unavailable");
+      const double micros = value->number_value();
+      if (micros < 0.0) {
+        return fail(span_where + key + " " + FormatDouble(micros) +
+                    " is negative");
       }
-      if (region.cycles > 0) {
-        const double ipc = static_cast<double>(region.instructions) /
-                           static_cast<double>(region.cycles);
-        if (!(ipc > 0.0 && ipc < 16.0)) {
-          fail(where + "IPC " + FormatDouble(ipc) + " outside (0, 16)");
-        }
-        if (std::abs(region.ipc - ipc) > 0.01 * ipc) {
-          fail(where + "stamped ipc " + FormatDouble(region.ipc) +
-               " != instructions/cycles " + FormatDouble(ipc));
-        }
-      } else if (region.ipc != 0.0) {
-        fail(where + "ipc " + FormatDouble(region.ipc) +
-             " nonzero with zero cycles");
+      if (!(micros <= kMaxTraceMicros)) {
+        return fail(span_where + key + " " + FormatDouble(micros) +
+                    " is out of range");
       }
-      // Rates are stamped as work / seconds (StampObservability); drift
-      // means a stamping bug.
-      for (const auto& [rate, stamped, work] :
-           {std::tuple{"items_per_sec", region.items_per_sec, region.items},
-            std::tuple{"bytes_per_sec", region.bytes_per_sec, region.bytes},
-            std::tuple{"flops_per_sec", region.flops_per_sec,
-                       region.flops}}) {
-        if (region.seconds > 0.0) {
-          const double derived = static_cast<double>(work) / region.seconds;
-          if (std::abs(stamped - derived) > 0.01 * std::max(derived, 1e-12)) {
-            fail(where + rate + " " + FormatDouble(stamped) +
-                 " != work/seconds " + FormatDouble(derived) +
-                 " (within 1%)");
-          }
-        } else if (stamped != 0.0) {
-          fail(where + rate + " " + FormatDouble(stamped) +
-               " nonzero with zero seconds");
-        }
+      *out = static_cast<uint64_t>(std::llround(micros * 1e3));
+    }
+    const JsonValue* tid = event.Find("tid");
+    if (tid == nullptr || !tid->is_number()) {
+      return fail(span_where + "tid" +
+                  (tid == nullptr ? " missing" : " is not a number"));
+    }
+    const double tid_value = tid->number_value();
+    if (!(tid_value >= 0.0 && tid_value <= 4294967295.0 &&
+          std::floor(tid_value) == tid_value)) {
+      return fail(span_where + "tid " + FormatDouble(tid_value) +
+                  " is not a non-negative integer below 2^32");
+    }
+    span.thread_id = static_cast<uint32_t>(tid_value);
+    if (const JsonValue* category = event.Find("cat");
+        category != nullptr && category->is_string()) {
+      span.category = category->string_value();
+    }
+    if (const JsonValue* args = event.Find("args")) {
+      if (const JsonValue* detail = args->Find("detail");
+          detail != nullptr && detail->is_string()) {
+        span.detail = detail->string_value();
       }
-      if (region.cache_misses > region.cache_refs) {
-        fail(where + "cache_misses " + std::to_string(region.cache_misses) +
-             " exceed cache_refs " + std::to_string(region.cache_refs));
+      if (const JsonValue* depth = args->Find("depth");
+          depth != nullptr && depth->is_number() &&
+          depth->number_value() >= 0.0 &&
+          depth->number_value() <= std::numeric_limits<int>::max()) {
+        span.depth = static_cast<int>(depth->number_value());
       }
+    }
+    parsed.push_back(std::move(span));
+  }
+  *spans = std::move(parsed);
+  return true;
+}
+
+std::vector<std::string> ValidateTrace(const std::vector<SpanRecord>& spans) {
+  std::vector<std::string> failures;
+  auto fail = [&failures](std::string message) {
+    failures.push_back(std::move(message));
+  };
+  // Rule 1 (the per-event fields are ParseChromeTrace's).
+  if (spans.empty()) {
+    fail("trace contains no spans");
+    return failures;
+  }
+
+  // Rule 2: every iteration holds each pipeline phase, on its own thread.
+  std::map<std::string, uint64_t> counts;
+  std::map<uint32_t, WindowSet> iterations;
+  // Rule 3: <region>.parallel windows, any thread.
+  std::map<std::string, WindowSet> parallel_regions;
+  // Rule 4: ml.batch parent windows per thread.
+  std::map<uint32_t, WindowSet> ml_batch_parents;
+  for (const SpanRecord& span : spans) {
+    ++counts[span.name];
+    if (span.name == "loop.iteration") iterations[span.thread_id].Add(span);
+    constexpr std::string_view kParallel = ".parallel";
+    if (span.name.size() > kParallel.size() &&
+        std::string_view(span.name).substr(span.name.size() -
+                                           kParallel.size()) == kParallel) {
+      parallel_regions[span.name.substr(0, span.name.size() -
+                                               kParallel.size())]
+          .Add(span);
+    }
+    if (IsOneOf(span.name, kMlBatchParents)) {
+      ml_batch_parents[span.thread_id].Add(span);
+    }
+  }
+  for (auto* windows : {&iterations, &ml_batch_parents}) {
+    for (auto& [tid, set] : *windows) set.Seal();
+  }
+  for (auto& [region, set] : parallel_regions) set.Seal();
+  auto inside = [](const std::map<uint32_t, WindowSet>& per_thread,
+                   const SpanRecord& span, uint64_t start_grace) {
+    const auto it = per_thread.find(span.thread_id);
+    return it != per_thread.end() && it->second.Contains(span, start_grace);
+  };
+
+  const uint64_t iteration_count = counts["loop.iteration"];
+  if (iteration_count == 0) {
+    fail("no loop.iteration spans in trace");
+  } else {
+    for (const char* phase : kPhaseSpans) {
+      if (counts[phase] < iteration_count) {
+        fail(std::string(phase) + ": " + std::to_string(counts[phase]) +
+             " spans for " + std::to_string(iteration_count) +
+             " iterations (every iteration must contain one)");
+      }
+    }
+    for (const SpanRecord& span : spans) {
+      if (IsOneOf(span.name, kPhaseSpans) && !inside(iterations, span, 0)) {
+        fail(SpanAt(span) + " is not nested in any loop.iteration span");
+        break;
+      }
+    }
+  }
+
+  // Rule 3. Only the first stray chunk is reported, but every chunk that
+  // names a region counts toward it.
+  std::map<std::string, uint64_t> chunks_per_region;
+  bool stray_chunk = false;
+  for (const SpanRecord& span : spans) {
+    if (span.name != "parallel.chunk") continue;
+    if (span.detail.empty()) {
+      fail(SpanAt(span) + " has no args.detail naming its region");
+      continue;
+    }
+    ++chunks_per_region[span.detail];
+    const auto region = parallel_regions.find(span.detail);
+    if (!stray_chunk && (region == parallel_regions.end() ||
+                         !region->second.Contains(span, kTraceGraceNs))) {
+      fail(SpanAt(span) + " (region " + span.detail +
+           ") is not inside any " + span.detail + ".parallel span");
+      stray_chunk = true;
+    }
+  }
+  for (const auto& [region, set] : parallel_regions) {
+    if (chunks_per_region[region] == 0) {
+      fail(region + ".parallel spans exist but no parallel.chunk spans "
+           "name that region");
+    }
+  }
+
+  // Rule 4.
+  for (const SpanRecord& span : spans) {
+    if (span.name == "ml.batch.parallel" &&
+        !inside(ml_batch_parents, span, kTraceGraceNs)) {
+      fail(SpanAt(span) +
+           " is not nested in any of selector.scoring/loop.train/"
+           "loop.evaluate/ensemble.coverage on its thread");
+      break;
     }
   }
   return failures;

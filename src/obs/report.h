@@ -13,11 +13,14 @@
 //                                         process totals; no curve)
 // Consumers:
 //   * tools/alem_report                   show / compare / diff / check /
-//                                         aggregate (BENCH_alembench.json)
+//                                         check-trace
 //   * ValidateReport() below              the single-report invariants
 //                                         (`alem_report check REPORT`)
 //   * CheckReports() below                the regression gate ctest runs
 //                                         against the golden baseline
+//   * ParseChromeTrace() + ValidateTrace() the span-nesting rules of a
+//                                         Chrome trace (`alem_report
+//                                         check-trace TRACE`)
 //
 // The JSON layout (schema_version 1):
 //   { "schema_version": 1, "kind": "run"|"bench", "tool": ..., "build": ...,
@@ -42,19 +45,15 @@
 //                  regions: [ { name, runs, chunks, min_chunk_seconds,
 //                               max_chunk_seconds, mean_chunk_seconds,
 //                               utilization }, ... ] },
-//     "profile": { hw: "available"|"unavailable",
-//                  regions: [ { name, spans, seconds, items, bytes, flops,
-//                               cycles, instructions, cache_refs,
-//                               cache_misses, branch_misses, items_per_sec,
-//                               bytes_per_sec, flops_per_sec, ipc }, ... ] },
 //     "process": { wall_seconds, peak_rss_bytes } }
 // "curve"/"summary" are required for kind "run", optional for "bench".
-// "latency" (per-region tail percentiles from the lat.* histograms),
+// "latency" (per-region tail percentiles from the lat.* histograms) and
 // "pool" (thread-pool utilization; only present when the pool engaged, so
-// threads=1 reports are unchanged), and "profile" (roofline throughput and
-// hardware counters; only present when --profile-regions profiling ran)
-// are optional on parse like config.cache, config.kernel_backend, and
-// config.session/session_resumes, keeping schema v1 backward compatible.
+// threads=1 reports are unchanged) are optional on parse like
+// config.cache, config.kernel_backend, and config.session/session_resumes,
+// keeping schema v1 backward compatible. Unknown top-level sections are
+// ignored on parse, so older reports that carry a since-retired section
+// (such as "profile") still load.
 // Doubles are written with %.17g so a parse-back is bit-identical — the
 // determinism gate (--exact-curve) depends on this.
 
@@ -139,36 +138,6 @@ struct PoolStats {
   std::vector<PoolRegionStats> regions;
 };
 
-// One profiled region's roofline accounting (obs/profile.h): explicit work
-// counters, caller-observed wall seconds, hardware counters aggregated
-// across the caller and every pool worker, and the derived throughputs
-// (work / seconds) and IPC (instructions / cycles). Hardware fields are 0
-// when profile.hw is "unavailable".
-struct ProfileRegionStats {
-  std::string name;
-  uint64_t spans = 0;
-  double seconds = 0.0;
-  uint64_t items = 0;
-  uint64_t bytes = 0;
-  uint64_t flops = 0;
-  uint64_t cycles = 0;
-  uint64_t instructions = 0;
-  uint64_t cache_refs = 0;
-  uint64_t cache_misses = 0;
-  uint64_t branch_misses = 0;
-  double items_per_sec = 0.0;
-  double bytes_per_sec = 0.0;
-  double flops_per_sec = 0.0;
-  double ipc = 0.0;
-};
-
-// The optional "profile" section: hardware-counter availability plus one
-// entry per allowlisted region, in allowlist order.
-struct ProfileStats {
-  std::string hw = "unavailable";  // "available" or "unavailable"
-  std::vector<ProfileRegionStats> regions;
-};
-
 struct RunReport {
   int schema_version = kReportSchemaVersion;
   std::string kind = "run";  // "run" or "bench"
@@ -223,9 +192,6 @@ struct RunReport {
   // Thread-pool utilization; only serialized when has_pool (pool engaged).
   bool has_pool = false;
   PoolStats pool;
-  // Roofline profile; only serialized when has_profile (profiling ran).
-  bool has_profile = false;
-  ProfileStats profile;
 
   // process totals
   double wall_seconds = 0.0;
@@ -283,13 +249,6 @@ struct ReportCheckOptions {
   // Regions on only one side are skipped: thread-count changes add or
   // remove parallel regions structurally. Off by default (wall-clock gate).
   double latency_p95_tol = -1.0;
-  // When >= 0, every profile region present in BOTH reports with a
-  // positive items/sec on both sides must keep its candidate throughput at
-  // or above baseline * (1 - throughput_tol); regressions beyond that
-  // fail. Silently skipped when either report lacks a profile section (the
-  // CLI prints an explicit skip notice). Off by default: throughput gates
-  // need a quiet, comparable machine.
-  double throughput_tol = -1.0;
   // Require the curves to be bit-identical in every deterministic field
   // (length; iteration, labels_used, precision, recall, f1,
   // scored_examples, pruned_examples, dnf_atoms, tree_depth and
@@ -314,9 +273,35 @@ std::vector<std::string> CheckReports(const RunReport& baseline,
 // and a config.cache that agrees with the counters; warm + cold fits ==
 // ml.fit_calls and config.warm_start off|on (off: no warm fits); ordered
 // latency percentiles; pool accounting that tiles worker wall time within
-// max(1%, 10 ms) with sane region stats; profile rates == work / seconds
-// and ipc == instructions / cycles within 1% (docs/observability.md).
+// max(1%, 10 ms) with sane region stats (docs/observability.md).
 std::vector<std::string> ValidateReport(const RunReport& report);
+
+// ---- Trace checker ----------------------------------------------------
+
+// Reads the complete ("X") events of a Chrome trace-event JSON document
+// (TraceRecorder::ToChromeTraceJson) back into span records: name, cat,
+// tid, args.depth and args.detail, with ts/dur converted from microseconds
+// to nanoseconds. Events of other phases are skipped. Malformed JSON, a
+// root without a "traceEvents" array, a non-object event, or an "X" event
+// without a string name, non-negative numeric ts/dur and a non-negative
+// integer tid fail with a message naming the event and field in *error.
+bool ParseChromeTrace(std::string_view text, std::vector<SpanRecord>* spans,
+                      std::string* error);
+
+// Checks the span-nesting rules a traced run must satisfy; returns
+// human-readable failure strings (empty = valid). Containment allows a
+// 1 ns grace at the edges (the trace's microsecond timestamps carry three
+// decimals).
+//   1. There is at least one span.
+//   2. There is at least one loop.iteration; loop.train, loop.evaluate,
+//      loop.select and loop.label each occur at least as often, and each
+//      lies inside a loop.iteration on its own thread.
+//   3. Every parallel.chunk names its region in detail and lies inside a
+//      <region>.parallel span on any thread; every <region>.parallel
+//      region has at least one chunk.
+//   4. Every ml.batch.parallel lies, on its own thread, inside
+//      selector.scoring, loop.train, loop.evaluate or ensemble.coverage.
+std::vector<std::string> ValidateTrace(const std::vector<SpanRecord>& spans);
 
 }  // namespace obs
 }  // namespace alem

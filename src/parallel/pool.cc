@@ -8,9 +8,7 @@
 #include <string>
 
 #include "obs/obs.h"
-#include "obs/profile.h"
 #include "obs/report.h"
-#include "obs/telemetry.h"
 #include "util/check.h"
 
 namespace alem {
@@ -52,8 +50,6 @@ std::map<std::string, RegionAccum>& Regions() {
   return *regions;
 }
 
-std::atomic<int> g_active_workers{0};
-
 void AccumulateRegionProfile(std::string_view region, int workers,
                              double wall_seconds,
                              const std::vector<double>& chunk_seconds) {
@@ -75,16 +71,6 @@ void AccumulateRegionProfile(std::string_view region, int workers,
   accum.wall_seconds += wall_seconds;
   accum.capacity_seconds += static_cast<double>(workers) * wall_seconds;
 }
-
-// Telemetry pool-occupancy probe, registered from this TU so obs never
-// depends on parallel. Probes() in obs/telemetry.cc is a leaked Meyers
-// singleton, so registering from a static initializer is safe.
-const bool g_pool_probe_registered = [] {
-  obs::RegisterTelemetryProbe("telemetry.pool_active_workers", [] {
-    return static_cast<double>(ActiveWorkers());
-  });
-  return true;
-}();
 
 }  // namespace
 
@@ -205,7 +191,6 @@ uint64_t ThreadPool::RunChunks(Job& job, WorkerAccount& account) {
     const size_t chunk = job.next_chunk.fetch_add(1, std::memory_order_relaxed);
     if (chunk >= job.num_chunks) break;
     const uint64_t chunk_start = obs::TraceNowNanos();
-    g_active_workers.fetch_add(1, std::memory_order_relaxed);
     try {
       (*job.fn)(chunk);
     } catch (...) {
@@ -217,7 +202,6 @@ uint64_t ThreadPool::RunChunks(Job& job, WorkerAccount& account) {
         job.error_chunk = chunk;
       }
     }
-    g_active_workers.fetch_sub(1, std::memory_order_relaxed);
     busy_ns += obs::TraceNowNanos() - chunk_start;
     // acq_rel: the final completion forms a release sequence Run()'s
     // acquire load synchronizes with, making every chunk's writes visible
@@ -305,10 +289,6 @@ void SetNumThreads(int num_threads) {
 }
 
 // ---- Pool utilization profile ------------------------------------------
-
-int ActiveWorkers() {
-  return g_active_workers.load(std::memory_order_relaxed);
-}
 
 PoolProfile SnapshotPoolProfile() {
   PoolProfile profile;
@@ -440,17 +420,9 @@ void ParallelFor(size_t begin, size_t end, size_t grain, const ChunkFn& fn,
     const bool profile = obs::MetricsEnabled();
     std::vector<double> chunk_seconds;
     if (profile) chunk_seconds.assign(num_chunks, 0.0);
-    // Roofline profiling (obs/profile.h): when this region is on the
-    // profile allowlist, each worker samples its own hardware-counter
-    // group around its chunk, so parallel regions attribute cycles and
-    // cache traffic from every thread — the caller's ScopedWork or span
-    // contributes the wall time and its own (mostly waiting) counters.
-    obs::profile::Region* hw_region =
-        obs::profile::Enabled() ? obs::profile::ActiveRegion(region) : nullptr;
     obs::ObsSpan aggregate_span(std::string(region) + ".parallel", "parallel");
     pool->Run(num_chunks, [&](size_t chunk) {
       obs::ObsSpan chunk_span("parallel.chunk", "parallel", region);
-      obs::profile::ScopedHwSample hw_sample(hw_region);
       run_chunk(chunk);
       if (profile) chunk_seconds[chunk] = chunk_span.Close();
     });

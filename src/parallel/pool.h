@@ -196,10 +196,6 @@ PoolProfile SnapshotPoolProfile();
 // call while a ParallelFor is in flight.
 void ResetPoolProfile();
 
-// Number of pool workers executing a chunk body right now (telemetry's
-// pool-occupancy series).
-int ActiveWorkers();
-
 // Writes SnapshotPoolProfile() into the report's `pool` section and
 // publishes `parallel.*` gauges, but only when the pool actually engaged —
 // a threads=1 run keeps its report byte-identical. Call before

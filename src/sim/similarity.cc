@@ -1,6 +1,5 @@
 #include "sim/similarity.h"
 
-#include "obs/profile.h"
 #include "parallel/pool.h"
 #include "util/check.h"
 
@@ -19,19 +18,6 @@ void SimilarityFunction::EvaluateBatch(
     std::span<const AttributeProfile* const> right, float* out) const {
   ALEM_CHECK_EQ(left.size(), right.size());
   if (left.empty()) return;
-  // Roofline accounting (obs/profile.h): one pair per output slot, input
-  // bytes = both sides' raw text. The scope covers the ParallelFor fan-out,
-  // so the region's seconds are the caller-observed batch wall time.
-  static obs::profile::Region& profile_region =
-      obs::profile::GetRegion("sim.batch");
-  obs::profile::ScopedWork profile_scope(profile_region);
-  if (profile_scope.engaged()) {
-    uint64_t bytes = 0;
-    for (size_t i = 0; i < left.size(); ++i) {
-      bytes += left[i]->text.size() + right[i]->text.size();
-    }
-    profile_scope.Add(left.size(), bytes);
-  }
   parallel::ParallelFor(
       0, left.size(), kBatchGrain,
       [this, &left, &right, out](size_t begin, size_t end, size_t chunk) {

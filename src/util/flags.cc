@@ -1,5 +1,6 @@
 #include "util/flags.h"
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "util/string_util.h"
@@ -52,6 +53,17 @@ double FlagParser::GetDouble(const std::string& name,
   const auto it = values_.find(name);
   if (it == values_.end() || it->second.empty()) return default_value;
   return std::atof(it->second.c_str());
+}
+
+std::vector<std::string> FlagParser::UnknownFlags(
+    const std::vector<std::string_view>& accepted) const {
+  std::vector<std::string> unknown;
+  for (const auto& [name, value] : values_) {
+    if (std::find(accepted.begin(), accepted.end(), name) == accepted.end()) {
+      unknown.push_back(name);
+    }
+  }
+  return unknown;
 }
 
 bool FlagParser::GetBool(const std::string& name, bool default_value) const {

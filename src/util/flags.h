@@ -1,7 +1,8 @@
 // Minimal command-line flag parsing for the CLI tools.
 //
 // Supports --name=value, --name value, bare boolean --name, and positional
-// arguments. No registration step: callers query by name with a default.
+// arguments. No registration step: callers query by name with a default,
+// and a tool that wants to reject misspelled flags asks UnknownFlags.
 
 #ifndef ALEM_UTIL_FLAGS_H_
 #define ALEM_UTIL_FLAGS_H_
@@ -9,6 +10,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace alem {
@@ -27,6 +29,10 @@ class FlagParser {
 
   // Non-flag arguments, in order.
   const std::vector<std::string>& positional() const { return positional_; }
+
+  // The parsed flag names not in `accepted`, sorted.
+  std::vector<std::string> UnknownFlags(
+      const std::vector<std::string_view>& accepted) const;
 
  private:
   std::map<std::string, std::string> values_;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "core/approaches.h"
 #include "util/flags.h"
 
@@ -51,6 +54,23 @@ TEST(FlagParserTest, DefaultsWhenAbsent) {
 TEST(FlagParserTest, LastValueWins) {
   const FlagParser flags = Parse({"--n=1", "--n=2"});
   EXPECT_EQ(flags.GetInt("n", 0), 2);
+}
+
+TEST(FlagParserTest, UnknownFlagsNamesEveryFlagOutsideTheAcceptedList) {
+  // A misspelled gate flag is a parsed flag nobody queries: the tools ask
+  // for the unknown ones and refuse to run rather than silently ignore it.
+  const FlagParser flags = Parse({"check", "--counter_tol=0", "--exact-curve",
+                                  "--max-label", "5", "base.json"});
+  EXPECT_EQ(flags.UnknownFlags({"counter-tol", "exact-curve"}),
+            (std::vector<std::string>{"counter_tol", "max-label"}));
+  EXPECT_TRUE(
+      flags.UnknownFlags({"counter_tol", "exact-curve", "max-label"}).empty());
+  EXPECT_EQ(flags.UnknownFlags({}).size(), 3u);
+  // The query changes nothing: values and positionals read as before.
+  EXPECT_EQ(flags.GetInt("max-label", 0), 5);
+  EXPECT_EQ(flags.positional(),
+            (std::vector<std::string>{"check", "base.json"}));
+  EXPECT_TRUE(Parse({"run"}).UnknownFlags({}).empty());
 }
 
 // ---- ApproachFromName ----

@@ -1,7 +1,7 @@
 // Tests for the RunReport flight recorder (src/obs/report.h): JSON
 // round-trip fidelity, strict schema parsing, the span self-time rollup,
-// the single-report validator, the regression-gate comparator, and the
-// JSON parser underneath it all.
+// the single-report validator, the regression-gate comparator, the Chrome
+// trace reader and checker, and the JSON parser underneath it all.
 
 #include "obs/report.h"
 
@@ -502,14 +502,33 @@ TEST(ReportJsonTest, LatencyAndPoolSectionsRoundTrip) {
 TEST(ReportJsonTest, LatencyAndPoolSectionsAreOptionalOnParse) {
   // Reports written before the sections existed (or from serial runs)
   // must keep parsing; the absence is the serial-path signal.
-  const std::string json = ReportToJson(MakeReport());
+  RunReport report = MakeReport();
+  report.counters.emplace_back("eval.rows_rescored", 900);
+  report.gauges.emplace_back("eval.pool_rows", 500.0);
+  const std::string json = ReportToJson(report);
   EXPECT_EQ(json.find("\"latency\""), std::string::npos);
   EXPECT_EQ(json.find("\"pool\""), std::string::npos);
-  RunReport parsed;
-  std::string error;
-  ASSERT_TRUE(ParseReportJson(json, &parsed, &error)) << error;
-  EXPECT_TRUE(parsed.latency.empty());
-  EXPECT_FALSE(parsed.has_pool);
+  // Reports written while the roofline profiler existed carry a "profile"
+  // section; it is ignored, so they still load and validate.
+  std::string legacy = json;
+  legacy.insert(
+      legacy.find(",\n  \"process\""),
+      ",\n  \"profile\": {\"hw\": \"unavailable\", \"regions\": [\n"
+      "    {\"name\": \"sim.batch\", \"spans\": 63, \"seconds\": 0.568897286, "
+      "\"items\": 200781, \"bytes\": 21728196, \"flops\": 0, \"cycles\": 0, "
+      "\"instructions\": 0, \"cache_refs\": 0, \"cache_misses\": 0, "
+      "\"branch_misses\": 0, \"items_per_sec\": 352930.14212059363, "
+      "\"bytes_per_sec\": 38193530.77384869, \"flops_per_sec\": 0, "
+      "\"ipc\": 0}\n  ]}");
+  for (const std::string& input : {json, legacy}) {
+    RunReport parsed;
+    std::string error;
+    ASSERT_TRUE(ParseReportJson(input, &parsed, &error)) << error;
+    EXPECT_TRUE(parsed.latency.empty());
+    EXPECT_FALSE(parsed.has_pool);
+    EXPECT_TRUE(ValidateReport(parsed).empty());
+    EXPECT_EQ(ReportToJson(parsed), json);
+  }
 }
 
 TEST(CheckReportsTest, LatencyP95GateIsOptIn) {
@@ -582,7 +601,7 @@ void SetCounter(RunReport* report, const std::string& name, uint64_t value) {
 
 // A report that satisfies every ValidateReport invariant while exercising
 // each section it covers: the run curve, feature cache, fit split,
-// evaluation bound, latency, pool and profile.
+// evaluation bound, latency and pool.
 RunReport MakeValidReport() {
   RunReport report = MakeReportWithTelemetry();
   report.cache = "miss";
@@ -597,24 +616,6 @@ RunReport MakeValidReport() {
                      {"selector.scored_examples", 1500}};
   report.gauges = {{"eval.pool_rows", 500.0}};
   report.spans.push_back({"harness.featurize.cache", 1, 0.004, 0.004});
-  report.has_profile = true;
-  report.profile.hw = "available";
-  ProfileRegionStats sim;
-  sim.name = "sim.batch";
-  sim.spans = 4;
-  sim.seconds = 0.5;
-  sim.items = 1000;
-  sim.bytes = 4000;
-  sim.cycles = 2000000;
-  sim.instructions = 3000000;
-  sim.cache_refs = 100;
-  sim.cache_misses = 10;
-  sim.items_per_sec = 2000.0;
-  sim.bytes_per_sec = 8000.0;
-  sim.ipc = 1.5;
-  ProfileRegionStats idle;  // Allowlisted but never entered: all zero.
-  idle.name = "idle";
-  report.profile.regions = {sim, idle};
   return report;
 }
 
@@ -715,35 +716,6 @@ const InvariantCase kInvariantCases[] = {
     {"pool region utilization below 0",
      [](RunReport* r) { r->pool.regions[0].utilization = -0.1; },
      "pool region ml.batch: utilization -0.1 outside [0, 1]"},
-    {"unknown hw state", [](RunReport* r) { r->profile.hw = "maybe"; },
-     "profile.hw 'maybe'"},
-    {"negative seconds",
-     [](RunReport* r) { r->profile.regions[1].seconds = -0.001; },
-     "profile idle: seconds -0.001 is negative"},
-    {"cycles without hw",
-     [](RunReport* r) { r->profile.hw = "unavailable"; },
-     "profile sim.batch: cycles 2000000 nonzero with hw unavailable"},
-    {"IPC out of range",
-     [](RunReport* r) {
-       r->profile.regions[0].instructions = 40000000;
-       r->profile.regions[0].ipc = 20.0;
-     },
-     "profile sim.batch: IPC 20 outside (0, 16)"},
-    {"stamped ipc off instructions / cycles",
-     [](RunReport* r) { r->profile.regions[0].ipc = 1.0; },
-     "profile sim.batch: stamped ipc 1 != instructions/cycles 1.5"},
-    {"ipc without cycles",
-     [](RunReport* r) { r->profile.regions[0].cycles = 0; },
-     "profile sim.batch: ipc 1.5 nonzero with zero cycles"},
-    {"rate off work / seconds",
-     [](RunReport* r) { r->profile.regions[0].items_per_sec = 2500.0; },
-     "profile sim.batch: items_per_sec 2500 != work/seconds 2000"},
-    {"rate without seconds",
-     [](RunReport* r) { r->profile.regions[1].bytes_per_sec = 5.0; },
-     "profile idle: bytes_per_sec 5 nonzero with zero seconds"},
-    {"more cache misses than references",
-     [](RunReport* r) { r->profile.regions[0].cache_misses = 200; },
-     "profile sim.batch: cache_misses 200 exceed cache_refs 100"},
 };
 
 std::string Join(const std::vector<std::string>& failures) {
@@ -786,6 +758,258 @@ TEST(ValidateReportTest, BenchReportSkipsRunRules) {
   report.counters.clear();
   report.gauges.clear();
   EXPECT_EQ(Join(ValidateReport(report)), "");
+}
+
+// ---- Trace checker ------------------------------------------------------
+
+SpanRecord Span(const char* name, uint32_t thread_id, uint64_t start_us,
+                uint64_t duration_us, const char* detail = "") {
+  SpanRecord span;
+  span.name = name;
+  span.category = "test";
+  span.detail = detail;
+  span.thread_id = thread_id;
+  span.start_ns = start_us * 1000;
+  span.duration_ns = duration_us * 1000;
+  return span;
+}
+
+// Two iterations on thread 0 that satisfy every ValidateTrace rule: each
+// holds the four phases; the first trains through an ml.batch fan-out
+// whose two chunks run on worker threads 1 and 2, and selects through a
+// scoring span.
+std::vector<SpanRecord> MakeValidTrace() {
+  return {
+      Span("loop.iteration", 0, 0, 100),
+      Span("loop.train", 0, 0, 20),
+      Span("ml.batch.parallel", 0, 5, 10),
+      Span("parallel.chunk", 1, 6, 4, "ml.batch"),
+      Span("parallel.chunk", 2, 6, 5, "ml.batch"),
+      Span("loop.evaluate", 0, 20, 20),
+      Span("loop.select", 0, 40, 40),
+      Span("selector.scoring", 0, 45, 30),
+      Span("loop.label", 0, 80, 20),
+      Span("loop.iteration", 0, 100, 100),
+      Span("loop.train", 0, 100, 20),
+      Span("loop.evaluate", 0, 120, 20),
+      Span("loop.select", 0, 140, 40),
+      Span("loop.label", 0, 180, 20),
+  };
+}
+
+// The n-th (0-based) span named `name`.
+SpanRecord& Nth(std::vector<SpanRecord>* spans, const char* name, int n) {
+  for (SpanRecord& span : *spans) {
+    if (span.name == name && n-- == 0) return span;
+  }
+  ADD_FAILURE() << "no span " << name;
+  return spans->front();
+}
+
+void EraseNamed(std::vector<SpanRecord>* spans, const char* name) {
+  std::erase_if(*spans,
+                [name](const SpanRecord& span) { return span.name == name; });
+}
+
+struct TraceCase {
+  const char* name;
+  void (*mutate)(std::vector<SpanRecord>*);
+  // Text of the one failure the mutation must cause; "" = still valid.
+  const char* failure;
+};
+
+const TraceCase kTraceCases[] = {
+    {"no spans", [](std::vector<SpanRecord>* t) { t->clear(); },
+     "trace contains no spans"},
+    {"no iterations",
+     [](std::vector<SpanRecord>* t) { EraseNamed(t, "loop.iteration"); },
+     "no loop.iteration spans in trace"},
+    {"iteration without a label phase",
+     [](std::vector<SpanRecord>* t) { t->pop_back(); },
+     "loop.label: 1 spans for 2 iterations"},
+    {"phase past its iteration's end",
+     [](std::vector<SpanRecord>* t) {
+       Nth(t, "loop.train", 1).start_ns = 190000;
+     },
+     "loop.train at ts=190.000us is not nested in any loop.iteration"},
+    {"phase ending 1ns late is within the grace",
+     [](std::vector<SpanRecord>* t) {
+       Nth(t, "loop.label", 1).duration_ns += 1;
+     },
+     ""},
+    {"phase ending 2ns late",
+     [](std::vector<SpanRecord>* t) {
+       Nth(t, "loop.label", 1).duration_ns += 2;
+     },
+     "loop.label at ts=180.000us is not nested in any loop.iteration"},
+    {"phase on another thread",
+     [](std::vector<SpanRecord>* t) {
+       Nth(t, "loop.evaluate", 0).thread_id = 3;
+     },
+     "loop.evaluate at ts=20.000us is not nested"},
+    {"chunk without a region",
+     [](std::vector<SpanRecord>* t) { Nth(t, "parallel.chunk", 0).detail = ""; },
+     "parallel.chunk at ts=6.000us has no args.detail"},
+    {"chunk outside its region's window",
+     [](std::vector<SpanRecord>* t) {
+       Nth(t, "parallel.chunk", 0).start_ns = 50000;
+     },
+     "parallel.chunk at ts=50.000us (region ml.batch) is not inside any "
+     "ml.batch.parallel span"},
+    {"chunk naming a region that never ran",
+     [](std::vector<SpanRecord>* t) {
+       Nth(t, "parallel.chunk", 1).detail = "sim.batch";
+     },
+     "(region sim.batch) is not inside any sim.batch.parallel span"},
+    {"region without chunks",
+     [](std::vector<SpanRecord>* t) { EraseNamed(t, "parallel.chunk"); },
+     "ml.batch.parallel spans exist but no parallel.chunk spans"},
+    {"batch fan-out outside its phase",
+     [](std::vector<SpanRecord>* t) {
+       Nth(t, "ml.batch.parallel", 0).thread_id = 3;
+     },
+     "ml.batch.parallel at ts=5.000us is not nested in any of "
+     "selector.scoring/loop.train/loop.evaluate/ensemble.coverage"},
+};
+
+TEST(ValidateTraceTest, ValidTracePasses) {
+  EXPECT_EQ(Join(ValidateTrace(MakeValidTrace())), "");
+}
+
+TEST(ValidateTraceTest, EachRuleFailsAlone) {
+  for (const TraceCase& c : kTraceCases) {
+    SCOPED_TRACE(c.name);
+    std::vector<SpanRecord> trace = MakeValidTrace();
+    c.mutate(&trace);
+    const std::vector<std::string> failures = ValidateTrace(trace);
+    if (*c.failure == '\0') {
+      EXPECT_EQ(Join(failures), "");
+      continue;
+    }
+    ASSERT_EQ(failures.size(), 1u) << Join(failures);
+    EXPECT_NE(failures[0].find(c.failure), std::string::npos) << failures[0];
+  }
+}
+
+// MakeValidTrace() as the Chrome trace-event JSON TraceRecorder exports.
+std::string ValidTraceJson() {
+  TraceRecorder& recorder = TraceRecorder::Global();
+  recorder.Clear();
+  for (const SpanRecord& span : MakeValidTrace()) recorder.Record(span);
+  std::string json = recorder.ToChromeTraceJson();
+  recorder.Clear();
+  return json;
+}
+
+TEST(ParseChromeTraceTest, ExportedTraceRoundTrips) {
+  std::vector<SpanRecord> spans;
+  std::string error;
+  ASSERT_TRUE(ParseChromeTrace(ValidTraceJson(), &spans, &error)) << error;
+  const std::vector<SpanRecord> expected = MakeValidTrace();
+  ASSERT_EQ(spans.size(), expected.size());
+  for (size_t i = 0; i < spans.size(); ++i) {
+    EXPECT_EQ(spans[i].name, expected[i].name);
+    EXPECT_EQ(spans[i].category, expected[i].category);
+    EXPECT_EQ(spans[i].detail, expected[i].detail);
+    EXPECT_EQ(spans[i].thread_id, expected[i].thread_id);
+    EXPECT_EQ(spans[i].start_ns, expected[i].start_ns);
+    EXPECT_EQ(spans[i].duration_ns, expected[i].duration_ns);
+  }
+  EXPECT_EQ(Join(ValidateTrace(spans)), "");
+}
+
+TEST(ParseChromeTraceTest, LegacyCounterEventsAreIgnored) {
+  // Traces from runs with the retired telemetry sampler interleave "C"
+  // counter events with the spans; only the "X" events are read.
+  std::string json = ValidTraceJson();
+  const std::string head = "{\"traceEvents\":[";
+  ASSERT_EQ(json.compare(0, head.size(), head), 0) << json;
+  json.insert(head.size(),
+              "\n{\"name\":\"telemetry.rss_mib\",\"cat\":\"telemetry\","
+              "\"ph\":\"C\",\"ts\":12.000,\"pid\":1,\"tid\":0,"
+              "\"args\":{\"value\":48.5}},");
+  std::vector<SpanRecord> spans;
+  std::string error;
+  ASSERT_TRUE(ParseChromeTrace(json, &spans, &error)) << error;
+  EXPECT_EQ(spans.size(), MakeValidTrace().size());
+  EXPECT_EQ(Join(ValidateTrace(spans)), "");
+}
+
+TEST(ParseChromeTraceTest, RejectsMalformedInputNamingTheProblem) {
+  struct Case {
+    const char* name;
+    const char* json;
+    const char* error;
+  };
+  const Case cases[] = {
+      {"malformed JSON", "{\"traceEvents\": [", "malformed JSON"},
+      {"root is not an object", "[]", "no traceEvents array"},
+      {"missing traceEvents", "{\"events\": []}", "no traceEvents array"},
+      {"traceEvents is not an array", "{\"traceEvents\": {}}",
+       "no traceEvents array"},
+      {"event is not an object", "{\"traceEvents\": [1]}",
+       "traceEvents[0] is not an object"},
+      {"missing name",
+       "{\"traceEvents\": [{\"ph\": \"X\", \"ts\": 1, \"dur\": 1, \"tid\": 0}]}",
+       "traceEvents[0]: name missing"},
+      {"name of the wrong type",
+       "{\"traceEvents\": [{\"ph\": \"X\", \"name\": 7, \"ts\": 1, "
+       "\"dur\": 1, \"tid\": 0}]}",
+       "traceEvents[0]: name is not a string"},
+      {"missing ts",
+       "{\"traceEvents\": [{\"ph\": \"X\", \"name\": \"a\", \"dur\": 1, "
+       "\"tid\": 0}]}",
+       "traceEvents[0] (a): ts missing"},
+      {"ts of the wrong type",
+       "{\"traceEvents\": [{\"ph\": \"X\", \"name\": \"a\", \"ts\": \"1\", "
+       "\"dur\": 1, \"tid\": 0}]}",
+       "traceEvents[0] (a): ts is not a number"},
+      {"negative ts",
+       "{\"traceEvents\": [{\"ph\": \"X\", \"name\": \"a\", \"ts\": -1, "
+       "\"dur\": 1, \"tid\": 0}]}",
+       "traceEvents[0] (a): ts -1 is negative"},
+      {"missing dur",
+       "{\"traceEvents\": [{\"ph\": \"X\", \"name\": \"a\", \"ts\": 1, "
+       "\"tid\": 0}]}",
+       "traceEvents[0] (a): dur missing"},
+      {"dur of the wrong type",
+       "{\"traceEvents\": [{\"ph\": \"X\", \"name\": \"a\", \"ts\": 1, "
+       "\"dur\": null, \"tid\": 0}]}",
+       "traceEvents[0] (a): dur is not a number"},
+      {"negative dur",
+       "{\"traceEvents\": [{\"ph\": \"X\", \"name\": \"a\", \"ts\": 1, "
+       "\"dur\": -5, \"tid\": 0}]}",
+       "traceEvents[0] (a): dur -5 is negative"},
+      {"dur beyond any clock",
+       "{\"traceEvents\": [{\"ph\": \"X\", \"name\": \"a\", \"ts\": 1, "
+       "\"dur\": 1e300, \"tid\": 0}]}",
+       "traceEvents[0] (a): dur 1e+300 is out of range"},
+      {"missing tid",
+       "{\"traceEvents\": [{\"ph\": \"X\", \"name\": \"a\", \"ts\": 1, "
+       "\"dur\": 1}]}",
+       "traceEvents[0] (a): tid missing"},
+      {"tid of the wrong type",
+       "{\"traceEvents\": [{\"ph\": \"X\", \"name\": \"a\", \"ts\": 1, "
+       "\"dur\": 1, \"tid\": \"0\"}]}",
+       "traceEvents[0] (a): tid is not a number"},
+      {"fractional tid",
+       "{\"traceEvents\": [{\"ph\": \"X\", \"name\": \"a\", \"ts\": 1, "
+       "\"dur\": 1, \"tid\": 1.5}]}",
+       "traceEvents[0] (a): tid 1.5 is not a non-negative integer"},
+      {"negative tid",
+       "{\"traceEvents\": [{\"ph\": \"X\", \"name\": \"a\", \"ts\": 1, "
+       "\"dur\": 1, \"tid\": -1}]}",
+       "traceEvents[0] (a): tid -1 is not a non-negative integer"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    std::vector<SpanRecord> spans = MakeValidTrace();
+    std::string error;
+    EXPECT_FALSE(ParseChromeTrace(c.json, &spans, &error));
+    EXPECT_NE(error.find(c.error), std::string::npos) << error;
+    // A failed parse leaves the output untouched.
+    EXPECT_EQ(spans.size(), MakeValidTrace().size());
+  }
 }
 
 }  // namespace

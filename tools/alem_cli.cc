@@ -14,8 +14,7 @@
 //       [--holdout] [--scale=S] [--seed=N] [--save-model=PATH] [--quiet]
 //       [--threads=N] [--cache-dir=DIR] [--no-cache]
 //       [--kernel-backend=auto|scalar|avx2] [--warm-start=off|on]
-//       [--trace=PATH.json] [--trace-jsonl=PATH.jsonl] [--metrics=PATH.csv]
-//       [--report=PATH.json] [--telemetry-hz=HZ] [--profile-regions[=CSV]]
+//       [--trace=PATH.json] [--metrics=PATH.csv] [--report=PATH.json]
 //       Runs one active-learning experiment and prints the learning curve.
 //       --threads sets the worker count for committee fits / example
 //       scoring / forest fits / batch predict (default: ALEM_THREADS env
@@ -43,21 +42,10 @@
 //       the counter/gauge/histogram registry as CSV; --report writes the
 //       RunReport flight-recorder JSON (config + build stamp +
 //       per-iteration curve + counters + span rollup + wall/RSS totals)
-//       consumed by tools/alem_report. --telemetry-hz starts the
-//       background telemetry sampler at HZ samples/second (implies tracing
-//       + metrics): RSS, cache traffic, predict calls, and pool occupancy
-//       become Chrome-trace counter events so Perfetto shows resource
-//       curves over the run. --profile-regions turns on the roofline
-//       profiling layer (hardware counters via perf_event_open where the
-//       kernel permits, plus explicit work counters) for the given
-//       comma-separated region allowlist — an empty value selects the
-//       curated hot set (sim.batch, ml.batch, selector.scoring,
-//       harness.featurize, loop.evaluate); the derived throughput and IPC
-//       land in the report's "profile" section (docs/observability.md).
-//       Absent path flags fall back to the ALEM_TRACE_DIR /
-//       ALEM_REPORT_DIR / ALEM_TELEMETRY_HZ / ALEM_PROFILE_REGIONS
-//       environment knobs, same as the bench binaries (see
-//       docs/observability.md).
+//       consumed by tools/alem_report, which also checks the trace
+//       (`alem_report check-trace`). Absent path flags fall back to the
+//       ALEM_TRACE_DIR / ALEM_REPORT_DIR environment knobs, same as the
+//       bench binaries (see docs/observability.md).
 //   alem_cli session <run|save|resume>
 //       Drives a run through the step-wise LabelingSession API
 //       (docs/sessions.md). `session run` takes the same flags as `run`
@@ -75,6 +63,9 @@
 //       Loads a saved forest/SVM model and prints its predicted matches on
 //       a (fresh) dataset, with quality metrics against the ground truth.
 //
+// A flag none of the commands takes (a misspelling such as --max-label)
+// is an error, not a silently ignored knob.
+//
 // Examples:
 //   alem_cli run --dataset=Abt-Buy --approach=trees20 --max-labels=300
 //   alem_cli run --dataset=Cora --approach=linear-margin-1dim --noise=0.1
@@ -84,6 +75,8 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "core/harness.h"
 #include "core/run_report.h"
@@ -516,10 +509,25 @@ int CommandKernels() {
   return 0;
 }
 
+// Every flag some command reads (the union over commands, including the
+// artifact and cache flags ArtifactOptionsFromFlags resolves).
+const std::vector<std::string_view> kKnownFlags = {
+    "approach", "batch", "cache-dir", "dataset", "holdout", "kernel-backend",
+    "limit", "max-labels", "metrics", "model", "no-cache", "noise", "quiet",
+    "report", "run-seed", "save-model", "scale", "seed", "seed-size",
+    "snapshot", "snapshot-out", "stop-after", "threads", "trace",
+    "warm-start",
+};
+
 int Main(int argc, char** argv) {
   const FlagParser flags(argc, argv);
   const std::string command =
       flags.positional().empty() ? "help" : flags.positional()[0];
+  const std::vector<std::string> unknown = flags.UnknownFlags(kKnownFlags);
+  for (const std::string& name : unknown) {
+    std::fprintf(stderr, "error: unknown flag --%s\n", name.c_str());
+  }
+  if (!unknown.empty()) return 1;
   // Resolve the kernel backend before any command touches similarity or
   // learner code. Unlike the forgiving ALEM_KERNEL_BACKEND environment
   // knob, an explicit flag naming an unknown or unavailable backend is a

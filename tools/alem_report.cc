@@ -1,48 +1,51 @@
 // alem_report: inspect, compare, and gate RunReport flight-recorder
-// artifacts (see src/obs/report.h for the schema).
+// artifacts (see src/obs/report.h for the schema), and check Chrome traces.
 //
 // Commands:
 //   alem_report show REPORT.json
-//       Prints a human summary: config, F1 summary, top spans, per-region
-//       latency percentiles, the thread-pool utilization section (when
-//       present), the roofline profile throughput/IPC table (when
-//       present), and counters.
+//       Prints a human summary: config, F1 summary, top spans by self time,
+//       per-layer throughput (a work counter over its span's total time),
+//       per-region latency percentiles, the thread-pool utilization section
+//       (when present), and counters.
 //   alem_report compare A.json B.json
-//       Side-by-side key numbers for two reports (quality + latency +
-//       per-region profile throughput when both carry one).
+//       Side-by-side key numbers for two reports (quality + latency).
 //   alem_report diff A.json B.json
 //       Lists every differing summary field, counter, and span rollup row.
 //   alem_report check REPORT.json
 //       Validates one report: exits nonzero (printing each violation) when
 //       it breaks an invariant of obs::ValidateReport (monotone curve,
 //       nonzero work counters, cache provenance, fit split, rescore bound,
-//       ordered percentiles, pool accounting, profile rates).
+//       ordered percentiles, pool accounting).
 //   alem_report check BASELINE.json CANDIDATE.json
 //       [--f1-tol=0.02] [--latency-tol=FRAC] [--counter-tol=FRAC]
-//       [--latency-p95-tol=FRAC] [--throughput-tol=FRAC] [--exact-curve]
+//       [--latency-p95-tol=FRAC] [--exact-curve]
 //       The regression gate: validates the candidate as above (committed
 //       baselines may predate newer invariants, so they are not), then
 //       fails when the candidate's F1 trails the baseline beyond --f1-tol,
-//       when latency/counter/throughput gates (opt-in) trip, or when
-//       --exact-curve finds any divergence in a deterministic curve field.
-//       --throughput-tol gates per-region profile items/sec; it is
-//       explicitly skipped (with a notice, not a silent pass) when either
-//       report lacks a "profile" section. This is what the `report` ctest
-//       label runs against the committed golden baseline.
-//   alem_report aggregate DIR [--out=BENCH_alembench.json]
-//       Rolls every *.report.json under DIR into one machine-readable
-//       trajectory file (sorted by file name for determinism).
+//       when latency/counter gates (opt-in) trip, or when --exact-curve
+//       finds any divergence in a deterministic curve field. This is what
+//       the `report` ctest label runs against the committed golden
+//       baseline.
+//   alem_report check-trace TRACE.json
+//       Validates a Chrome trace (alem_cli --trace): exits nonzero
+//       (printing each violation) when it breaks a span-nesting rule of
+//       obs::ValidateTrace — phases inside iterations, pool chunks inside
+//       their region, batch inference inside the phase that owns it.
+//
+// Only the two-report check takes flags; any other flag, or a misspelled
+// one, is an error rather than a silently disabled gate.
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
-#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "obs/report.h"
 #include "util/flags.h"
-#include "util/json.h"
 
 namespace alem {
 namespace {
@@ -129,28 +132,40 @@ std::string FormatRate(double value) {
   return buf;
 }
 
-void PrintProfileTable(const RunReport& report) {
-  if (!report.has_profile) return;
-  const obs::ProfileStats& profile = report.profile;
-  std::printf("\n  profile (hw counters %s):\n", profile.hw.c_str());
-  if (profile.regions.empty()) return;
-  std::printf("  %-20s %6s %9s %11s %10s %9s %9s %5s %7s\n",
-              "profile region", "spans", "time(s)", "items", "items/s",
-              "GB/s", "GFLOP/s", "IPC", "miss%");
-  for (const obs::ProfileRegionStats& region : profile.regions) {
-    const double miss_rate =
-        region.cache_refs > 0
-            ? 100.0 * static_cast<double>(region.cache_misses) /
-                  static_cast<double>(region.cache_refs)
-            : 0.0;
-    std::printf("  %-20s %6llu %9.3f %11llu %10s %9.3f %9.3f %5.2f %6.1f%%\n",
-                region.name.c_str(),
-                static_cast<unsigned long long>(region.spans),
-                region.seconds,
-                static_cast<unsigned long long>(region.items),
-                FormatRate(region.items_per_sec).c_str(),
-                region.bytes_per_sec / 1e9, region.flops_per_sec / 1e9,
-                region.ipc, miss_rate);
+// Items/s per layer from the report alone: a work counter over the total
+// time of the span that does that work. Rows with a missing or zero side
+// are skipped. A resumed report's counters cover both processes while its
+// spans cover only the resuming one, so it gets no table.
+void PrintThroughputTable(const RunReport& report) {
+  if (report.session == "resumed") return;
+  static constexpr std::pair<const char*, const char*> kRows[] = {
+      {"harness.featurize", "blocking.candidate_pairs"},
+      {"harness.featurize", "sim.calls"},
+      {"selector.scoring", "selector.scored_examples"},
+      {"loop.evaluate", "eval.rows_rescored"},
+  };
+  bool header = false;
+  for (const auto& [span_name, counter_name] : kRows) {
+    const uint64_t items = report.CounterOr(counter_name);
+    const auto span =
+        std::find_if(report.spans.begin(), report.spans.end(),
+                     [span_name = span_name](const obs::SpanRollupEntry& s) {
+                       return s.name == span_name;
+                     });
+    if (items == 0 || span == report.spans.end() ||
+        !(span->total_seconds > 0.0)) {
+      continue;
+    }
+    if (!header) {
+      std::printf("\n  %-20s %-26s %11s %11s %10s\n", "throughput span",
+                  "counter", "items", "total(ms)", "items/s");
+      header = true;
+    }
+    std::printf("  %-20s %-26s %11llu %11.3f %10s\n", span_name,
+                counter_name, static_cast<unsigned long long>(items),
+                span->total_seconds * 1e3,
+                FormatRate(static_cast<double>(items) / span->total_seconds)
+                    .c_str());
   }
 }
 
@@ -169,9 +184,9 @@ int CommandShow(const std::string& path) {
                 static_cast<unsigned long long>(span.count),
                 span.total_seconds * 1e3, span.self_seconds * 1e3);
   }
+  PrintThroughputTable(report);
   PrintLatencyTable(report);
   PrintPoolSummary(report);
-  PrintProfileTable(report);
   std::printf("\n");
   for (const auto& [name, value] : report.counters) {
     std::printf("  %-32s %llu\n", name.c_str(),
@@ -216,20 +231,6 @@ int CommandCompare(const std::string& path_a, const std::string& path_b) {
     row("pool.workers", static_cast<double>(a.pool.workers),
         static_cast<double>(b.pool.workers));
     row("pool.utilization", a.pool.utilization, b.pool.utilization);
-  }
-  if (a.has_profile && b.has_profile) {
-    for (const obs::ProfileRegionStats& region_a : a.profile.regions) {
-      if (region_a.items_per_sec <= 0.0) continue;
-      for (const obs::ProfileRegionStats& region_b : b.profile.regions) {
-        if (region_b.name != region_a.name ||
-            region_b.items_per_sec <= 0.0) {
-          continue;
-        }
-        row(("items_per_sec." + region_a.name).c_str(),
-            region_a.items_per_sec, region_b.items_per_sec);
-        break;
-      }
-    }
   }
   std::printf("  (A = %s, B = %s)\n", path_a.c_str(), path_b.c_str());
   return 0;
@@ -331,21 +332,7 @@ int CommandCheck(const FlagParser& flags, const std::string& baseline_path,
   options.counter_tol = flags.GetDouble("counter-tol", options.counter_tol);
   options.latency_p95_tol =
       flags.GetDouble("latency-p95-tol", options.latency_p95_tol);
-  options.throughput_tol =
-      flags.GetDouble("throughput-tol", options.throughput_tol);
   options.exact_curve = flags.GetBool("exact-curve", false);
-  // CheckReports silently skips the throughput gate when either side has
-  // no profile section; surface that as an explicit notice so a gate the
-  // operator asked for never looks like a pass it did not earn.
-  if (options.throughput_tol >= 0.0 &&
-      (!baseline.has_profile || !candidate.has_profile)) {
-    std::printf("note: --throughput-tol skipped: %s no \"profile\" section "
-                "(run with --profile-regions to record one)\n",
-                !baseline.has_profile && !candidate.has_profile
-                    ? "neither report has"
-                    : (!baseline.has_profile ? "baseline report has"
-                                             : "candidate report has"));
-  }
   std::vector<std::string> failures = obs::ValidateReport(candidate);
   for (std::string& failure :
        obs::CheckReports(baseline, candidate, options)) {
@@ -358,186 +345,36 @@ int CommandCheck(const FlagParser& flags, const std::string& baseline_path,
   return 0;
 }
 
-int CommandAggregate(const FlagParser& flags, const std::string& dir) {
-  namespace fs = std::filesystem;
-  std::error_code ec;
-  std::vector<std::string> files;
-  for (const fs::directory_entry& entry : fs::directory_iterator(dir, ec)) {
-    const std::string name = entry.path().filename().string();
-    if (name.size() > 12 &&
-        name.compare(name.size() - 12, 12, ".report.json") == 0) {
-      files.push_back(entry.path().string());
-    }
-  }
-  if (ec) {
-    std::fprintf(stderr, "cannot list %s: %s\n", dir.c_str(),
-                 ec.message().c_str());
+int CommandCheckTrace(const std::string& path) {
+  std::ifstream file(path, std::ios::binary);
+  if (!file.is_open()) {
+    std::fprintf(stderr, "cannot read %s\n", path.c_str());
     return 1;
   }
-  if (files.empty()) {
-    std::fprintf(stderr, "no *.report.json files under %s\n", dir.c_str());
+  std::ostringstream content;
+  content << file.rdbuf();
+  std::vector<obs::SpanRecord> spans;
+  std::string error;
+  if (!obs::ParseChromeTrace(content.str(), &spans, &error)) {
+    std::fprintf(stderr, "%s: %s\n", path.c_str(), error.c_str());
     return 1;
   }
-  std::sort(files.begin(), files.end());
-
-  std::string out = "{\n  \"schema_version\": 1,\n  \"kind\": \"aggregate\","
-                    "\n  \"tool\": \"alem_report\",\n  \"build\": ";
-  AppendJsonString(&out, obs::BuildStamp());
-  out.append(",\n  \"source_dir\": ");
-  AppendJsonString(&out, dir);
-  out.append(",\n  \"reports\": [\n");
-  size_t emitted = 0;
-  for (const std::string& file : files) {
-    RunReport report;
-    std::string error;
-    if (!obs::LoadReportFile(file, &report, &error)) {
-      std::fprintf(stderr, "skipping %s: %s\n", file.c_str(), error.c_str());
-      continue;
-    }
-    if (emitted > 0) out.append(",\n");
-    out.append("    {\"file\": ");
-    AppendJsonString(&out, fs::path(file).filename().string());
-    out.append(", \"kind\": ");
-    AppendJsonString(&out, report.kind);
-    out.append(", \"tool\": ");
-    AppendJsonString(&out, report.tool);
-    out.append(", \"build\": ");
-    AppendJsonString(&out, report.build);
-    if (report.kind == "run") {
-      out.append(",\n     \"dataset\": ");
-      AppendJsonString(&out, report.dataset);
-      out.append(", \"approach\": ");
-      AppendJsonString(&out, report.approach);
-      out.append(", \"best_f1\": ");
-      AppendJsonDouble(&out, report.best_f1);
-      out.append(", \"final_f1\": ");
-      AppendJsonDouble(&out, report.final_f1);
-      out.append(", \"iterations\": ");
-      AppendJsonUint(&out, report.curve.size());
-      out.append(", \"labels_to_converge\": ");
-      AppendJsonUint(&out, report.labels_to_converge);
-      out.append(", \"total_wait_seconds\": ");
-      AppendJsonDouble(&out, report.total_wait_seconds);
-    }
-    out.append(",\n     \"threads\": ");
-    out.append(std::to_string(report.threads));
-    out.append(", \"scale\": ");
-    AppendJsonDouble(&out, report.scale);
-    out.append(", \"wall_seconds\": ");
-    AppendJsonDouble(&out, report.wall_seconds);
-    out.append(", \"peak_rss_bytes\": ");
-    AppendJsonUint(&out, report.peak_rss_bytes);
-    out.append(",\n     \"counters\": {");
-    bool first_counter = true;
-    for (const char* name :
-         {"oracle.queries", "selector.scored_examples", "blocking.pruned",
-          "blocking.candidate_pairs", "sim.calls", "ml.fit_calls",
-          "ml.predict_calls", "loop.iterations"}) {
-      const uint64_t value = report.CounterOr(name, UINT64_MAX);
-      if (value == UINT64_MAX) continue;
-      if (!first_counter) out.append(", ");
-      first_counter = false;
-      AppendJsonString(&out, name);
-      out.append(": ");
-      AppendJsonUint(&out, value);
-    }
-    out.append("}");
-    if (!report.latency.empty()) {
-      out.append(",\n     \"latency\": [");
-      bool first_latency = true;
-      for (const obs::LatencyEntry& entry : report.latency) {
-        if (!first_latency) out.append(", ");
-        first_latency = false;
-        out.append("{\"name\": ");
-        AppendJsonString(&out, entry.name);
-        out.append(", \"count\": ");
-        AppendJsonUint(&out, entry.count);
-        out.append(", \"p50_seconds\": ");
-        AppendJsonDouble(&out, entry.p50_seconds);
-        out.append(", \"p95_seconds\": ");
-        AppendJsonDouble(&out, entry.p95_seconds);
-        out.append(", \"p99_seconds\": ");
-        AppendJsonDouble(&out, entry.p99_seconds);
-        out.append("}");
-      }
-      out.append("]");
-    }
-    if (report.has_profile) {
-      out.append(",\n     \"profile\": {\"hw\": ");
-      AppendJsonString(&out, report.profile.hw);
-      out.append(", \"regions\": [");
-      bool first_region = true;
-      for (const obs::ProfileRegionStats& region : report.profile.regions) {
-        if (!first_region) out.append(", ");
-        first_region = false;
-        out.append("{\"name\": ");
-        AppendJsonString(&out, region.name);
-        out.append(", \"items\": ");
-        AppendJsonUint(&out, region.items);
-        out.append(", \"seconds\": ");
-        AppendJsonDouble(&out, region.seconds);
-        out.append(", \"items_per_sec\": ");
-        AppendJsonDouble(&out, region.items_per_sec);
-        out.append(", \"flops_per_sec\": ");
-        AppendJsonDouble(&out, region.flops_per_sec);
-        out.append(", \"ipc\": ");
-        AppendJsonDouble(&out, region.ipc);
-        out.append("}");
-      }
-      out.append("]}");
-    }
-    if (report.has_pool) {
-      out.append(",\n     \"pool\": {\"workers\": ");
-      out.append(std::to_string(report.pool.workers));
-      out.append(", \"busy_seconds\": ");
-      AppendJsonDouble(&out, report.pool.busy_seconds);
-      out.append(", \"idle_seconds\": ");
-      AppendJsonDouble(&out, report.pool.idle_seconds);
-      out.append(", \"queue_wait_seconds\": ");
-      AppendJsonDouble(&out, report.pool.queue_wait_seconds);
-      out.append(", \"worker_wall_seconds\": ");
-      AppendJsonDouble(&out, report.pool.worker_wall_seconds);
-      out.append(", \"utilization\": ");
-      AppendJsonDouble(&out, report.pool.utilization);
-      out.append(", \"regions\": ");
-      AppendJsonUint(&out, report.pool.regions.size());
-      out.append("}");
-    }
-    out.append("}");
-    ++emitted;
-  }
-  out.append("\n  ]\n}\n");
-  if (emitted == 0) {
-    std::fprintf(stderr, "no valid reports under %s\n", dir.c_str());
-    return 1;
-  }
-
-  const std::string out_path =
-      flags.GetString("out", "BENCH_alembench.json");
-  std::FILE* file = std::fopen(out_path.c_str(), "w");
-  if (file == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  std::fwrite(out.data(), 1, out.size(), file);
-  std::fclose(file);
-  std::printf("aggregated %zu report%s into %s\n", emitted,
-              emitted == 1 ? "" : "s", out_path.c_str());
+  if (!Passes(obs::ValidateTrace(spans))) return 1;
+  std::printf("trace check OK (%s, %zu spans)\n", path.c_str(), spans.size());
   return 0;
 }
 
 int Usage() {
   std::printf(
-      "usage: alem_report <show|compare|diff|check|aggregate> [flags]\n"
+      "usage: alem_report <show|compare|diff|check|check-trace> [flags]\n"
       "  alem_report show RUN.report.json\n"
       "  alem_report compare A.report.json B.report.json\n"
       "  alem_report diff A.report.json B.report.json\n"
       "  alem_report check REPORT.json\n"
       "  alem_report check BASELINE.json CANDIDATE.json [--f1-tol=0.02]\n"
       "      [--latency-tol=FRAC] [--counter-tol=FRAC]\n"
-      "      [--latency-p95-tol=FRAC] [--throughput-tol=FRAC]\n"
-      "      [--exact-curve]\n"
-      "  alem_report aggregate DIR [--out=BENCH_alembench.json]\n");
+      "      [--latency-p95-tol=FRAC] [--exact-curve]\n"
+      "  alem_report check-trace TRACE.json\n");
   return 1;
 }
 
@@ -546,6 +383,17 @@ int Main(int argc, char** argv) {
   const std::vector<std::string>& args = flags.positional();
   if (args.empty()) return Usage();
   const std::string& command = args[0];
+  std::vector<std::string_view> accepted;
+  if (command == "check" && args.size() == 3) {
+    accepted = {"f1-tol", "latency-tol", "counter-tol", "latency-p95-tol",
+                "exact-curve"};
+  }
+  const std::vector<std::string> unknown = flags.UnknownFlags(accepted);
+  for (const std::string& name : unknown) {
+    std::fprintf(stderr, "error: alem_report %s: unknown flag --%s\n",
+                 command.c_str(), name.c_str());
+  }
+  if (!unknown.empty()) return 1;
   if (command == "show" && args.size() == 2) return CommandShow(args[1]);
   if (command == "compare" && args.size() == 3) {
     return CommandCompare(args[1], args[2]);
@@ -557,8 +405,8 @@ int Main(int argc, char** argv) {
   if (command == "check" && args.size() == 3) {
     return CommandCheck(flags, args[1], args[2]);
   }
-  if (command == "aggregate" && args.size() == 2) {
-    return CommandAggregate(flags, args[1]);
+  if (command == "check-trace" && args.size() == 2) {
+    return CommandCheckTrace(args[1]);
   }
   return Usage();
 }

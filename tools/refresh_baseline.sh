@@ -23,7 +23,7 @@
 # also pinned to --warm-start=off (cold refits, immune to any
 # ALEM_WARM_START in the refreshing environment): the baselines define the
 # exact-replay contract, and warm refits are gated by F1 tolerance in
-# report_gate.sh stage 10 instead (docs/training.md).
+# report_gate.sh stage 8 instead (docs/training.md).
 #
 # Usage: tools/refresh_baseline.sh [BUILD_DIR]   (default: build)
 set -eu

@@ -12,7 +12,10 @@
 #   1. Determinism: the CLI's learning curve must be bitwise identical at
 #      --threads=1 (cold, fresh feature-cache dir) and --threads=4 with
 #      the cache disabled (alem_report check --exact-curve) — one check
-#      covering both thread-count and cache-vs-recompute invariance.
+#      covering both thread-count and cache-vs-recompute invariance. Both
+#      runs' Chrome traces must pass `alem_report check-trace` (phases
+#      inside iterations; at 4 threads also pool chunks inside their
+#      region and batch inference inside its phase).
 #   2. Cache warmth: rerunning the same workload against the now-warm
 #      cache must produce a bitwise-identical curve, report
 #      config.cache="hit", and count exactly one featurize.cache.hit.
@@ -24,18 +27,20 @@
 #   4. Sensitivity: a baseline whose F1 is perturbed beyond tolerance
 #      must make the check FAIL, and so must a fresh report whose fit
 #      split no longer tallies (warm + cold != fit_calls), alone and as a
-#      candidate (guards against a gate that passes everything, or one
-#      not wired to the validator).
+#      candidate, a t4 trace with one loop.train moved past its
+#      iteration's end, and a misspelled flag to either tool (guards
+#      against a gate that passes everything, or one not wired to the
+#      validators).
 #   5. Bench path: a tiny bench run with ALEM_REPORT_DIR set must emit a
-#      valid bench report, and `alem_report aggregate` must roll it into
-#      a BENCH_alembench.json.
-#   6. Tail latency: a 4-thread telemetry run must produce a trace with
-#      sampler counter events, a valid pool section (busy + idle +
-#      queue-wait ≈ worker-wall is a validator invariant), per-region
-#      latency counts identical to the serial run for every region
-#      present in both (deterministic structure), p95s within a generous
-#      tolerance — and a perturbed-latency baseline must make
-#      `check --latency-p95-tol=0` FAIL.
+#      valid bench report, and `alem_report show` must still read the
+#      provenance reports in bench/artifacts/ (written by an older build,
+#      with since-retired sections).
+#   6. Tail latency: the 4-thread report of stage 1 must carry a valid
+#      pool section (busy + idle + queue-wait ≈ worker-wall is a validator
+#      invariant), per-region latency counts identical to the serial run
+#      for every region present in both (deterministic structure), p95s
+#      within a generous tolerance — and a perturbed-latency baseline must
+#      make `check --latency-p95-tol=0` FAIL.
 #   7. Kernel backends: scalar-forced reruns of all four golden
 #      workloads must replay their committed baselines with the curve and
 #      every counter exact, and each additional backend reported by
@@ -43,12 +48,14 @@
 #      bitwise (--exact-curve --counter-tol=0) while stamping its name
 #      into config.kernel_backend — the end-to-end counterpart of the
 #      kernels-labeled ctest matrix (docs/kernels.md).
-#   8. Roofline profile: a --profile-regions run must replay the golden
-#      baseline bitwise (profiling must not perturb results), emit a
-#      valid "profile" section whose work counters satisfy this
-#      workload's cross-layer invariants (sim.batch items == sim.calls,
-#      ml.batch items == ml.predict_calls), and aggregate into the BENCH
-#      trajectory (docs/observability.md, "Profiling").
+#   8. Warm start (docs/training.md): a --warm-start=on run must stay
+#      within the F1 tolerance of a cold run, take the warm path on every
+#      refit after the first and stamp config.warm_start; and the warm run
+#      paused after 2 iterations and resumed in a fresh process must
+#      replay the uninterrupted warm run bitwise (warm refits are
+#      restartable; the IEVL section stitches eval.rows_rescored exactly).
+#      Stages 3, 7 and 9 replay the cold baselines through the
+#      incremental evaluator every run uses.
 #   9. Resumable sessions: the golden linear-margin workload saved after
 #      2 iterations (`alem_cli session save`) and the golden ensemble
 #      saved after 3 (its first member accepted, so the ENSM coverage
@@ -57,15 +64,6 @@
 #      baselines with the curve exact and every counter exact
 #      (--exact-curve --counter-tol=0), stamped config.session="resumed" /
 #      session_resumes=1 (docs/sessions.md).
-#  10. Warm start (docs/training.md): a --warm-start=on run must stay
-#      within the F1 tolerance of a cold run, take the warm path on every
-#      refit after the first and stamp config.warm_start; and the warm run
-#      paused
-#      after 2 iterations and resumed in a fresh process must replay the
-#      uninterrupted warm run bitwise (warm refits are restartable; the
-#      IEVL section stitches eval.rows_rescored exactly). Stages 3, 7 and
-#      9 already replay the cold baselines through the incremental
-#      evaluator every run uses.
 set -eu
 
 build_dir="${1:-build}"
@@ -102,14 +100,18 @@ run_cli() {
       "$@" > /dev/null
 }
 
-echo "[1/10] determinism: cold cached t1 curve == uncached t4 curve"
+echo "[1/9] determinism: cold cached t1 curve == uncached t4 curve"
 mkdir -p "$work/cache"
-run_cli linear-margin 1 "$work/t1.report.json" --cache-dir="$work/cache"
-run_cli linear-margin 4 "$work/t4.report.json" --no-cache
+run_cli linear-margin 1 "$work/t1.report.json" --cache-dir="$work/cache" \
+    --trace="$work/t1.trace.json"
+run_cli linear-margin 4 "$work/t4.report.json" --no-cache \
+    --trace="$work/t4.trace.json"
 "$report_tool" check "$work/t1.report.json" "$work/t4.report.json" \
     --exact-curve
+"$report_tool" check-trace "$work/t1.trace.json"
+"$report_tool" check-trace "$work/t4.trace.json"
 
-echo "[2/10] cache warmth: warm rerun identical, provenance says hit"
+echo "[2/9] cache warmth: warm rerun identical, provenance says hit"
 run_cli linear-margin 1 "$work/warm.report.json" --cache-dir="$work/cache"
 "$report_tool" check "$work/t1.report.json" "$work/warm.report.json" \
     --exact-curve
@@ -127,7 +129,7 @@ assert warm["counters"].get("featurize.cache.hit") == 1, warm["counters"]
 assert warm["counters"].get("featurize.cache.miss", 0) == 0, warm["counters"]
 EOF
 
-echo "[3/10] quality: four golden workloads replay exactly, counters exact"
+echo "[3/9] quality: four golden workloads replay exactly, counters exact"
 for approach in linear-margin trees5 linear-qbc4 linear-margin-ensemble; do
   name="$(printf '%s' "$approach" | tr '-' '_')"
   candidate="$work/cand_$name.report.json"
@@ -142,7 +144,7 @@ for approach in linear-margin trees5 linear-qbc4 linear-margin-ensemble; do
       --exact-curve --counter-tol=0
 done
 
-echo "[4/10] sensitivity: perturbed baseline must fail the check"
+echo "[4/9] sensitivity: perturbed inputs must fail their checks"
 python3 - "$baseline_dir/cli_abtbuy_linear_margin.report.json" \
     "$work/perturbed.json" <<'EOF'
 import json, sys
@@ -179,8 +181,41 @@ if "$report_tool" check "$work/broken_fits.json" 2> /dev/null ||
   exit 1
 fi
 echo "report breaking an invariant rejected as expected"
+# The trace checker: the t4 trace with one loop.train moved to straddle
+# its iteration's end must fail check-trace.
+python3 - "$work/t4.trace.json" "$work/broken.trace.json" <<'EOF'
+import json, sys
+with open(sys.argv[1]) as f:
+    trace = json.load(f)
+spans = [e for e in trace["traceEvents"] if e.get("ph") == "X"]
+train = next(e for e in spans if e["name"] == "loop.train")
+iteration = next(e for e in spans
+                 if e["name"] == "loop.iteration" and e["tid"] == train["tid"]
+                 and e["ts"] <= train["ts"] <= e["ts"] + e["dur"])
+train["ts"] = iteration["ts"] + iteration["dur"] - train["dur"] / 2
+with open(sys.argv[2], "w") as f:
+    json.dump(trace, f)
+EOF
+if "$report_tool" check-trace "$work/broken.trace.json" 2> /dev/null; then
+  echo "FAIL: check-trace passed a loop.train outside its iteration" >&2
+  exit 1
+fi
+echo "trace breaking a nesting rule rejected as expected"
+# A misspelled flag must fail loudly instead of silently disabling a gate
+# or a run limit.
+if "$report_tool" check "$baseline_dir/cli_abtbuy_linear_margin.report.json" \
+    "$work/t1.report.json" --counter_tol=0 > /dev/null 2>&1; then
+  echo "FAIL: alem_report check accepted --counter_tol" >&2
+  exit 1
+fi
+if run_cli linear-margin 1 "$work/typo.report.json" --no-cache \
+    --max-label=5 2> /dev/null; then
+  echo "FAIL: alem_cli run accepted --max-label" >&2
+  exit 1
+fi
+echo "misspelled flags rejected as expected"
 
-echo "[5/10] bench path: ALEM_REPORT_DIR export + aggregation"
+echo "[5/9] bench path: ALEM_REPORT_DIR export, provenance reports"
 mkdir -p "$work/reports"
 ALEM_REPORT_DIR="$work/reports" ALEM_SCALE=0.2 ALEM_MAX_LABELS=40 \
     ALEM_THREADS=2 "$build_dir/bench/bench_fig10d_blocking_time" \
@@ -188,25 +223,16 @@ ALEM_REPORT_DIR="$work/reports" ALEM_SCALE=0.2 ALEM_MAX_LABELS=40 \
 for report in "$work/reports"/*.report.json; do
   "$report_tool" check "$report"
 done
-(cd "$work" && "$report_tool" aggregate reports --out=BENCH_gate.json)
-python3 - "$work/BENCH_gate.json" <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    agg = json.load(f)
-assert agg["kind"] == "aggregate", agg.get("kind")
-assert len(agg["reports"]) >= 1, "aggregate rolled up no reports"
-EOF
+"$report_tool" show \
+    "$repo_root/bench/artifacts/cli_abtbuy_linear_margin_full.report.json" \
+    > /dev/null
 
-echo "[6/10] tail latency: telemetry run, pool invariant, p95 determinism"
-run_cli linear-margin 4 "$work/lat4.report.json" --no-cache \
-    --telemetry-hz=50 --trace="$work/lat4.trace.json" \
-    --metrics="$work/lat4.metrics.csv"
-python3 "$repo_root/tools/trace_summary.py" --check "$work/lat4.trace.json" \
-    --metrics "$work/lat4.metrics.csv" --expect-telemetry
+echo "[6/9] tail latency: pool invariant, p95 determinism"
 # Latency structure is deterministic: every region recorded in both the
 # serial and the 4-thread report must observe the same number of events
-# (pool-only regions like parallel.chunk are legitimately t4-only).
-python3 - "$work/t1.report.json" "$work/lat4.report.json" <<'EOF'
+# (pool-only regions like parallel.chunk are legitimately t4-only). The
+# t4 report's pool section was validated by its check in stage 1.
+python3 - "$work/t1.report.json" "$work/t4.report.json" <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
     t1 = {e["name"]: e for e in json.load(f).get("latency", [])}
@@ -222,7 +248,7 @@ for name in common:
 EOF
 # Generous p95 gate between the two thread counts: catches order-of-
 # magnitude tail regressions without flaking on scheduler noise.
-"$report_tool" check "$work/t1.report.json" "$work/lat4.report.json" \
+"$report_tool" check "$work/t1.report.json" "$work/t4.report.json" \
     --f1-tol=1 --latency-p95-tol=20
 # Sensitivity: shrink every baseline p95 to ~zero; a zero-tolerance
 # latency gate must then reject the candidate.
@@ -236,14 +262,14 @@ for entry in report["latency"]:
 with open(sys.argv[2], "w") as f:
     json.dump(report, f)
 EOF
-if "$report_tool" check "$work/lat_perturbed.json" "$work/lat4.report.json" \
+if "$report_tool" check "$work/lat_perturbed.json" "$work/t4.report.json" \
     --f1-tol=1 --latency-p95-tol=0 2> /dev/null; then
   echo "FAIL: latency gate passed against a perturbed baseline" >&2
   exit 1
 fi
 echo "perturbed latency baseline rejected as expected"
 
-echo "[7/10] kernel backends: scalar golden replay, per-backend equivalence"
+echo "[7/9] kernel backends: scalar golden replay, per-backend equivalence"
 # Scalar-forced cold runs must replay all four committed baselines with
 # the curve and every counter exact — pins the scalar reference path end to
 # end.
@@ -285,111 +311,7 @@ assert stamped == "scalar", (
     f"config.kernel_backend is {stamped!r}, expected 'scalar'")
 EOF
 
-echo "[8/10] roofline profile: bitwise replay, work-counter invariants"
-# A profiled cold run (default curated region set) must not perturb the
-# workload: the curve and every counter must replay the golden baseline
-# exactly, even while HW counters and work accounting are live.
-mkdir -p "$work/cache_profile"
-run_cli linear-margin 1 "$work/profiled.report.json" \
-    --cache-dir="$work/cache_profile" --profile-regions=
-"$report_tool" check \
-    "$baseline_dir/cli_abtbuy_linear_margin.report.json" \
-    "$work/profiled.report.json" --exact-curve --counter-tol=0
-# Cross-layer work-counter invariants: the profile layer and the metric
-# registry count the same events through independent code paths. They
-# hold for this workload, not for every report: IWAL's committee vote
-# counts scalar predictions, which add no ml.batch items.
-python3 - "$work/profiled.report.json" <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    report = json.load(f)
-profile = report.get("profile")
-assert profile, "profiled run emitted no profile section"
-regions = {r["name"]: r for r in profile["regions"]}
-expected = ("sim.batch", "ml.batch", "selector.scoring",
-            "harness.featurize", "loop.evaluate")
-missing = [name for name in expected if name not in regions]
-assert not missing, f"default regions missing from profile: {missing}"
-counters = report["counters"]
-sim = regions["sim.batch"]
-assert sim["items"] == counters["sim.calls"], (
-    f"sim.batch items {sim['items']} != sim.calls {counters['sim.calls']}")
-ml = regions["ml.batch"]
-assert ml["items"] == counters["ml.predict_calls"], (
-    f"ml.batch items {ml['items']} != ml.predict_calls "
-    f"{counters['ml.predict_calls']}")
-for name in ("sim.batch", "ml.batch"):
-    region = regions[name]
-    assert region["spans"] > 0, f"{name}: no spans recorded"
-    assert region["seconds"] > 0, f"{name}: no wall time recorded"
-    assert region["items_per_sec"] > 0, f"{name}: no throughput derived"
-print(f"profile OK: hw={profile['hw']}, "
-      f"sim.batch {sim['items_per_sec']:.3g} pairs/s, "
-      f"ml.batch {ml['items_per_sec']:.3g} rows/s")
-EOF
-# The profiled report must fold into the aggregate trajectory with its
-# per-region throughput summaries intact.
-mkdir -p "$work/profile_reports"
-cp "$work/profiled.report.json" \
-    "$work/profile_reports/profiled.report.json"
-(cd "$work" && "$report_tool" aggregate profile_reports \
-    --out=BENCH_profile_gate.json)
-python3 - "$work/BENCH_profile_gate.json" <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    agg = json.load(f)
-entry = agg["reports"][0]
-profile = entry.get("profile")
-assert profile, "aggregate dropped the profile section"
-names = {r["name"] for r in profile["regions"]}
-assert {"sim.batch", "ml.batch"} <= names, names
-assert all(r["items_per_sec"] >= 0 for r in profile["regions"])
-EOF
-
-echo "[9/10] resumable sessions: half-run save, fresh-process resume, stitch"
-# Pause the golden linear-margin workload after 2 iterations (cold cache,
-# matching the baseline's featurize.cache.* counters), resume it in a NEW
-# process at 4 threads with the cache disabled, and require the stitched
-# report to replay the committed uninterrupted baseline bitwise — curve
-# exact, every counter exact (docs/sessions.md). The resume process's own
-# prepare-phase counters are discarded in favor of the snapshot's, so its
-# cache policy is free.
-mkdir -p "$work/cache_session"
-"$cli" session save --dataset=Abt-Buy --approach=linear-margin \
-    --scale=0.25 --max-labels=60 --threads=1 \
-    --cache-dir="$work/cache_session" \
-    --snapshot="$work/gate.alss" --stop-after=2 > /dev/null
-"$cli" session resume --snapshot="$work/gate.alss" --threads=4 --no-cache \
-    --quiet --report="$work/resumed.report.json" > /dev/null
-"$report_tool" check \
-    "$baseline_dir/cli_abtbuy_linear_margin.report.json" \
-    "$work/resumed.report.json" --exact-curve --counter-tol=0
-# The golden ensemble, paused after its first acceptance (iteration 3):
-# the ENSM section carries the coverage mask into the resumed process.
-mkdir -p "$work/cache_session_ensemble"
-"$cli" session save --dataset=Abt-Buy --approach=linear-margin-ensemble \
-    --scale=0.25 --max-labels=60 --threads=1 \
-    --cache-dir="$work/cache_session_ensemble" \
-    --snapshot="$work/gate_ensemble.alss" --stop-after=3 > /dev/null
-"$cli" session resume --snapshot="$work/gate_ensemble.alss" --threads=4 \
-    --no-cache --quiet --report="$work/resumed_ensemble.report.json" \
-    > /dev/null
-"$report_tool" check \
-    "$baseline_dir/cli_abtbuy_linear_margin_ensemble.report.json" \
-    "$work/resumed_ensemble.report.json" --exact-curve --counter-tol=0
-python3 - "$work/resumed.report.json" "$work/resumed_ensemble.report.json" \
-    <<'EOF'
-import json, sys
-for path in sys.argv[1:]:
-    with open(path) as f:
-        report = json.load(f)
-    config = report["config"]
-    assert config.get("session") == "resumed", config.get("session")
-    assert config.get("session_resumes") == 1, config.get("session_resumes")
-EOF
-echo "resumed runs replay the golden baselines exactly"
-
-echo "[10/10] warm start: warm gated, warm resume"
+echo "[8/9] warm start: warm gated, warm resume"
 # on = warm refits: the curve is gated against a cold run by F1 tolerance,
 # not bitwise. The comparison runs at 150 labels against a freshly
 # generated cold reference rather than the committed 60-label baseline:
@@ -446,5 +368,48 @@ assert config.get("session") == "resumed", config.get("session")
 assert config.get("warm_start") == "on", config.get("warm_start")
 EOF
 echo "warm resume replays the uninterrupted warm run exactly"
+
+echo "[9/9] resumable sessions: half-run save, fresh-process resume, stitch"
+# Pause the golden linear-margin workload after 2 iterations (cold cache,
+# matching the baseline's featurize.cache.* counters), resume it in a NEW
+# process at 4 threads with the cache disabled, and require the stitched
+# report to replay the committed uninterrupted baseline bitwise — curve
+# exact, every counter exact (docs/sessions.md). The resume process's own
+# prepare-phase counters are discarded in favor of the snapshot's, so its
+# cache policy is free.
+mkdir -p "$work/cache_session"
+"$cli" session save --dataset=Abt-Buy --approach=linear-margin \
+    --scale=0.25 --max-labels=60 --threads=1 \
+    --cache-dir="$work/cache_session" \
+    --snapshot="$work/gate.alss" --stop-after=2 > /dev/null
+"$cli" session resume --snapshot="$work/gate.alss" --threads=4 --no-cache \
+    --quiet --report="$work/resumed.report.json" > /dev/null
+"$report_tool" check \
+    "$baseline_dir/cli_abtbuy_linear_margin.report.json" \
+    "$work/resumed.report.json" --exact-curve --counter-tol=0
+# The golden ensemble, paused after its first acceptance (iteration 3):
+# the ENSM section carries the coverage mask into the resumed process.
+mkdir -p "$work/cache_session_ensemble"
+"$cli" session save --dataset=Abt-Buy --approach=linear-margin-ensemble \
+    --scale=0.25 --max-labels=60 --threads=1 \
+    --cache-dir="$work/cache_session_ensemble" \
+    --snapshot="$work/gate_ensemble.alss" --stop-after=3 > /dev/null
+"$cli" session resume --snapshot="$work/gate_ensemble.alss" --threads=4 \
+    --no-cache --quiet --report="$work/resumed_ensemble.report.json" \
+    > /dev/null
+"$report_tool" check \
+    "$baseline_dir/cli_abtbuy_linear_margin_ensemble.report.json" \
+    "$work/resumed_ensemble.report.json" --exact-curve --counter-tol=0
+python3 - "$work/resumed.report.json" "$work/resumed_ensemble.report.json" \
+    <<'EOF'
+import json, sys
+for path in sys.argv[1:]:
+    with open(path) as f:
+        report = json.load(f)
+    config = report["config"]
+    assert config.get("session") == "resumed", config.get("session")
+    assert config.get("session_resumes") == 1, config.get("session_resumes")
+EOF
+echo "resumed runs replay the golden baselines exactly"
 
 echo "report gate OK"
