@@ -20,6 +20,7 @@
 #include "ml/linear_svm.h"
 #include "ml/neural_net.h"
 #include "ml/random_forest.h"
+#include "obs/report.h"
 #include "parallel/pool.h"
 #include "synth/profiles.h"
 
@@ -313,12 +314,13 @@ BENCHMARK(BM_ForestPredictPoolBatch)->Arg(1)->Arg(4);
 
 // ---- Per-backend kernel rows (docs/kernels.md) -------------------------
 //
-// The two kernel-dispatched batch paths — SVM margin GEMV and NN forward
-// pass — timed single-threaded under each available kernel backend plus
-// "auto", one JSON row per backend, so BENCH_micro_learners.json shows the
-// per-backend speedup directly (results are bitwise-identical across
-// backends; only the timing may differ). Registered at runtime because the
-// backend list is a host property.
+// The kernel-dispatched paths — SVM margin GEMV, NN forward pass and NN
+// training (forward affine + weight gradient) — timed single-threaded
+// under each available kernel backend plus "auto", one JSON row per
+// backend, so BENCH_micro_learners.json shows the per-backend speedup
+// directly (results are bitwise-identical across backends; only the
+// timing may differ). Registered at runtime because the backend list is a
+// host property.
 
 void RunSvmMarginBackend(benchmark::State& state, const std::string& backend) {
   std::string error;
@@ -389,7 +391,25 @@ void RunNeuralNetProbaBackend(benchmark::State& state,
   kernels::SetBackend("auto", nullptr);
 }
 
+void RunNeuralNetFitBackend(benchmark::State& state,
+                            const std::string& backend) {
+  std::string error;
+  if (!kernels::SetBackend(backend, &error)) {
+    state.SkipWithError(error.c_str());
+    return;
+  }
+  const TrainingSlice slice = SliceOf(300, false);
+  NeuralNetwork model(NeuralNetConfig{});
+  for (auto _ : state) {
+    model.Fit(slice.features, slice.labels);
+    benchmark::DoNotOptimize(model.trained());
+  }
+  kernels::SetBackend("auto", nullptr);
+}
+
 [[maybe_unused]] const int kLearnerBackendBenches = [] {
+  // The JSON context then names the build the rows came from.
+  benchmark::AddCustomContext("alem_build", obs::BuildStamp());
   std::vector<std::string> backends;
   for (const std::string_view name : kernels::AvailableBackendNames()) {
     backends.emplace_back(name);
@@ -406,6 +426,12 @@ void RunNeuralNetProbaBackend(benchmark::State& state,
         [backend](benchmark::State& state) {
           RunNeuralNetProbaBackend(state, backend);
         });
+    benchmark::RegisterBenchmark(
+        ("BM_NeuralNetFit/300/backend:" + backend).c_str(),
+        [backend](benchmark::State& state) {
+          RunNeuralNetFitBackend(state, backend);
+        })
+        ->Unit(benchmark::kMillisecond);
   }
   return 0;
 }();

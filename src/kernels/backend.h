@@ -50,6 +50,10 @@ namespace kernels {
 // at most this many rows to svm_margin_block).
 inline constexpr size_t kSvmMarginBlock = 8;
 
+// Row-block width of the NN affine (ml/neural_net.cc feeds nn_affine_block
+// one training mini-batch of the default size 8, or 8 pool rows, per call).
+inline constexpr size_t kNnRowBlock = 8;
+
 // Longest input, in bytes per side, of the alignment dynamic programs
 // (the similarity layer caps its inputs at this length).
 inline constexpr size_t kMaxAlignLength = 64;
@@ -75,9 +79,7 @@ enum class Alignment : int {
 int AlignmentScore(Alignment kind, std::string_view a, std::string_view b);
 
 // Dispatch table: one function pointer per hot inner loop. All pointers are
-// always non-null; nn_wants_transpose tells the NN batch path whether to
-// hand the kernels a [in x out] transposed copy of each layer's weights
-// (built once per MarginBatch call) alongside the row-major original.
+// always non-null.
 struct KernelOps {
   const char* name;
 
@@ -100,21 +102,26 @@ struct KernelOps {
   void (*svm_margin_block)(const double* w, size_t d, double bias,
                            const float* const* x, size_t nrows, double* out);
 
-  // When true, NeuralNetwork::MarginBatch builds a [in x out] transposed
-  // weight copy per layer per call and passes it as `wt` below (the AVX2
-  // kernels vectorize across units, which needs unit-contiguous weights);
-  // when false `wt` may be null.
-  bool nn_wants_transpose;
+  // NN dense-layer affine over a row block, the forward pass of both
+  // NeuralNetwork::Train and MarginBatch: z[r*out + o] = bias[o] +
+  // sum_j w[o*in + j] * x[r][j] for r < nrows (1 <= nrows <= kNnRowBlock)
+  // and o < out, each z accumulated in ascending j with one multiply + one
+  // add per term — the scalar forward order. The f32 entry reads float
+  // rows (layer 0 at inference), the f64 entry double activations.
+  void (*nn_affine_block_f32)(const double* w, const double* bias, size_t in,
+                              size_t out, const float* const* x, size_t nrows,
+                              double* z);
+  void (*nn_affine_block_f64)(const double* w, const double* bias, size_t in,
+                              size_t out, const double* const* x,
+                              size_t nrows, double* z);
 
-  // NN hidden-layer affine for one example: z[o] = bias[o] +
-  // sum_j w[o*in + j] * x[j] for o < out, each z[o] accumulated in
-  // ascending j (bitwise-identical to the scalar forward pass). The f32
-  // variant reads the input row as floats (layer 0), the f64 variant as
-  // doubles (hidden activations).
-  void (*nn_affine_f32)(const double* w, const double* wt, const double* bias,
-                        size_t in, size_t out, const float* x, double* z);
-  void (*nn_affine_f64)(const double* w, const double* wt, const double* bias,
-                        size_t in, size_t out, const double* x, double* z);
+  // NN weight gradient of one mini-batch (NeuralNetwork::Train):
+  // dw[o*in + j] = sum_r g[r*out + o] * x[r][j] for o < out and j < in,
+  // summed from +0.0 over r in ascending order and skipping every r whose
+  // g[r*out + o] == 0.0 — the scalar backward order. Every element of dw is
+  // written; nrows is the whole mini-batch (any size).
+  void (*nn_weight_grad)(const double* g, size_t nrows, size_t out,
+                         const double* const* x, size_t in, double* dw);
 };
 
 enum class Backend : int {

@@ -5,13 +5,14 @@
 // Every kernel below is REORDER-FREE with respect to the scalar reference
 // (kernel_scalar.cc): the integer alignment kernel computes the same exact
 // values, and the floating-point kernels vectorize across independent
-// accumulators (rows for the SVM GEMV, units for the NN affine) so each
-// accumulator still sees its terms in ascending j with one rounded
-// multiply and one rounded add per term. The TU is additionally built with
-// -ffp-contract=off (and WITHOUT -mfma) so the compiler cannot fuse that
-// multiply-add pair into a single differently-rounded FMA. Net effect:
-// bitwise-identical outputs, verified by tests/kernel_backend_test.cc and
-// the per-backend golden-baseline replay in report_gate.sh stage 7.
+// accumulators (rows for the SVM GEMV and the NN affine, inputs for the NN
+// weight gradient) so each accumulator still sees its terms in the scalar
+// order with one rounded multiply and one rounded add per term. The TU is
+// additionally built with -ffp-contract=off (and WITHOUT -mfma) so the
+// compiler cannot fuse that multiply-add pair into a single
+// differently-rounded FMA. Net effect: bitwise-identical outputs, verified
+// by tests/kernel_backend_test.cc, tests/ml_nn_reference_test.cc and the
+// per-backend golden-baseline replay in report_gate.sh stage 7.
 
 #include <immintrin.h>
 
@@ -281,33 +282,235 @@ void SvmMarginBlockAvx2(const double* w, size_t d, double bias,
   for (size_t r = 0; r < 8; ++r) out[r] = acc[r];
 }
 
-// ---- nn_affine ---------------------------------------------------------
+// ---- nn_affine_block ---------------------------------------------------
 //
-// Vectorized across UNITS: with the [in x out] transposed weights (wt),
-// four units' accumulators ride one __m256d, each fed x[j] * wt[j][o] in
-// ascending j. Per unit the operation sequence matches the scalar
-// row-major loop exactly. The unit tail (out % 4) runs scalar off the
-// row-major weights.
+// Vectorized across ROWS, like the SVM GEMV: the row block is transposed
+// once per call into xt, where xt[j] holds input j of all 8 rows as
+// doubles (rows past nrows are zero and never stored), and each unit keeps
+// its 8 row accumulators in two __m256d. Four units are in flight per pass
+// over j, so every loaded input column feeds 8 independent multiply-add
+// pairs. Per (row, unit) the sequence is the scalar one: start at bias[o],
+// then one rounded multiply and one rounded add per j in ascending order.
+// Inputs wider than one tile continue from the partial sums parked in z.
+
+constexpr size_t kNnTile = 256;  // Inputs per transposed tile (16 KiB).
+
+// Rows 0..3 of four double columns: lane r of out[k] = row[r][k].
+inline void Transpose4x4(const __m256d row[4], __m256d out[4]) {
+  const __m256d t0 = _mm256_unpacklo_pd(row[0], row[1]);
+  const __m256d t1 = _mm256_unpackhi_pd(row[0], row[1]);
+  const __m256d t2 = _mm256_unpacklo_pd(row[2], row[3]);
+  const __m256d t3 = _mm256_unpackhi_pd(row[2], row[3]);
+  out[0] = _mm256_permute2f128_pd(t0, t2, 0x20);
+  out[1] = _mm256_permute2f128_pd(t1, t3, 0x20);
+  out[2] = _mm256_permute2f128_pd(t0, t2, 0x31);
+  out[3] = _mm256_permute2f128_pd(t1, t3, 0x31);
+}
+
+// Full 8-row blocks move 8 (float) or 4 (double) inputs per step through
+// register transposes; partial blocks and the tail go element by element.
+void TransposeTile(const float* const* x, size_t nrows, size_t j0, size_t jn,
+                   double (*xt)[8]) {
+  size_t j = 0;
+  if (nrows == 8) {
+    __m256 rows[8];
+    __m256 cols[8];
+    for (; j + 8 <= jn; j += 8) {
+      for (size_t r = 0; r < 8; ++r) rows[r] = _mm256_loadu_ps(x[r] + j0 + j);
+      Transpose8x8(rows, cols);
+      for (size_t k = 0; k < 8; ++k) {
+        _mm256_store_pd(xt[j + k],
+                        _mm256_cvtps_pd(_mm256_castps256_ps128(cols[k])));
+        _mm256_store_pd(xt[j + k] + 4,
+                        _mm256_cvtps_pd(_mm256_extractf128_ps(cols[k], 1)));
+      }
+    }
+  }
+  for (; j < jn; ++j) {
+    for (size_t r = 0; r < 8; ++r) {
+      xt[j][r] = r < nrows ? static_cast<double>(x[r][j0 + j]) : 0.0;
+    }
+  }
+}
+
+void TransposeTile(const double* const* x, size_t nrows, size_t j0,
+                   size_t jn, double (*xt)[8]) {
+  size_t j = 0;
+  if (nrows == 8) {
+    __m256d rows[4];
+    __m256d cols[4];
+    for (; j + 4 <= jn; j += 4) {
+      for (size_t half = 0; half < 8; half += 4) {
+        for (size_t r = 0; r < 4; ++r) {
+          rows[r] = _mm256_loadu_pd(x[half + r] + j0 + j);
+        }
+        Transpose4x4(rows, cols);
+        for (size_t k = 0; k < 4; ++k) {
+          _mm256_store_pd(xt[j + k] + half, cols[k]);
+        }
+      }
+    }
+  }
+  for (; j < jn; ++j) {
+    for (size_t r = 0; r < 8; ++r) xt[j][r] = r < nrows ? x[r][j0 + j] : 0.0;
+  }
+}
+
+// One unit's accumulators for the 8 rows of a block.
+struct RowAcc {
+  __m256d lo;  // Rows 0..3.
+  __m256d hi;  // Rows 4..7.
+};
+
+// Starts a unit at its bias on the first tile, else at the partial sums
+// parked in z (unit column z[r * out]).
+inline RowAcc StartUnit(bool first, double bias, const double* z, size_t out,
+                        size_t nrows) {
+  if (first) return {_mm256_set1_pd(bias), _mm256_set1_pd(bias)};
+  alignas(32) double part[8] = {};
+  for (size_t r = 0; r < nrows; ++r) part[r] = z[r * out];
+  return {_mm256_load_pd(part), _mm256_load_pd(part + 4)};
+}
+
+inline void MulAdd(RowAcc& acc, __m256d w, __m256d x_lo, __m256d x_hi) {
+  acc.lo = _mm256_add_pd(acc.lo, _mm256_mul_pd(w, x_lo));
+  acc.hi = _mm256_add_pd(acc.hi, _mm256_mul_pd(w, x_hi));
+}
+
+inline void StoreUnit(const RowAcc& acc, double* z, size_t out,
+                      size_t nrows) {
+  alignas(32) double part[8];
+  _mm256_store_pd(part, acc.lo);
+  _mm256_store_pd(part + 4, acc.hi);
+  for (size_t r = 0; r < nrows; ++r) z[r * out] = part[r];
+}
 
 template <typename In>
-void NnAffineAvx2(const double* w, const double* wt, const double* bias,
-                  size_t in, size_t out, const In* x, double* z) {
-  size_t o = 0;
-  for (; o + 4 <= out; o += 4) {
-    __m256d acc = _mm256_loadu_pd(bias + o);
-    const double* col = wt + o;
-    for (size_t j = 0; j < in; ++j) {
-      const __m256d xj = _mm256_set1_pd(static_cast<double>(x[j]));
-      acc = _mm256_add_pd(acc,
-                          _mm256_mul_pd(xj, _mm256_loadu_pd(col + j * out)));
+void NnAffineBlockAvx2(const double* w, const double* bias, size_t in,
+                       size_t out, const In* const* x, size_t nrows,
+                       double* z) {
+  ALEM_CHECK_LE(nrows, kNnRowBlock);
+  static_assert(kNnRowBlock == 8, "AVX2 NN kernel is shaped for 8-row blocks");
+  alignas(32) double xt[kNnTile][8];
+  // At least one tile, so a zero-width layer still writes z = bias.
+  size_t j0 = 0;
+  do {
+    const size_t jn = std::min(kNnTile, in - j0);
+    const bool first = j0 == 0;
+    TransposeTile(x, nrows, j0, jn, xt);
+    size_t o = 0;
+    for (; o + 4 <= out; o += 4) {
+      const double* w0 = w + o * in + j0;
+      const double* w1 = w0 + in;
+      const double* w2 = w1 + in;
+      const double* w3 = w2 + in;
+      RowAcc a0 = StartUnit(first, bias[o], z + o, out, nrows);
+      RowAcc a1 = StartUnit(first, bias[o + 1], z + o + 1, out, nrows);
+      RowAcc a2 = StartUnit(first, bias[o + 2], z + o + 2, out, nrows);
+      RowAcc a3 = StartUnit(first, bias[o + 3], z + o + 3, out, nrows);
+      for (size_t j = 0; j < jn; ++j) {
+        const __m256d x_lo = _mm256_load_pd(xt[j]);
+        const __m256d x_hi = _mm256_load_pd(xt[j] + 4);
+        MulAdd(a0, _mm256_broadcast_sd(w0 + j), x_lo, x_hi);
+        MulAdd(a1, _mm256_broadcast_sd(w1 + j), x_lo, x_hi);
+        MulAdd(a2, _mm256_broadcast_sd(w2 + j), x_lo, x_hi);
+        MulAdd(a3, _mm256_broadcast_sd(w3 + j), x_lo, x_hi);
+      }
+      StoreUnit(a0, z + o, out, nrows);
+      StoreUnit(a1, z + o + 1, out, nrows);
+      StoreUnit(a2, z + o + 2, out, nrows);
+      StoreUnit(a3, z + o + 3, out, nrows);
     }
-    _mm256_storeu_pd(z + o, acc);
+    for (; o < out; ++o) {
+      const double* wo = w + o * in + j0;
+      RowAcc a = StartUnit(first, bias[o], z + o, out, nrows);
+      for (size_t j = 0; j < jn; ++j) {
+        MulAdd(a, _mm256_broadcast_sd(wo + j), _mm256_load_pd(xt[j]),
+               _mm256_load_pd(xt[j] + 4));
+      }
+      StoreUnit(a, z + o, out, nrows);
+    }
+    j0 += jn;
+  } while (j0 < in);
+}
+
+// ---- nn_weight_grad ----------------------------------------------------
+//
+// Vectorized across INPUTS j: dw[o][j..j+3] rides one __m256d. For each
+// unit, a group of up to 8 rows first collects its nonzero gradients, and
+// the j loop is then instantiated for exactly that many rows, so it runs
+// a fixed sequence of multiply-adds with no data-dependent branch (ReLU
+// and dropout zeros would otherwise mispredict per row and j block). Each
+// dw[o][j] still starts at +0.0 and adds g[r][o] * x[r][j] over the
+// nonzero rows in ascending r; a later row group continues from the sums
+// stored by the earlier one.
+
+template <size_t K>
+void GradRows(const double* const* xs, const double* gs, size_t in,
+              bool first, double* dw) {
+  const __m256d zero = _mm256_setzero_pd();
+  size_t j = 0;
+  for (; j + 16 <= in; j += 16) {
+    __m256d a0 = first ? zero : _mm256_loadu_pd(dw + j);
+    __m256d a1 = first ? zero : _mm256_loadu_pd(dw + j + 4);
+    __m256d a2 = first ? zero : _mm256_loadu_pd(dw + j + 8);
+    __m256d a3 = first ? zero : _mm256_loadu_pd(dw + j + 12);
+    for (size_t t = 0; t < K; ++t) {
+      const __m256d g = _mm256_broadcast_sd(gs + t);
+      const double* x = xs[t] + j;
+      a0 = _mm256_add_pd(a0, _mm256_mul_pd(g, _mm256_loadu_pd(x)));
+      a1 = _mm256_add_pd(a1, _mm256_mul_pd(g, _mm256_loadu_pd(x + 4)));
+      a2 = _mm256_add_pd(a2, _mm256_mul_pd(g, _mm256_loadu_pd(x + 8)));
+      a3 = _mm256_add_pd(a3, _mm256_mul_pd(g, _mm256_loadu_pd(x + 12)));
+    }
+    _mm256_storeu_pd(dw + j, a0);
+    _mm256_storeu_pd(dw + j + 4, a1);
+    _mm256_storeu_pd(dw + j + 8, a2);
+    _mm256_storeu_pd(dw + j + 12, a3);
   }
-  for (; o < out; ++o) {
-    const double* wo = w + o * in;
-    double acc = bias[o];
-    for (size_t j = 0; j < in; ++j) acc += wo[j] * x[j];
-    z[o] = acc;
+  for (; j + 4 <= in; j += 4) {
+    __m256d a = first ? zero : _mm256_loadu_pd(dw + j);
+    for (size_t t = 0; t < K; ++t) {
+      a = _mm256_add_pd(a, _mm256_mul_pd(_mm256_broadcast_sd(gs + t),
+                                         _mm256_loadu_pd(xs[t] + j)));
+    }
+    _mm256_storeu_pd(dw + j, a);
+  }
+  for (; j < in; ++j) {
+    double a = first ? 0.0 : dw[j];
+    for (size_t t = 0; t < K; ++t) a += gs[t] * xs[t][j];
+    dw[j] = a;
+  }
+}
+
+using GradRowsFn = void (*)(const double* const*, const double*, size_t, bool,
+                            double*);
+constexpr GradRowsFn kGradRows[kNnRowBlock + 1] = {
+    GradRows<0>, GradRows<1>, GradRows<2>, GradRows<3>, GradRows<4>,
+    GradRows<5>, GradRows<6>, GradRows<7>, GradRows<8>,
+};
+
+void NnWeightGradAvx2(const double* g, size_t nrows, size_t out,
+                      const double* const* x, size_t in, double* dw) {
+  for (size_t o = 0; o < out; ++o) {
+    size_t r0 = 0;
+    do {
+      const size_t rn = std::min(kNnRowBlock, nrows - r0);
+      const double* xs[kNnRowBlock];
+      double gs[kNnRowBlock];
+      size_t k = 0;
+      for (size_t r = r0; r < r0 + rn; ++r) {
+        // Branch-free compaction: every row is written at slot k, and k
+        // only advances past a nonzero gradient.
+        const double gr = g[r * out + o];
+        xs[k] = x[r];
+        gs[k] = gr;
+        k += gr != 0.0 ? 1 : 0;
+      }
+      // The first group writes every element, even with no nonzero row.
+      if (r0 == 0 || k > 0) kGradRows[k](xs, gs, in, r0 == 0, dw + o * in);
+      r0 += rn;
+    } while (r0 < nrows);
   }
 }
 
@@ -317,9 +520,9 @@ const KernelOps kAvx2Ops = {
     /*name=*/"avx2",
     /*align_scores=*/AlignScoresAvx2,
     /*svm_margin_block=*/SvmMarginBlockAvx2,
-    /*nn_wants_transpose=*/true,
-    /*nn_affine_f32=*/NnAffineAvx2<float>,
-    /*nn_affine_f64=*/NnAffineAvx2<double>,
+    /*nn_affine_block_f32=*/NnAffineBlockAvx2<float>,
+    /*nn_affine_block_f64=*/NnAffineBlockAvx2<double>,
+    /*nn_weight_grad=*/NnWeightGradAvx2,
 };
 
 }  // namespace internal

@@ -1,7 +1,8 @@
 // Portable scalar kernels — the reference implementations every other
 // backend is differentially tested against (tests/kernel_backend_test.cc).
-// The ml kernels are verbatim extractions of the inner loops that
-// previously lived inline in ml/linear_svm.cc and ml/neural_net.cc; the
+// The ml kernels keep the accumulation order of the loops they replaced in
+// ml/linear_svm.cc and ml/neural_net.cc (per output, terms in the same
+// order, one rounded multiply and one rounded add each); the
 // alignment DPs compute sim/edit_based.cc's double-valued alignments in
 // exact integer units. Changing any arithmetic here changes the
 // framework's golden baselines.
@@ -124,13 +125,36 @@ void SvmMarginBlockScalar(const double* w, size_t d, double bias,
 }
 
 template <typename In>
-void NnAffineScalar(const double* w, const double* /*wt*/, const double* bias,
-                    size_t in, size_t out, const In* x, double* z) {
+void NnAffineBlockScalar(const double* w, const double* bias, size_t in,
+                         size_t out, const In* const* x, size_t nrows,
+                         double* z) {
+  // Register-blocked like the SVM GEMV: each loaded weight feeds every
+  // row's accumulator, and each accumulator starts at bias[o] and sees
+  // w[o*in + j] * x[r][j] in ascending j.
+  ALEM_CHECK_LE(nrows, kNnRowBlock);
   for (size_t o = 0; o < out; ++o) {
     const double* wo = w + o * in;
-    double acc = bias[o];
-    for (size_t j = 0; j < in; ++j) acc += wo[j] * x[j];
-    z[o] = acc;
+    double acc[kNnRowBlock];
+    for (size_t r = 0; r < nrows; ++r) acc[r] = bias[o];
+    for (size_t j = 0; j < in; ++j) {
+      const double wj = wo[j];
+      for (size_t r = 0; r < nrows; ++r) acc[r] += wj * x[r][j];
+    }
+    for (size_t r = 0; r < nrows; ++r) z[r * out + o] = acc[r];
+  }
+}
+
+void NnWeightGradScalar(const double* g, size_t nrows, size_t out,
+                        const double* const* x, size_t in, double* dw) {
+  for (size_t o = 0; o < out; ++o) {
+    double* dwo = dw + o * in;
+    std::fill(dwo, dwo + in, 0.0);
+    for (size_t r = 0; r < nrows; ++r) {
+      const double gr = g[r * out + o];
+      if (gr == 0.0) continue;
+      const double* xr = x[r];
+      for (size_t j = 0; j < in; ++j) dwo[j] += gr * xr[j];
+    }
   }
 }
 
@@ -140,9 +164,9 @@ const KernelOps kScalarOps = {
     /*name=*/"scalar",
     /*align_scores=*/AlignScoresScalar,
     /*svm_margin_block=*/SvmMarginBlockScalar,
-    /*nn_wants_transpose=*/false,
-    /*nn_affine_f32=*/NnAffineScalar<float>,
-    /*nn_affine_f64=*/NnAffineScalar<double>,
+    /*nn_affine_block_f32=*/NnAffineBlockScalar<float>,
+    /*nn_affine_block_f64=*/NnAffineBlockScalar<double>,
+    /*nn_weight_grad=*/NnWeightGradScalar,
 };
 
 }  // namespace internal

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory_resource>
 #include <numeric>
 
 #include "kernels/backend.h"
@@ -126,19 +127,65 @@ void NeuralNetwork::Train(const FeatureMatrix& features,
   const size_t batch_size =
       std::max<size_t>(1, static_cast<size_t>(config_.batch_size));
   const size_t num_layers = layers_.size();
+  const size_t input_dims = static_cast<size_t>(layers_.front().in);
+  const double inv_keep = 1.0 / std::max(1e-9, 1.0 - config_.dropout);
+  // The affine passes run through the kernel backend: the forward affine
+  // in row blocks and the weight gradient per mini-batch, both in the
+  // scalar accumulation order (docs/kernels.md), so every backend trains
+  // the same bits.
+  const kernels::KernelOps& ops = kernels::Active();
 
-  // Per-layer forward/backward scratch, sized for one mini-batch.
+  // Forward/backward scratch for one mini-batch, sized by the first
+  // mini-batch and reused by every later one. All of it comes from one
+  // arena sized for that working set, so a fit makes one heap allocation
+  // for its scratch instead of one per buffer (the heap then has fewer
+  // blocks to place around a session's multi-megabyte feature matrices;
+  // EXPERIMENTS.md measures the effect on cold-pause peak RSS).
+  using Buffer = std::pmr::vector<double>;
   struct LayerScratch {
-    std::vector<double> pre;     // Affine output z.
-    std::vector<double> relu;    // ReLU(z) = r.
-    std::vector<double> rhat;    // Normalized r.
-    std::vector<double> post;    // Layer output (after BN + dropout).
-    std::vector<double> mean, var;
-    std::vector<char> drop_mask;
-    std::vector<double> d_post;  // Gradient wrt layer output.
-    std::vector<double> d_pre;   // Gradient wrt z.
+    explicit LayerScratch(std::pmr::memory_resource* arena)
+        : in_rows(arena), pre(arena), relu(arena), rhat(arena), post(arena),
+          mean(arena), var(arena), inv_std(arena), keep(arena),
+          d_post(arena), d_relu(arena), d_pre(arena), d_weights(arena),
+          d_bias(arena), d_gamma(arena), d_beta(arena) {}
+    std::pmr::vector<const double*> in_rows;  // Layer input, one per row.
+    Buffer pre;     // Affine output z.
+    Buffer relu;    // ReLU(z) = r.
+    Buffer rhat;    // Normalized r (batch norm only).
+    Buffer post;    // Layer output (after BN + dropout).
+    Buffer mean, var, inv_std;  // Batch-norm statistics.
+    Buffer keep;    // Dropout: 1.0 kept, 0.0 dropped.
+    Buffer d_post;  // Gradient wrt layer output.
+    Buffer d_relu;  // Gradient wrt r.
+    Buffer d_pre;   // Gradient wrt z.
+    Buffer d_weights, d_bias, d_gamma, d_beta;
   };
-  std::vector<LayerScratch> scratch(num_layers);
+  // The arena holds, per layer, 8 row-by-unit buffers, 6 per-unit ones, the
+  // weight gradient and the row pointers; then a0, three per-row vectors
+  // and the output gradient; and every buffer's alignment padding. An
+  // undersized arena would only take a second block.
+  constexpr size_t kAlign = alignof(std::max_align_t);
+  const size_t rows = std::min(batch_size, n);
+  size_t arena_bytes =
+      (rows * (input_dims + 3) + static_cast<size_t>(layers_.back().out)) *
+          sizeof(double) +
+      8 * kAlign;
+  for (const Layer& layer : layers_) {
+    const size_t out = static_cast<size_t>(layer.out);
+    arena_bytes +=
+        (rows * 8 * out + out * (6 + static_cast<size_t>(layer.in))) *
+            sizeof(double) +
+        rows * sizeof(const double*) + sizeof(LayerScratch) + 16 * kAlign;
+  }
+  std::pmr::monotonic_buffer_resource arena(arena_bytes);
+  std::pmr::vector<LayerScratch> scratch(&arena);
+  scratch.reserve(num_layers);
+  for (size_t l = 0; l < num_layers; ++l) scratch.emplace_back(&arena);
+  Buffer batch_input(&arena);  // a0: the mini-batch rows as doubles.
+  Buffer batch_weight(&arena);
+  Buffer batch_label(&arena);
+  Buffer d_margin(&arena);
+  Buffer d_out_weights(&arena);
 
   double learning_rate = initial_learning_rate;
   for (int epoch = 0; epoch < epochs; ++epoch) {
@@ -147,103 +194,103 @@ void NeuralNetwork::Train(const FeatureMatrix& features,
       const size_t b = std::min(batch_size, n - start);
 
       // ---- Forward pass ----
-      // a0: the mini-batch inputs, row-major [b x input_dims].
-      const double inv_keep = 1.0 / std::max(1e-9, 1.0 - config_.dropout);
-      std::vector<const float*> batch_rows(b);
-      std::vector<double> batch_weight(b);
-      std::vector<double> batch_label(b);
+      // a0: the mini-batch inputs, row-major [b x input_dims], converted to
+      // double once (exactly) for the forward and the gradient kernels.
+      batch_input.resize(b * input_dims);
+      batch_weight.resize(b);
+      batch_label.resize(b);
       for (size_t i = 0; i < b; ++i) {
         const size_t row = order[start + i];
-        batch_rows[i] = features.Row(row);
+        const float* x = features.Row(row);
+        std::copy(x, x + input_dims, batch_input.data() + i * input_dims);
         batch_label[i] = labels[row] == 1 ? 1.0 : 0.0;
         batch_weight[i] = labels[row] == 1 ? positive_weight : 1.0;
       }
 
-      const std::vector<double>* previous_activation = nullptr;
-      std::vector<double> input_activation;  // Materialized a0 when needed.
       for (size_t l = 0; l < num_layers; ++l) {
         Layer& layer = layers_[l];
         LayerScratch& s = scratch[l];
         const size_t out = static_cast<size_t>(layer.out);
         const size_t in = static_cast<size_t>(layer.in);
-        s.pre.assign(b * out, 0.0);
+        const double* input =
+            l == 0 ? batch_input.data() : scratch[l - 1].post.data();
+        s.in_rows.resize(b);
+        for (size_t i = 0; i < b; ++i) s.in_rows[i] = input + i * in;
         // Affine.
-        for (size_t i = 0; i < b; ++i) {
-          for (size_t o = 0; o < out; ++o) {
-            const double* w = layer.weights.data() + o * in;
-            double z = layer.bias[o];
-            if (l == 0) {
-              const float* x = batch_rows[i];
-              for (size_t j = 0; j < in; ++j) z += w[j] * x[j];
-            } else {
-              const double* x = previous_activation->data() + i * in;
-              for (size_t j = 0; j < in; ++j) z += w[j] * x[j];
-            }
-            s.pre[i * out + o] = z;
-          }
+        s.pre.resize(b * out);
+        for (size_t r0 = 0; r0 < b; r0 += kernels::kNnRowBlock) {
+          ops.nn_affine_block_f64(layer.weights.data(), layer.bias.data(), in,
+                                  out, s.in_rows.data() + r0,
+                                  std::min(kernels::kNnRowBlock, b - r0),
+                                  s.pre.data() + r0 * out);
         }
         // ReLU.
         s.relu = s.pre;
         for (double& v : s.relu) v = std::max(0.0, v);
-        // Batch norm (training statistics).
-        s.mean.assign(out, 0.0);
-        s.var.assign(out, 0.0);
-        s.rhat.assign(b * out, 0.0);
-        s.post.assign(b * out, 0.0);
+        // Batch norm (training statistics). Each unit's sums run over the
+        // rows in ascending order, accumulated row by row so that the inner
+        // loops run across units.
         if (config_.use_batch_norm && b > 1) {
-          for (size_t o = 0; o < out; ++o) {
-            double mean = 0.0;
-            for (size_t i = 0; i < b; ++i) mean += s.relu[i * out + o];
-            mean /= static_cast<double>(b);
-            double var = 0.0;
-            for (size_t i = 0; i < b; ++i) {
-              const double d = s.relu[i * out + o] - mean;
-              var += d * d;
+          s.mean.assign(out, 0.0);
+          for (size_t i = 0; i < b; ++i) {
+            const double* r = s.relu.data() + i * out;
+            for (size_t o = 0; o < out; ++o) s.mean[o] += r[o];
+          }
+          for (double& mean : s.mean) mean /= static_cast<double>(b);
+          s.var.assign(out, 0.0);
+          for (size_t i = 0; i < b; ++i) {
+            const double* r = s.relu.data() + i * out;
+            for (size_t o = 0; o < out; ++o) {
+              const double d = r[o] - s.mean[o];
+              s.var[o] += d * d;
             }
-            var /= static_cast<double>(b);
-            s.mean[o] = mean;
-            s.var[o] = var;
+          }
+          s.inv_std.resize(out);
+          for (size_t o = 0; o < out; ++o) {
+            s.var[o] /= static_cast<double>(b);
             layer.running_mean[o] = kBnMomentum * layer.running_mean[o] +
-                                    (1.0 - kBnMomentum) * mean;
+                                    (1.0 - kBnMomentum) * s.mean[o];
             layer.running_var[o] = kBnMomentum * layer.running_var[o] +
-                                   (1.0 - kBnMomentum) * var;
-            const double inv_std = 1.0 / std::sqrt(var + kBnEpsilon);
-            for (size_t i = 0; i < b; ++i) {
-              const double rhat = (s.relu[i * out + o] - mean) * inv_std;
-              s.rhat[i * out + o] = rhat;
-              s.post[i * out + o] = layer.gamma[o] * rhat + layer.beta[o];
+                                   (1.0 - kBnMomentum) * s.var[o];
+            s.inv_std[o] = 1.0 / std::sqrt(s.var[o] + kBnEpsilon);
+          }
+          s.rhat.resize(b * out);
+          s.post.resize(b * out);
+          for (size_t i = 0; i < b; ++i) {
+            const size_t row = i * out;
+            for (size_t o = 0; o < out; ++o) {
+              const double rhat = (s.relu[row + o] - s.mean[o]) * s.inv_std[o];
+              s.rhat[row + o] = rhat;
+              s.post[row + o] = layer.gamma[o] * rhat + layer.beta[o];
             }
           }
         } else {
-          s.rhat = s.relu;
           s.post = s.relu;
         }
-        // Dropout (inverted scaling).
-        s.drop_mask.assign(b * out, 1);
+        // Dropout (inverted scaling). The draws come first, in element
+        // order. The masking selects before it scales, so the loop has no
+        // branch (the draws are coin flips) and a dropped unit is
+        // 0.0 * inv_keep = +0.0, exactly as if it were zeroed.
         if (config_.dropout > 0.0) {
+          s.keep.resize(b * out);
+          for (double& keep : s.keep) {
+            keep = rng.NextBernoulli(config_.dropout) ? 0.0 : 1.0;
+          }
           for (size_t idx = 0; idx < b * out; ++idx) {
-            if (rng.NextBernoulli(config_.dropout)) {
-              s.drop_mask[idx] = 0;
-              s.post[idx] = 0.0;
-            } else {
-              s.post[idx] *= inv_keep;
-            }
+            const double post = s.post[idx];
+            s.post[idx] = (s.keep[idx] != 0.0 ? post : 0.0) * inv_keep;
           }
         }
-        previous_activation = &s.post;
-        (void)input_activation;
       }
 
       // Output layer.
       const size_t last = static_cast<size_t>(layers_.back().out);
-      const std::vector<double>& final_activation = scratch.back().post;
-      std::vector<double> margin(b, 0.0);
-      std::vector<double> d_margin(b, 0.0);
+      const Buffer& final_activation = scratch.back().post;
+      d_margin.resize(b);
       for (size_t i = 0; i < b; ++i) {
         double z = out_bias_;
         const double* a = final_activation.data() + i * last;
         for (size_t j = 0; j < last; ++j) z += out_weights_[j] * a[j];
-        margin[i] = z;
         const double p = Sigmoid(z);
         // d/dz of weighted L2 loss (p - y)^2 averaged over the batch.
         d_margin[i] = batch_weight[i] * 2.0 * (p - batch_label[i]) * p *
@@ -252,7 +299,7 @@ void NeuralNetwork::Train(const FeatureMatrix& features,
 
       // ---- Backward pass ----
       // Output affine.
-      std::vector<double> d_out_weights(last, 0.0);
+      d_out_weights.assign(last, 0.0);
       double d_out_bias = 0.0;
       LayerScratch& top = scratch.back();
       top.d_post.assign(b * last, 0.0);
@@ -272,91 +319,90 @@ void NeuralNetwork::Train(const FeatureMatrix& features,
         const size_t out = static_cast<size_t>(layer.out);
         const size_t in = static_cast<size_t>(layer.in);
 
-        // Dropout backward.
+        // Dropout backward, masked like the forward pass.
         if (config_.dropout > 0.0) {
           for (size_t idx = 0; idx < b * out; ++idx) {
-            s.d_post[idx] =
-                s.drop_mask[idx] != 0 ? s.d_post[idx] * inv_keep : 0.0;
+            const double d_post = s.d_post[idx];
+            s.d_post[idx] = (s.keep[idx] != 0.0 ? d_post : 0.0) * inv_keep;
           }
         }
 
-        // Batch-norm backward.
-        std::vector<double> d_relu(b * out, 0.0);
-        std::vector<double> d_gamma(out, 0.0);
-        std::vector<double> d_beta(out, 0.0);
+        // Batch-norm backward, row by row like the forward statistics. The
+        // gamma and beta gradients are the per-unit sums the input gradient
+        // needs.
         if (config_.use_batch_norm && b > 1) {
-          for (size_t o = 0; o < out; ++o) {
-            const double inv_std = 1.0 / std::sqrt(s.var[o] + kBnEpsilon);
-            double sum_dy = 0.0, sum_dy_rhat = 0.0;
-            for (size_t i = 0; i < b; ++i) {
-              const double dy = s.d_post[i * out + o];
-              sum_dy += dy;
-              sum_dy_rhat += dy * s.rhat[i * out + o];
-              d_gamma[o] += dy * s.rhat[i * out + o];
-              d_beta[o] += dy;
+          s.d_beta.assign(out, 0.0);
+          s.d_gamma.assign(out, 0.0);
+          for (size_t i = 0; i < b; ++i) {
+            const size_t row = i * out;
+            for (size_t o = 0; o < out; ++o) {
+              const double dy = s.d_post[row + o];
+              s.d_beta[o] += dy;
+              s.d_gamma[o] += dy * s.rhat[row + o];
             }
-            const double inv_b = 1.0 / static_cast<double>(b);
-            for (size_t i = 0; i < b; ++i) {
-              const double dy = s.d_post[i * out + o];
-              d_relu[i * out + o] =
-                  layer.gamma[o] * inv_std *
-                  (dy - sum_dy * inv_b - s.rhat[i * out + o] * sum_dy_rhat *
-                                             inv_b);
+          }
+          const double inv_b = 1.0 / static_cast<double>(b);
+          s.d_relu.resize(b * out);
+          for (size_t i = 0; i < b; ++i) {
+            const size_t row = i * out;
+            for (size_t o = 0; o < out; ++o) {
+              const double dy = s.d_post[row + o];
+              s.d_relu[row + o] =
+                  layer.gamma[o] * s.inv_std[o] *
+                  (dy - s.d_beta[o] * inv_b -
+                   s.rhat[row + o] * s.d_gamma[o] * inv_b);
             }
           }
         } else {
-          d_relu = s.d_post;
+          s.d_relu = s.d_post;
         }
 
         // ReLU backward.
-        s.d_pre.assign(b * out, 0.0);
+        s.d_pre.resize(b * out);
         for (size_t idx = 0; idx < b * out; ++idx) {
-          s.d_pre[idx] = s.pre[idx] > 0.0 ? d_relu[idx] : 0.0;
+          const double d_relu = s.d_relu[idx];
+          s.d_pre[idx] = s.pre[idx] > 0.0 ? d_relu : 0.0;
         }
 
-        // Affine backward.
-        std::vector<double> d_weights(out * in, 0.0);
-        std::vector<double> d_bias(out, 0.0);
-        if (l > 0) {
-          scratch[l - 1].d_post.assign(
-              b * static_cast<size_t>(layers_[l - 1].out), 0.0);
-        }
+        // Affine backward: the weight gradient in the kernel, then the bias
+        // and input gradients over the same nonzero entries of d_pre.
+        s.d_weights.resize(out * in);
+        ops.nn_weight_grad(s.d_pre.data(), b, out, s.in_rows.data(), in,
+                           s.d_weights.data());
+        s.d_bias.assign(out, 0.0);
+        if (l > 0) scratch[l - 1].d_post.assign(b * in, 0.0);
         for (size_t i = 0; i < b; ++i) {
           for (size_t o = 0; o < out; ++o) {
             const double g = s.d_pre[i * out + o];
             if (g == 0.0) continue;
-            double* dw = d_weights.data() + o * in;
-            if (l == 0) {
-              const float* x = batch_rows[i];
-              for (size_t j = 0; j < in; ++j) dw[j] += g * x[j];
-            } else {
-              const double* x = scratch[l - 1].post.data() + i * in;
+            if (l > 0) {
               double* dx = scratch[l - 1].d_post.data() + i * in;
               const double* w = layer.weights.data() + o * in;
-              for (size_t j = 0; j < in; ++j) {
-                dw[j] += g * x[j];
-                dx[j] += g * w[j];
-              }
+              for (size_t j = 0; j < in; ++j) dx[j] += g * w[j];
             }
-            d_bias[o] += g;
+            s.d_bias[o] += g;
           }
         }
 
-        // SGD with momentum.
-        auto update = [&](std::vector<double>& param,
+        // SGD with momentum. The factors are locals so the compiler knows
+        // the parameter stores cannot change them and vectorizes the loop.
+        auto update = [momentum = config_.momentum, learning_rate](
+                          std::vector<double>& param,
                           std::vector<double>& velocity,
-                          const std::vector<double>& gradient) {
+                          const Buffer& gradient) {
+          double* p = param.data();
+          double* v = velocity.data();
+          const double* g = gradient.data();
           for (size_t idx = 0; idx < param.size(); ++idx) {
-            velocity[idx] = config_.momentum * velocity[idx] -
-                            learning_rate * gradient[idx];
-            param[idx] += velocity[idx];
+            v[idx] = momentum * v[idx] - learning_rate * g[idx];
+            p[idx] += v[idx];
           }
         };
-        update(layer.weights, layer.v_weights, d_weights);
-        update(layer.bias, layer.v_bias, d_bias);
+        update(layer.weights, layer.v_weights, s.d_weights);
+        update(layer.bias, layer.v_bias, s.d_bias);
         if (config_.use_batch_norm && b > 1) {
-          update(layer.gamma, layer.v_gamma, d_gamma);
-          update(layer.beta, layer.v_beta, d_beta);
+          update(layer.gamma, layer.v_gamma, s.d_gamma);
+          update(layer.beta, layer.v_beta, s.d_beta);
         }
       }
 
@@ -458,94 +504,87 @@ void NeuralNetwork::MarginBatch(const FeatureMatrix& features,
                                 std::span<const size_t> rows,
                                 double* out) const {
   ALEM_CHECK(trained());
-  // Rows per forward sub-chunk: big enough that each hidden layer's weight
-  // matrix is streamed once per ~32 examples instead of once per example,
-  // small enough that two activation buffers stay L1/L2-resident.
+  // Rows per forward sub-chunk: each hidden layer runs over the whole chunk
+  // before the next one starts, so its weight matrix stays cache-resident
+  // while the kernel streams it once per row block; two activation buffers
+  // of the chunk stay L1/L2-resident.
   constexpr size_t kChunk = 32;
+  constexpr size_t kBlock = kernels::kNnRowBlock;
   size_t max_width = 0;
   for (const Layer& layer : layers_) {
     max_width = std::max(max_width, static_cast<size_t>(layer.out));
   }
-  // Per-call scratch, allocated once and reused for every chunk. The
-  // batch-norm divisors are hoisted per layer so each sqrt is taken once
-  // per call instead of once per (unit, example) as in scalar Margin.
-  std::vector<double> activation(kChunk * max_width);
-  std::vector<double> next(kChunk * max_width);
-  const float* x[kChunk];
-  std::vector<std::vector<double>> bn_sqrts(layers_.size());
+  // Per-call scratch in one allocation, reused for every chunk: two
+  // activation buffers of the chunk, then the batch-norm divisors of every
+  // layer, hoisted so each sqrt is taken once per call instead of once per
+  // (unit, example) as in scalar Margin.
+  size_t units = 0;
+  for (const Layer& layer : layers_) units += static_cast<size_t>(layer.out);
+  std::vector<double> scratch(2 * kChunk * max_width + units);
+  double* activation = scratch.data();
+  double* next = activation + kChunk * max_width;
+  double* const bn_sqrts = next + kChunk * max_width;
   if (config_.use_batch_norm) {
-    for (size_t l = 0; l < layers_.size(); ++l) {
-      const Layer& layer = layers_[l];
-      bn_sqrts[l].resize(static_cast<size_t>(layer.out));
-      for (size_t o = 0; o < bn_sqrts[l].size(); ++o) {
-        bn_sqrts[l][o] = std::sqrt(layer.running_var[o] + kBnEpsilon);
+    double* sqrts = bn_sqrts;
+    for (const Layer& layer : layers_) {
+      for (const double var : layer.running_var) {
+        *sqrts++ = std::sqrt(var + kBnEpsilon);
       }
     }
   }
-  // SIMD backends vectorize the affine kernel across units, which wants
-  // unit-contiguous weights: build one [in x out] transposed copy per
-  // layer per call (amortized over every chunk of the batch).
+  const float* x[kChunk];
+  const double* a[kChunk];
   const kernels::KernelOps& ops = kernels::Active();
-  std::vector<std::vector<double>> transposed(layers_.size());
-  if (ops.nn_wants_transpose) {
-    for (size_t l = 0; l < layers_.size(); ++l) {
-      const Layer& layer = layers_[l];
-      const size_t out_width = static_cast<size_t>(layer.out);
-      const size_t in_width = static_cast<size_t>(layer.in);
-      transposed[l].resize(in_width * out_width);
-      for (size_t o = 0; o < out_width; ++o) {
-        for (size_t j = 0; j < in_width; ++j) {
-          transposed[l][j * out_width + o] = layer.weights[o * in_width + j];
-        }
-      }
-    }
-  }
 
   for (size_t base = 0; base < rows.size(); base += kChunk) {
     const size_t b = std::min(kChunk, rows.size() - base);
     for (size_t i = 0; i < b; ++i) x[i] = features.Row(rows[base + i]);
 
+    const double* layer_sqrts = bn_sqrts;
     for (size_t l = 0; l < layers_.size(); ++l) {
       const Layer& layer = layers_[l];
       const size_t out_width = static_cast<size_t>(layer.out);
       const size_t in_width = static_cast<size_t>(layer.in);
-      // Row-outer / unit-inner: EM networks are narrow, so the layer's
-      // whole weight matrix stays cache-resident across the chunk while
-      // each example's input row stays in L1 for all of its units. The
-      // affine part is backend-dispatched; every backend accumulates each
-      // unit from bias through w[j] * x[j] in ascending j — the scalar
-      // Margin order — and ReLU plus inference batch-norm stay scalar per
-      // (row, unit) (the divisor stays a division by the hoisted sqrt), so
-      // every intermediate double is bitwise-identical to the scalar pass.
-      const double* wt =
-          ops.nn_wants_transpose ? transposed[l].data() : nullptr;
-      for (size_t i = 0; i < b; ++i) {
-        const double* a = activation.data() + i * in_width;
-        double* n = next.data() + i * out_width;
+      // The affine part is backend-dispatched, one row block per call, and
+      // accumulates each unit from bias through w[j] * x[j] in ascending
+      // j — the scalar Margin order — and ReLU plus inference batch-norm
+      // stay scalar per (row, unit) (the divisor stays a division by the
+      // hoisted sqrt), so every intermediate double is bitwise-identical to
+      // the scalar pass.
+      if (l > 0) {
+        for (size_t i = 0; i < b; ++i) a[i] = activation + i * in_width;
+      }
+      for (size_t r0 = 0; r0 < b; r0 += kBlock) {
+        const size_t nrows = std::min(kBlock, b - r0);
+        double* z = next + r0 * out_width;
         if (l == 0) {
-          ops.nn_affine_f32(layer.weights.data(), wt, layer.bias.data(),
-                            in_width, out_width, x[i], n);
+          ops.nn_affine_block_f32(layer.weights.data(), layer.bias.data(),
+                                  in_width, out_width, x + r0, nrows, z);
         } else {
-          ops.nn_affine_f64(layer.weights.data(), wt, layer.bias.data(),
-                            in_width, out_width, a, n);
-        }
-        for (size_t o = 0; o < out_width; ++o) {
-          double z = std::max(0.0, n[o]);  // ReLU.
-          if (config_.use_batch_norm) {
-            z = layer.gamma[o] * (z - layer.running_mean[o]) / bn_sqrts[l][o] +
-                layer.beta[o];
-          }
-          n[o] = z;  // No dropout at inference.
+          ops.nn_affine_block_f64(layer.weights.data(), layer.bias.data(),
+                                  in_width, out_width, a + r0, nrows, z);
         }
       }
-      activation.swap(next);
+      for (size_t i = 0; i < b; ++i) {
+        double* z = next + i * out_width;
+        for (size_t o = 0; o < out_width; ++o) {
+          double v = std::max(0.0, z[o]);  // ReLU.
+          if (config_.use_batch_norm) {
+            v = layer.gamma[o] * (v - layer.running_mean[o]) / layer_sqrts[o] +
+                layer.beta[o];
+          }
+          z[o] = v;  // No dropout at inference.
+        }
+      }
+      layer_sqrts += out_width;
+      std::swap(activation, next);
     }
 
     const size_t last = static_cast<size_t>(layers_.back().out);
     for (size_t i = 0; i < b; ++i) {
       double z = out_bias_;
-      const double* a = activation.data() + i * last;
-      for (size_t j = 0; j < last; ++j) z += out_weights_[j] * a[j];
+      const double* act = activation + i * last;
+      for (size_t j = 0; j < last; ++j) z += out_weights_[j] * act[j];
       out[base + i] = z;
     }
   }

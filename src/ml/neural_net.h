@@ -68,11 +68,12 @@ class NeuralNetwork {
 
   // Batched margins: out[i] = Margin of row rows[i]. The forward pass runs
   // chunked — sub-chunks of rows share one cache-resident pass over each
-  // hidden layer's weight matrix, with ReLU and inference batch-norm fused
-  // into the same sweep, batch-norm divisors hoisted per layer, and scratch
-  // reused across chunks (mirroring SimilarityFunction::EvaluateChunk).
-  // Per-(row, unit) arithmetic matches Margin exactly, so results are
-  // bitwise-identical to the scalar path.
+  // hidden layer's weight matrix, whose affine part is the kernel backend's
+  // nn_affine_block, kernels::kNnRowBlock rows per call — with ReLU and
+  // inference batch-norm fused into the same sweep, batch-norm divisors
+  // hoisted per layer, and scratch reused across chunks. Per-(row, unit)
+  // arithmetic matches Margin exactly, so results are bitwise-identical to
+  // the scalar path.
   void MarginBatch(const FeatureMatrix& features, std::span<const size_t> rows,
                    double* out) const;
 
@@ -124,7 +125,10 @@ class NeuralNetwork {
   // Shared SGD loop: `epochs` passes from the current weights, starting at
   // `learning_rate` (decayed per epoch) with shuffling/dropout driven by
   // `rng_seed`. Fit initializes fresh layers first; FitWarm zeroes the
-  // velocity buffers and continues.
+  // velocity buffers and continues. The forward affine and the weight
+  // gradient run through the kernel backend (nn_affine_block,
+  // nn_weight_grad), whose every backend keeps the scalar accumulation
+  // order, so the trained weights are the same bits under any backend.
   void Train(const FeatureMatrix& features, const std::vector<int>& labels,
              int epochs, double initial_learning_rate, uint64_t rng_seed);
 

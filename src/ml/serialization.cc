@@ -286,11 +286,13 @@ bool DeserializeNeuralNet(const std::string& text, NeuralNetwork* model) {
 
   NeuralNetwork result(config);
   size_t num_layers = 0;
-  if (!reader.Read(&num_layers) || num_layers != config.hidden_sizes.size()) {
+  if (!reader.Read(&num_layers) || num_layers == 0 ||
+      num_layers != config.hidden_sizes.size()) {
     return false;
   }
   result.layers_.resize(num_layers);
-  for (auto& layer : result.layers_) {
+  for (size_t l = 0; l < num_layers; ++l) {
+    auto& layer = result.layers_[l];
     if (!reader.Read(&layer.in) || !reader.Read(&layer.out) ||
         !reader.ReadVector(&layer.weights) || !reader.ReadVector(&layer.bias) ||
         !reader.ReadVector(&layer.gamma) || !reader.ReadVector(&layer.beta) ||
@@ -298,9 +300,19 @@ bool DeserializeNeuralNet(const std::string& text, NeuralNetwork* model) {
         !reader.ReadVector(&layer.running_var)) {
       return false;
     }
+    // Inference and training index every vector by the layer shapes, so a
+    // blob whose shapes disagree would make them read past a buffer. The
+    // layer must have its configured width, take the previous layer's
+    // output as input, and carry one weight per (unit, input) and one
+    // entry per unit in each per-unit vector.
+    const size_t out = static_cast<size_t>(layer.out);
     if (layer.in <= 0 || layer.out <= 0 ||
-        layer.weights.size() !=
-            static_cast<size_t>(layer.in) * static_cast<size_t>(layer.out)) {
+        layer.out != config.hidden_sizes[l] ||
+        (l > 0 && layer.in != result.layers_[l - 1].out) ||
+        layer.weights.size() != static_cast<size_t>(layer.in) * out ||
+        layer.bias.size() != out || layer.gamma.size() != out ||
+        layer.beta.size() != out || layer.running_mean.size() != out ||
+        layer.running_var.size() != out) {
       return false;
     }
     // Optimizer state is not persisted; re-initialize zeroed buffers so the
@@ -311,7 +323,9 @@ bool DeserializeNeuralNet(const std::string& text, NeuralNetwork* model) {
     layer.v_beta.assign(layer.beta.size(), 0.0);
   }
   if (!reader.ReadVector(&result.out_weights_) ||
-      !reader.Read(&result.out_bias_)) {
+      !reader.Read(&result.out_bias_) ||
+      result.out_weights_.size() !=
+          static_cast<size_t>(result.layers_.back().out)) {
     return false;
   }
   result.v_out_weights_.assign(result.out_weights_.size(), 0.0);

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -269,51 +270,111 @@ TEST(KernelDifferentialTest, SvmMarginBlockMatchesScalarBitwise) {
   }
 }
 
-TEST(KernelDifferentialTest, NnAffineMatchesScalarBitwise) {
+// Row blocks of 1..8 rows over every (in, out) pair of the widths, float
+// and double inputs at misaligned row starts; the inputs past 256 take the
+// AVX2 kernel's second transposed tile.
+TEST(KernelDifferentialTest, NnAffineBlockMatchesScalarBitwise) {
   const kernels::KernelOps& scalar = OpsFor("scalar");
+  const size_t widths[] = {1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 33};
+  const size_t inputs[] = {1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 33, 257, 520};
   for (const std::string& backend : NonScalarBackends()) {
     const kernels::KernelOps& ops = OpsFor(backend);
     Rng rng(11);
-    const size_t widths[] = {1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 33};
-    for (const size_t in : widths) {
+    for (const size_t in : inputs) {
       for (const size_t out : widths) {
         std::vector<double> w(in * out);
-        std::vector<double> wt(in * out);
-        for (size_t o = 0; o < out; ++o) {
-          for (size_t j = 0; j < in; ++j) {
-            w[o * in + j] = RandomMagnitude(rng);
-            wt[j * out + o] = w[o * in + j];
-          }
-        }
+        for (double& v : w) v = RandomMagnitude(rng);
         std::vector<double> bias(out);
         for (double& v : bias) v = RandomMagnitude(rng);
-        std::vector<float> x32(in);
-        std::vector<double> x64(in);
-        for (size_t j = 0; j < in; ++j) {
-          x32[j] = RandomFloatMagnitude(rng);
-          x64[j] = RandomMagnitude(rng);
+        const size_t stride = in + 3;
+        std::vector<float> x32_storage(kernels::kNnRowBlock * stride);
+        std::vector<double> x64_storage(kernels::kNnRowBlock * stride);
+        for (float& v : x32_storage) v = RandomFloatMagnitude(rng);
+        for (double& v : x64_storage) v = RandomMagnitude(rng);
+        const float* x32[kernels::kNnRowBlock];
+        const double* x64[kernels::kNnRowBlock];
+        for (size_t r = 0; r < kernels::kNnRowBlock; ++r) {
+          x32[r] = x32_storage.data() + r * stride + (r % 3);
+          x64[r] = x64_storage.data() + r * stride + (r % 3);
         }
-        std::vector<double> expected(out), actual(out);
-        scalar.nn_affine_f32(w.data(), nullptr, bias.data(), in, out,
-                             x32.data(), expected.data());
-        ops.nn_affine_f32(w.data(), wt.data(), bias.data(), in, out,
-                          x32.data(), actual.data());
-        for (size_t o = 0; o < out; ++o) {
-          ASSERT_EQ(DoubleBits(actual[o]), DoubleBits(expected[o]))
-              << backend << " f32 in=" << in << " out=" << out << " o=" << o
-              << ": " << actual[o] << " vs " << expected[o];
-        }
-        scalar.nn_affine_f64(w.data(), nullptr, bias.data(), in, out,
-                             x64.data(), expected.data());
-        ops.nn_affine_f64(w.data(), wt.data(), bias.data(), in, out,
-                          x64.data(), actual.data());
-        for (size_t o = 0; o < out; ++o) {
-          ASSERT_EQ(DoubleBits(actual[o]), DoubleBits(expected[o]))
-              << backend << " f64 in=" << in << " out=" << out << " o=" << o
-              << ": " << actual[o] << " vs " << expected[o];
-          if (!std::isnan(expected[o])) {
-            ASSERT_EQ(UlpDistance(actual[o], expected[o]), 0u);
+        for (size_t nrows = 1; nrows <= kernels::kNnRowBlock; ++nrows) {
+          for (const bool f32 : {true, false}) {
+            // One sentinel past the block: nothing beyond nrows * out is
+            // written.
+            std::vector<double> expected(nrows * out + 1, -1.0);
+            std::vector<double> actual(nrows * out + 1, -2.0);
+            if (f32) {
+              scalar.nn_affine_block_f32(w.data(), bias.data(), in, out, x32,
+                                         nrows, expected.data());
+              ops.nn_affine_block_f32(w.data(), bias.data(), in, out, x32,
+                                      nrows, actual.data());
+            } else {
+              scalar.nn_affine_block_f64(w.data(), bias.data(), in, out, x64,
+                                         nrows, expected.data());
+              ops.nn_affine_block_f64(w.data(), bias.data(), in, out, x64,
+                                      nrows, actual.data());
+            }
+            for (size_t k = 0; k < nrows * out; ++k) {
+              ASSERT_EQ(DoubleBits(actual[k]), DoubleBits(expected[k]))
+                  << backend << (f32 ? " f32" : " f64") << " in=" << in
+                  << " out=" << out << " nrows=" << nrows << " row "
+                  << k / out << " unit " << k % out << ": " << actual[k]
+                  << " vs " << expected[k];
+              if (!std::isnan(expected[k])) {
+                ASSERT_EQ(UlpDistance(actual[k], expected[k]), 0u);
+              }
+            }
+            ASSERT_EQ(actual[nrows * out], -2.0);
           }
+        }
+      }
+    }
+  }
+}
+
+// Gradients mix regular magnitudes with exact 0.0 and -0.0, which the
+// kernel must skip exactly as the scalar reference does (a -0.0 product
+// added to a +0.0 sum would otherwise show in the bits); row counts past 8
+// take several row groups, and 0 rows must still write every element.
+TEST(KernelDifferentialTest, NnWeightGradMatchesScalarBitwise) {
+  const kernels::KernelOps& scalar = OpsFor("scalar");
+  const size_t widths[] = {1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 33};
+  const size_t row_counts[] = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17};
+  for (const std::string& backend : NonScalarBackends()) {
+    const kernels::KernelOps& ops = OpsFor(backend);
+    Rng rng(13);
+    for (const size_t in : widths) {
+      for (const size_t out : widths) {
+        for (const size_t nrows : row_counts) {
+          std::vector<double> g(nrows * out);
+          for (double& v : g) {
+            const size_t pick = rng.NextBelow(4);
+            v = pick == 0 ? 0.0 : pick == 1 ? -0.0 : RandomMagnitude(rng);
+          }
+          const size_t stride = in + 3;
+          std::vector<double> x_storage(std::max<size_t>(nrows, 1) * stride);
+          for (double& v : x_storage) {
+            v = rng.NextBernoulli(0.2) ? -0.0 : RandomMagnitude(rng);
+          }
+          std::vector<const double*> x(nrows);
+          for (size_t r = 0; r < nrows; ++r) {
+            x[r] = x_storage.data() + r * stride + (r % 3);
+          }
+          // Garbage-filled outputs: every element must be overwritten, and
+          // the sentinel past the end must survive.
+          std::vector<double> expected(out * in + 1, -1.0);
+          std::vector<double> actual(out * in + 1, -2.0);
+          scalar.nn_weight_grad(g.data(), nrows, out, x.data(), in,
+                                expected.data());
+          ops.nn_weight_grad(g.data(), nrows, out, x.data(), in,
+                             actual.data());
+          for (size_t k = 0; k < out * in; ++k) {
+            ASSERT_EQ(DoubleBits(actual[k]), DoubleBits(expected[k]))
+                << backend << " in=" << in << " out=" << out
+                << " nrows=" << nrows << " unit " << k / in << " input "
+                << k % in << ": " << actual[k] << " vs " << expected[k];
+          }
+          ASSERT_EQ(actual[out * in], -2.0);
         }
       }
     }
@@ -391,10 +452,11 @@ TEST(KernelBatchDifferentialTest, AllSimilaritiesMatchScalarAtChunkEdges) {
 
 // ---- End-to-end learner differential -----------------------------------
 //
-// Models are trained once (training is scalar regardless of backend), then
-// batch inference under every backend must reproduce the scalar per-row
-// Margin bit for bit — the same pin ml_batch_test enforces for the batch
-// path itself, here extended across backends.
+// Models are trained once under the active backend, then batch inference
+// under every backend must reproduce the scalar per-row Margin bit for
+// bit — the same pin ml_batch_test enforces for the batch path itself,
+// here extended across backends. (Training under each backend is pinned
+// against the reference training loop in ml_nn_reference_test.)
 
 void MakeBlobs(size_t n, size_t dims, uint64_t seed, FeatureMatrix* features,
                std::vector<int>* labels) {
@@ -440,7 +502,7 @@ TEST(KernelLearnerDifferentialTest, NeuralNetMarginBatchBitwiseAcrossBackends) {
   for (const bool batch_norm : {false, true}) {
     NeuralNetConfig config;
     config.epochs = 10;
-    config.hidden_sizes = {17, 5};  // Unit tails for the 4-wide kernels.
+    config.hidden_sizes = {17, 5};  // Unit tails of the 4-unit passes.
     config.use_batch_norm = batch_norm;
     NeuralNetwork net(config);
     net.Fit(features, labels);

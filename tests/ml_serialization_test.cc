@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <functional>
+#include <sstream>
+
 #include "ml/metrics.h"
 #include "ml/serialization.h"
 #include "util/rng.h"
@@ -92,6 +96,105 @@ TEST(SerializationTest, NeuralNetRoundTripPreservesMargins) {
   for (size_t i = 0; i < features.rows(); ++i) {
     EXPECT_DOUBLE_EQ(restored.Margin(features.Row(i)),
                      original.Margin(features.Row(i)));
+  }
+}
+
+// Shapes of a hand-built alem-nn blob (format version 1) over 2 inputs;
+// every vector entry is 0.25. The defaults describe a consistent
+// two-layer network.
+struct NnBlobShape {
+  struct Layer {
+    int in, out;
+    size_t weights, bias, gamma, beta, running_mean, running_var;
+  };
+  std::vector<int> hidden_sizes = {4, 3};
+  std::vector<Layer> layers = {{2, 4, 8, 4, 4, 4, 4, 4},
+                               {4, 3, 12, 3, 3, 3, 3, 3}};
+  size_t out_weights = 3;
+};
+
+std::string NnBlob(const NnBlobShape& shape) {
+  std::ostringstream out;
+  auto vector = [&out](size_t count) {
+    out << count;
+    for (size_t i = 0; i < count; ++i) out << " 0.25";
+    out << '\n';
+  };
+  out << "alem-nn\n1\n" << shape.hidden_sizes.size();
+  for (const int size : shape.hidden_sizes) out << ' ' << size;
+  // epochs, batch_size, learning rate, decay, momentum, dropout, batch
+  // norm, positive-weight cap, seed.
+  out << "\n50\n8\n0.001\n0.99\n0.95\n0.5\n1\n10\n1\n";
+  out << shape.layers.size() << '\n';
+  for (const NnBlobShape::Layer& layer : shape.layers) {
+    out << layer.in << '\n' << layer.out << '\n';
+    for (const size_t count : {layer.weights, layer.bias, layer.gamma,
+                               layer.beta, layer.running_mean,
+                               layer.running_var}) {
+      vector(count);
+    }
+  }
+  vector(shape.out_weights);
+  out << "0.125\n";
+  return out.str();
+}
+
+// One row per shape rule of DeserializeNeuralNet, each breaking only that
+// rule, plus the consistent blob. An accepted model must be usable: its
+// margins are computed (under ASan, without reading past any buffer).
+TEST(SerializationTest, NeuralNetRejectsInconsistentShapes) {
+  using Mutation = std::function<void(NnBlobShape&)>;
+  const struct {
+    const char* name;
+    Mutation mutate;
+    bool accepted;
+  } cases[] = {
+      {"consistent", [](NnBlobShape&) {}, true},
+      {"short bias", [](NnBlobShape& s) { s.layers[0].bias = 1; }, false},
+      {"short gamma", [](NnBlobShape& s) { s.layers[1].gamma = 2; }, false},
+      {"short beta", [](NnBlobShape& s) { s.layers[0].beta = 3; }, false},
+      {"short running_mean",
+       [](NnBlobShape& s) { s.layers[1].running_mean = 0; }, false},
+      {"short running_var",
+       [](NnBlobShape& s) { s.layers[0].running_var = 1; }, false},
+      {"weights not in x out", [](NnBlobShape& s) { s.layers[0].weights = 7; },
+       false},
+      {"width differs from hidden_sizes",
+       [](NnBlobShape& s) { s.hidden_sizes[1] = 5; }, false},
+      {"input differs from previous output",
+       [](NnBlobShape& s) {
+         s.layers[1].in = 3;
+         s.layers[1].weights = 9;
+       },
+       false},
+      {"short out_weights", [](NnBlobShape& s) { s.out_weights = 1; }, false},
+      {"no hidden layer",
+       [](NnBlobShape& s) {
+         s.hidden_sizes.clear();
+         s.layers.clear();
+         s.out_weights = 2;
+       },
+       false},
+  };
+  FeatureMatrix features(3, 2);
+  for (size_t i = 0; i < 3; ++i) {
+    features.Set(i, 0, 0.1f * static_cast<float>(i));
+    features.Set(i, 1, 0.9f);
+  }
+  const std::vector<size_t> rows = {0, 1, 2};
+  for (const auto& c : cases) {
+    NnBlobShape shape;
+    c.mutate(shape);
+    NeuralNetwork model;
+    ASSERT_EQ(DeserializeNeuralNet(NnBlob(shape), &model), c.accepted)
+        << c.name;
+    if (!c.accepted) continue;
+    double margins[3];
+    model.MarginBatch(features, rows, margins);
+    for (size_t i = 0; i < 3; ++i) {
+      EXPECT_TRUE(std::isfinite(margins[i])) << c.name;
+      EXPECT_EQ(margins[i], model.Margin(features.Row(i))) << c.name;
+    }
   }
 }
 

@@ -19,11 +19,11 @@
 #   2. Cache warmth: rerunning the same workload against the now-warm
 #      cache must produce a bitwise-identical curve, report
 #      config.cache="hit", and count exactly one featurize.cache.hit.
-#   3. Quality + counters: fresh runs of all four golden workloads
-#      (linear-margin, trees5, linear-qbc4, linear-margin-ensemble) must
-#      replay their committed baselines with the curve exact and every
-#      counter exact (--exact-curve --counter-tol=0, including
-#      featurize.cache.*).
+#   3. Quality + counters: fresh runs of all six golden workloads
+#      (linear-margin, trees5, linear-qbc4, linear-margin-ensemble,
+#      nn-margin, nn-qbc2) must replay their committed baselines with the
+#      curve exact and every counter exact (--exact-curve --counter-tol=0,
+#      including featurize.cache.*).
 #   4. Sensitivity: a baseline whose F1 is perturbed beyond tolerance
 #      must make the check FAIL, and so must a fresh report whose fit
 #      split no longer tallies (warm + cold != fit_calls), alone and as a
@@ -41,13 +41,13 @@
 #      for every region present in both (deterministic structure), p95s
 #      within a generous tolerance — and a perturbed-latency baseline must
 #      make `check --latency-p95-tol=0` FAIL.
-#   7. Kernel backends: scalar-forced reruns of all four golden
+#   7. Kernel backends: scalar-forced reruns of all six golden
 #      workloads must replay their committed baselines with the curve and
 #      every counter exact, and each additional backend reported by
-#      `alem_cli kernels` must reproduce the scalar linear-margin curve
-#      bitwise (--exact-curve --counter-tol=0) while stamping its name
-#      into config.kernel_backend — the end-to-end counterpart of the
-#      kernels-labeled ctest matrix (docs/kernels.md).
+#      `alem_cli kernels` must reproduce the scalar linear-margin and
+#      nn-margin curves bitwise (--exact-curve --counter-tol=0) while
+#      stamping its name into config.kernel_backend — the end-to-end
+#      counterpart of the kernels-labeled ctest matrix (docs/kernels.md).
 #   8. Warm start (docs/training.md): a --warm-start=on run must stay
 #      within the F1 tolerance of a cold run, take the warm path on every
 #      refit after the first and stamp config.warm_start; and the warm run
@@ -84,7 +84,9 @@ for f in "$cli" "$report_tool" \
     "$baseline_dir/cli_abtbuy_linear_margin.report.json" \
     "$baseline_dir/cli_abtbuy_trees5.report.json" \
     "$baseline_dir/cli_abtbuy_linear_qbc4.report.json" \
-    "$baseline_dir/cli_abtbuy_linear_margin_ensemble.report.json"; do
+    "$baseline_dir/cli_abtbuy_linear_margin_ensemble.report.json" \
+    "$baseline_dir/cli_abtbuy_nn_margin.report.json" \
+    "$baseline_dir/cli_abtbuy_nn_qbc2.report.json"; do
   if [ ! -e "$f" ]; then
     echo "error: missing $f" >&2
     exit 1
@@ -129,8 +131,11 @@ assert warm["counters"].get("featurize.cache.hit") == 1, warm["counters"]
 assert warm["counters"].get("featurize.cache.miss", 0) == 0, warm["counters"]
 EOF
 
-echo "[3/9] quality: four golden workloads replay exactly, counters exact"
-for approach in linear-margin trees5 linear-qbc4 linear-margin-ensemble; do
+# The golden approaches, one committed baseline each.
+golden="linear-margin trees5 linear-qbc4 linear-margin-ensemble nn-margin nn-qbc2"
+
+echo "[3/9] quality: six golden workloads replay exactly, counters exact"
+for approach in $golden; do
   name="$(printf '%s' "$approach" | tr '-' '_')"
   candidate="$work/cand_$name.report.json"
   if [ "$approach" = "linear-margin" ]; then
@@ -270,10 +275,10 @@ fi
 echo "perturbed latency baseline rejected as expected"
 
 echo "[7/9] kernel backends: scalar golden replay, per-backend equivalence"
-# Scalar-forced cold runs must replay all four committed baselines with
+# Scalar-forced cold runs must replay all six committed baselines with
 # the curve and every counter exact — pins the scalar reference path end to
 # end.
-for approach in linear-margin trees5 linear-qbc4 linear-margin-ensemble; do
+for approach in $golden; do
   name="$(printf '%s' "$approach" | tr '-' '_')"
   mkdir -p "$work/cache_scalar_$name"
   run_cli "$approach" 1 "$work/scalar_$name.report.json" \
@@ -283,17 +288,23 @@ for approach in linear-margin trees5 linear-qbc4 linear-margin-ensemble; do
       "$work/scalar_$name.report.json" --exact-curve --counter-tol=0
 done
 # Every additional backend this host offers must reproduce the scalar
-# linear-margin curve bitwise and stamp itself into config.kernel_backend.
+# linear-margin and nn-margin curves bitwise (the network both trains and
+# scores through the backend's kernels) and stamp itself into
+# config.kernel_backend.
 backends="$("$cli" kernels | sed -n 's/^available: //p')"
 for backend in $backends; do
   [ "$backend" = "scalar" ] && continue
-  mkdir -p "$work/cache_kb_$backend"
-  run_cli linear-margin 1 "$work/kb_$backend.report.json" \
-      --cache-dir="$work/cache_kb_$backend" --kernel-backend="$backend"
-  "$report_tool" check \
-      "$work/scalar_linear_margin.report.json" \
-      "$work/kb_$backend.report.json" --exact-curve --counter-tol=0
-  python3 - "$work/kb_$backend.report.json" "$backend" <<'EOF'
+  for approach in linear-margin nn-margin; do
+    name="$(printf '%s' "$approach" | tr '-' '_')"
+    candidate="$work/kb_${backend}_$name.report.json"
+    mkdir -p "$work/cache_kb_${backend}_$name"
+    run_cli "$approach" 1 "$candidate" \
+        --cache-dir="$work/cache_kb_${backend}_$name" \
+        --kernel-backend="$backend"
+    "$report_tool" check \
+        "$work/scalar_$name.report.json" "$candidate" \
+        --exact-curve --counter-tol=0
+    python3 - "$candidate" "$backend" <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
     report = json.load(f)
@@ -301,6 +312,7 @@ stamped = report["config"].get("kernel_backend")
 assert stamped == sys.argv[2], (
     f"config.kernel_backend is {stamped!r}, expected {sys.argv[2]!r}")
 EOF
+  done
 done
 python3 - "$work/scalar_linear_margin.report.json" <<'EOF'
 import json, sys
