@@ -5,13 +5,16 @@
 // PredictBatch / ProbaBatch / MarginBatch fanned out under ml.batch) against
 // the scalar per-row loops right above them; the Arg is the thread count.
 // Emit a comparable artifact with:
-//   bench_micro_learners --benchmark_out=BENCH_micro_learners.json \
+//   bench_micro_learners --benchmark_out=BENCH_micro_learners.json
 //       --benchmark_out_format=json
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <memory>
 #include <numeric>
 #include <string>
+#include <vector>
 
 #include "core/harness.h"
 #include "core/learner.h"
@@ -23,6 +26,7 @@
 #include "obs/report.h"
 #include "parallel/pool.h"
 #include "synth/profiles.h"
+#include "util/rng.h"
 
 namespace alem {
 namespace {
@@ -314,13 +318,28 @@ BENCHMARK(BM_ForestPredictPoolBatch)->Arg(1)->Arg(4);
 
 // ---- Per-backend kernel rows (docs/kernels.md) -------------------------
 //
-// The kernel-dispatched paths — SVM margin GEMV, NN forward pass and NN
-// training (forward affine + weight gradient) — timed single-threaded
-// under each available kernel backend plus "auto", one JSON row per
-// backend, so BENCH_micro_learners.json shows the per-backend speedup
-// directly (results are bitwise-identical across backends; only the
-// timing may differ). Registered at runtime because the backend list is a
-// host property.
+// The kernel-dispatched paths — SVM margin GEMV, NN forward pass, NN
+// training (forward affine + weight gradient) and SVM committee training
+// (Pegasos lane groups) — timed single-threaded under each available
+// kernel backend plus "auto", one JSON row per backend, so
+// BENCH_micro_learners.json shows the per-backend speedup directly
+// (results are bitwise-identical across backends; only the timing may
+// differ). Registered at runtime because the backend list is a host
+// property.
+
+// Pins the thread pool to one worker for a row and restores the previous
+// count afterwards: the rows' kIsRate counters divide by the main thread's
+// CPU time, which misses any work a pool worker does.
+class SingleThreaded {
+ public:
+  SingleThreaded() : previous_(parallel::NumThreads()) {
+    parallel::SetNumThreads(1);
+  }
+  ~SingleThreaded() { parallel::SetNumThreads(previous_); }
+
+ private:
+  int previous_;
+};
 
 void RunSvmMarginBackend(benchmark::State& state, const std::string& backend) {
   std::string error;
@@ -328,6 +347,7 @@ void RunSvmMarginBackend(benchmark::State& state, const std::string& backend) {
     state.SkipWithError(error.c_str());
     return;
   }
+  const SingleThreaded single_threaded;
   const TrainingSlice slice = SliceOf(300, false);
   SvmLearner learner;
   learner.Fit(slice.features, slice.labels);
@@ -360,6 +380,7 @@ void RunNeuralNetProbaBackend(benchmark::State& state,
     state.SkipWithError(error.c_str());
     return;
   }
+  const SingleThreaded single_threaded;
   const TrainingSlice slice = SliceOf(300, false);
   NeuralNetLearner learner;
   learner.Fit(slice.features, slice.labels);
@@ -398,12 +419,54 @@ void RunNeuralNetFitBackend(benchmark::State& state,
     state.SkipWithError(error.c_str());
     return;
   }
+  const SingleThreaded single_threaded;
   const TrainingSlice slice = SliceOf(300, false);
   NeuralNetwork model(NeuralNetConfig{});
   for (auto _ : state) {
     model.Fit(slice.features, slice.labels);
     benchmark::DoNotOptimize(model.trained());
   }
+  kernels::SetBackend("auto", nullptr);
+}
+
+// A QBC round's SVM committee: `members` bootstrap resamples of the first
+// 300 pool rows, fitted in the learner's committee groups straight from
+// the pool matrix, as FitBootstrapCommittee does.
+void RunSvmCommitteeFitBackend(benchmark::State& state,
+                               const std::string& backend, size_t members) {
+  std::string error;
+  if (!kernels::SetBackend(backend, &error)) {
+    state.SkipWithError(error.c_str());
+    return;
+  }
+  const SingleThreaded single_threaded;
+  const PreparedDataset& data = Data();
+  const size_t n = std::min<size_t>(300, data.pairs.size());
+  std::vector<CommitteeSample> samples(members);
+  Rng rng(11);
+  for (CommitteeSample& sample : samples) {
+    sample.rows = rng.SampleWithReplacement(n, n);
+    for (const size_t row : sample.rows) {
+      sample.labels.push_back(data.truth[row]);
+    }
+    sample.seed = rng.Next();
+  }
+  const SvmLearner learner;
+  const size_t group = learner.CommitteeGroupSize();
+  std::vector<std::unique_ptr<Learner>> committee(members);
+  for (auto _ : state) {
+    for (size_t first = 0; first < members; first += group) {
+      const size_t count = std::min(group, members - first);
+      learner.FitCommitteeGroup(
+          data.float_features,
+          std::span<const CommitteeSample>(samples).subspan(first, count),
+          committee.data() + first);
+    }
+    benchmark::DoNotOptimize(committee.data());
+  }
+  state.counters["fits_per_sec"] = benchmark::Counter(
+      static_cast<double>(state.iterations() * members),
+      benchmark::Counter::kIsRate);
   kernels::SetBackend("auto", nullptr);
 }
 
@@ -430,6 +493,12 @@ void RunNeuralNetFitBackend(benchmark::State& state,
         ("BM_NeuralNetFit/300/backend:" + backend).c_str(),
         [backend](benchmark::State& state) {
           RunNeuralNetFitBackend(state, backend);
+        })
+        ->Unit(benchmark::kMillisecond);
+    benchmark::RegisterBenchmark(
+        ("BM_SvmCommitteeFit/20/backend:" + backend).c_str(),
+        [backend](benchmark::State& state) {
+          RunSvmCommitteeFitBackend(state, backend, 20);
         })
         ->Unit(benchmark::kMillisecond);
   }

@@ -3,9 +3,11 @@
 #include <numeric>
 #include <utility>
 
+#include "kernels/backend.h"
 #include "ml/serialization.h"
 #include "obs/obs.h"
 #include "parallel/pool.h"
+#include "util/check.h"
 
 namespace alem {
 namespace {
@@ -28,24 +30,38 @@ void Learner::Fit(const FeatureMatrix& features, const std::vector<int>& labels,
   // the model untouched) when it cannot resume, and the cold path runs.
   const bool warm = hint == FitHint::kWarm && FitWarmImpl(features, labels);
   if (!warm) FitImpl(features, labels);
-  const double seconds = span.Close();
-  static obs::Counter& fits =
+  CountFits(1, warm, span.Close());
+}
+
+void Learner::CountFits(size_t fits, bool warm, double seconds) {
+  static obs::Counter& fit_calls =
       obs::MetricsRegistry::Global().GetCounter("ml.fit_calls");
-  fits.Increment();
+  fit_calls.Add(fits);
   // Warm/cold rollup: ml.warm_fits + ml.cold_fits == ml.fit_calls always
   // (obs::ValidateReport enforces it; docs/observability.md).
   if (warm) {
     static obs::Counter& warm_fits =
         obs::MetricsRegistry::Global().GetCounter("ml.warm_fits");
-    warm_fits.Increment();
+    warm_fits.Add(fits);
   } else {
     static obs::Counter& cold_fits =
         obs::MetricsRegistry::Global().GetCounter("ml.cold_fits");
-    cold_fits.Increment();
+    cold_fits.Add(fits);
   }
   static obs::Histogram& latency = obs::MetricsRegistry::Global().GetHistogram(
       "ml.fit_seconds", {0.0001, 0.001, 0.01, 0.1, 1.0, 10.0});
   latency.Observe(seconds);
+}
+
+void Learner::FitCommitteeGroup(const FeatureMatrix& features,
+                                std::span<const CommitteeSample> samples,
+                                std::unique_ptr<Learner>* members) const {
+  for (size_t i = 0; i < samples.size(); ++i) {
+    std::unique_ptr<Learner> clone = CloneUntrained();
+    clone->set_seed(samples[i].seed);
+    clone->Fit(features.Gather(samples[i].rows), samples[i].labels);
+    members[i] = std::move(clone);
+  }
 }
 
 void Learner::PredictBatch(const FeatureMatrix& features,
@@ -152,6 +168,10 @@ bool SvmLearner::RestoreModel(const std::string& blob) {
   return DeserializeSvm(blob, &model_);
 }
 
+Learner::InputWidth SvmLearner::ModelInputWidth() const {
+  return {model_.weights().size(), model_.trained()};
+}
+
 double SvmLearner::Margin(const float* x) const { return model_.Margin(x); }
 
 void SvmLearner::PredictChunkImpl(const FeatureMatrix& features,
@@ -168,6 +188,28 @@ void SvmLearner::MarginChunkImpl(const FeatureMatrix& features,
 
 std::vector<size_t> SvmLearner::BlockingDimensions(size_t k) const {
   return model_.TopWeightDimensions(k);
+}
+
+size_t SvmLearner::CommitteeGroupSize() const { return kernels::kSvmLanes; }
+
+void SvmLearner::FitCommitteeGroup(const FeatureMatrix& features,
+                                   std::span<const CommitteeSample> samples,
+                                   std::unique_ptr<Learner>* members) const {
+  ALEM_CHECK_LE(samples.size(), kernels::kSvmLanes);
+  obs::ObsSpan span("ml.fit", "ml", name());
+  LinearSvm* models[kernels::kSvmLanes];
+  SvmSample svm_samples[kernels::kSvmLanes];
+  for (size_t i = 0; i < samples.size(); ++i) {
+    LinearSvmConfig config = model_.config();
+    config.seed = samples[i].seed;
+    auto member = std::make_unique<SvmLearner>(config);
+    models[i] = &member->model_;
+    svm_samples[i] = {samples[i].rows, samples[i].labels};
+    members[i] = std::move(member);
+  }
+  LinearSvm::FitGroup(features, {models, samples.size()},
+                      {svm_samples, samples.size()});
+  CountFits(samples.size(), /*warm=*/false, span.Close());
 }
 
 // ---- NeuralNetLearner ----
@@ -203,6 +245,10 @@ std::string NeuralNetLearner::SaveModel() const {
 bool NeuralNetLearner::RestoreModel(const std::string& blob) {
   if (blob.empty()) return true;
   return DeserializeNeuralNet(blob, &model_);
+}
+
+Learner::InputWidth NeuralNetLearner::ModelInputWidth() const {
+  return {model_.input_dims(), model_.trained()};
 }
 
 double NeuralNetLearner::Margin(const float* x) const {
@@ -271,6 +317,10 @@ bool ForestLearner::RestoreModel(const std::string& blob) {
   return DeserializeForest(blob, &model_);
 }
 
+Learner::InputWidth ForestLearner::ModelInputWidth() const {
+  return {model_.InputWidth(), false};
+}
+
 double ForestLearner::PositiveFraction(const float* x) const {
   return model_.PositiveFraction(x);
 }
@@ -317,6 +367,10 @@ bool RuleLearner::RestoreModel(const std::string& blob) {
   if (!DeserializeDnf(blob, &dnf)) return false;
   model_.RestoreTrained(std::move(dnf));
   return true;
+}
+
+Learner::InputWidth RuleLearner::ModelInputWidth() const {
+  return {model_.dnf().InputWidth(), false};
 }
 
 }  // namespace alem

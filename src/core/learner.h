@@ -62,6 +62,15 @@ namespace alem {
 // The ml.warm_fits / ml.cold_fits counters record the path actually taken.
 enum class FitHint { kCold, kWarm };
 
+// One bootstrap committee member's training set (FitCommitteeGroup): rows
+// of the pool matrix, repeats allowed, their labels, and the seed the
+// member's clone is reseeded with.
+struct CommitteeSample {
+  std::vector<size_t> rows;
+  std::vector<int> labels;
+  uint64_t seed = 0;
+};
+
 class Learner {
  public:
   virtual ~Learner() = default;
@@ -106,6 +115,21 @@ class Learner {
   // Reseeds internal randomness (committee members need distinct streams).
   virtual void set_seed(uint64_t seed) = 0;
 
+  // Bootstrap committees (QBC, IWAL) are fitted in groups of at most this
+  // many members, one pool task per group (fewer when the committee would
+  // otherwise leave pool workers idle); a member's model does not depend on
+  // its group.
+  virtual size_t CommitteeGroupSize() const { return 1; }
+
+  // Cold-fits one untrained clone per sample into members[i]: the clone
+  // reseeded with samples[i].seed and fitted on its rows of `features`,
+  // whatever the group. Each member counts as one fit in ml.fit_calls and
+  // ml.cold_fits. The default fits each member alone on a gathered copy of
+  // its rows.
+  virtual void FitCommitteeGroup(const FeatureMatrix& features,
+                                 std::span<const CommitteeSample> samples,
+                                 std::unique_ptr<Learner>* members) const;
+
   // Serializes the trained model through ml/serialization so a labeling
   // session snapshot can carry it across processes (docs/sessions.md).
   // Returns an empty blob when untrained; RestoreModel accepts an empty
@@ -114,9 +138,24 @@ class Learner {
   virtual std::string SaveModel() const { return {}; }
   virtual bool RestoreModel(const std::string& blob) { return blob.empty(); }
 
+  // The feature width a trained model reads, so a restored model can be
+  // checked against the rows it will score: exactly `width` features when
+  // `exact` (one weight per feature), else any row of at least `width`
+  // (one past the largest index a split or atom reads). An untrained model
+  // reads nothing: {0, false}.
+  struct InputWidth {
+    size_t width = 0;
+    bool exact = false;
+  };
+  virtual InputWidth ModelInputWidth() const { return {}; }
+
   virtual std::string_view name() const = 0;
 
  protected:
+  // Records one "ml.fit" span's fits: `fits` toward ml.fit_calls and
+  // ml.warm_fits or ml.cold_fits, and the span's seconds in ml.fit_seconds.
+  static void CountFits(size_t fits, bool warm, double seconds);
+
   virtual void FitImpl(const FeatureMatrix& features,
                        const std::vector<int>& labels) = 0;
   virtual int PredictImpl(const float* x) const = 0;
@@ -181,8 +220,16 @@ class SvmLearner final : public MarginLearner {
   std::string_view name() const override { return "LinearSVM"; }
   std::string SaveModel() const override;
   bool RestoreModel(const std::string& blob) override;
+  InputWidth ModelInputWidth() const override;
   double Margin(const float* x) const override;
   std::vector<size_t> BlockingDimensions(size_t k) const override;
+  // Committee members fit up to kernels::kSvmLanes at a time, one
+  // svm_pegasos call per group, reading their rows of the pool matrix in
+  // place.
+  size_t CommitteeGroupSize() const override;
+  void FitCommitteeGroup(const FeatureMatrix& features,
+                         std::span<const CommitteeSample> samples,
+                         std::unique_ptr<Learner>* members) const override;
 
   const LinearSvm& model() const { return model_; }
 
@@ -215,6 +262,7 @@ class NeuralNetLearner final : public MarginLearner {
   std::string_view name() const override { return "NeuralNet"; }
   std::string SaveModel() const override;
   bool RestoreModel(const std::string& blob) override;
+  InputWidth ModelInputWidth() const override;
   double Margin(const float* x) const override;
   // Blocking for non-linear classifiers (paper Section 5.2 suggestion):
   // input dimensions ranked by back-propagated absolute weight products.
@@ -254,6 +302,7 @@ class ForestLearner final : public Learner {
   std::string_view name() const override { return "RandomForest"; }
   std::string SaveModel() const override;
   bool RestoreModel(const std::string& blob) override;
+  InputWidth ModelInputWidth() const override;
 
   // Fraction of trees voting positive on x (committee agreement).
   double PositiveFraction(const float* x) const;
@@ -294,6 +343,7 @@ class RuleLearner final : public Learner {
   std::string_view name() const override { return "Rules"; }
   std::string SaveModel() const override;
   bool RestoreModel(const std::string& blob) override;
+  InputWidth ModelInputWidth() const override;
 
   const Dnf& dnf() const { return model_.dnf(); }
   const DnfRuleLearner& model() const { return model_; }

@@ -64,8 +64,12 @@ void CountPruned(size_t pruned) {
 }
 
 // Bootstrap-fits a committee of `committee_size` clones of `model`, one
-// member per pool task. Member seeds come from MemberSeeds(round_seed, m),
-// so the result is identical at every thread count.
+// pool task per group of members. A group runs on one worker, so it holds
+// at most model.CommitteeGroupSize() members and no more than it takes to
+// hand every pool worker a task: a committee no larger than the pool fits
+// one member per task. Each member's resample and learner seed come from
+// MemberSeeds(round_seed, m), and no member's fit depends on its group, so
+// the result is identical at every thread count.
 std::vector<std::unique_ptr<Learner>> FitBootstrapCommittee(
     const Learner& model, const ActivePool& pool, int committee_size,
     uint64_t round_seed) {
@@ -73,28 +77,36 @@ std::vector<std::unique_ptr<Learner>> FitBootstrapCommittee(
   const std::vector<int> labeled_labels = pool.ActiveLabeledLabels();
   ALEM_CHECK(!labeled_rows.empty());
 
-  std::vector<std::unique_ptr<Learner>> committee(
-      static_cast<size_t>(committee_size));
+  const size_t size = static_cast<size_t>(committee_size);
+  const size_t workers = static_cast<size_t>(parallel::NumThreads());
+  const size_t group = std::min(model.CommitteeGroupSize(),
+                                (size + workers - 1) / workers);
+  ALEM_CHECK_GE(group, 1u);
+  std::vector<std::unique_ptr<Learner>> committee(size);
   parallel::ParallelFor(
-      0, static_cast<size_t>(committee_size), 1,
+      0, (size + group - 1) / group, 1,
       [&](size_t begin, size_t end, size_t chunk) {
         (void)chunk;
-        for (size_t member = begin; member < end; ++member) {
-          const CommitteeMemberSeeds seeds =
-              MemberSeeds(round_seed, static_cast<int>(member));
-          Rng member_rng(seeds.resample_seed);
-          const std::vector<size_t> sample = member_rng.SampleWithReplacement(
-              labeled_rows.size(), labeled_rows.size());
-          std::vector<size_t> rows(sample.size());
-          std::vector<int> labels(sample.size());
-          for (size_t i = 0; i < sample.size(); ++i) {
-            rows[i] = labeled_rows[sample[i]];
-            labels[i] = labeled_labels[sample[i]];
+        for (size_t g = begin; g < end; ++g) {
+          const size_t first = g * group;
+          std::vector<CommitteeSample> samples(std::min(group, size - first));
+          for (size_t i = 0; i < samples.size(); ++i) {
+            const CommitteeMemberSeeds seeds =
+                MemberSeeds(round_seed, static_cast<int>(first + i));
+            Rng member_rng(seeds.resample_seed);
+            const std::vector<size_t> draws = member_rng.SampleWithReplacement(
+                labeled_rows.size(), labeled_rows.size());
+            CommitteeSample& sample = samples[i];
+            sample.rows.resize(draws.size());
+            sample.labels.resize(draws.size());
+            for (size_t k = 0; k < draws.size(); ++k) {
+              sample.rows[k] = labeled_rows[draws[k]];
+              sample.labels[k] = labeled_labels[draws[k]];
+            }
+            sample.seed = seeds.learner_seed;
           }
-          std::unique_ptr<Learner> clone = model.CloneUntrained();
-          clone->set_seed(seeds.learner_seed);
-          clone->Fit(pool.features().Gather(rows), labels);
-          committee[member] = std::move(clone);
+          model.FitCommitteeGroup(pool.features(), samples,
+                                  committee.data() + first);
         }
       },
       "selector.committee");

@@ -1117,6 +1117,16 @@ std::unique_ptr<LabelingSession> LabelingSession::Restore(
              "configured learner";
     return nullptr;
   }
+  // A model that reads past the pool's rows would score out of bounds.
+  const Learner::InputWidth width = learner.ModelInputWidth();
+  const size_t dims = pool.features().dims();
+  if (width.exact ? width.width != dims : width.width > dims) {
+    *error = "session snapshot: learner model reads " +
+             std::string(width.exact ? "exactly " : "at least ") +
+             std::to_string(width.width) +
+             " input features but the pool has " + std::to_string(dims);
+    return nullptr;
+  }
   if (!selector.RestoreState(snapshot.section("SLCT"))) {
     *error = "session snapshot: selector state does not match the "
              "configured selector";

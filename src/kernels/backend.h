@@ -54,6 +54,38 @@ inline constexpr size_t kSvmMarginBlock = 8;
 // one training mini-batch of the default size 8, or 8 pool rows, per call).
 inline constexpr size_t kNnRowBlock = 8;
 
+// Lanes of one svm_pegasos call: the AVX2 body trains one model per double
+// lane, so a bootstrap committee's SVM members are fitted this many at a
+// time (SvmLearner::FitCommitteeGroup).
+inline constexpr size_t kSvmLanes = 4;
+
+// One Pegasos fit of an svm_pegasos call: its training sample, the seed of
+// its example-sampling stream, and the model it trains in place.
+struct SvmLane {
+  // Sample i (i < n, n > 0) is row (sample ? sample[i] : i) of the
+  // row-major float matrix at x, SvmSchedule::d floats per row; its label
+  // is labels[i], in {0, 1}.
+  const float* x;
+  const size_t* sample;
+  const int* labels;
+  size_t n;
+  uint64_t seed;
+  // d weights and the bias: the start point on entry, the model on return.
+  double* weights;
+  double* bias;
+};
+
+// What every lane of one svm_pegasos call shares.
+struct SvmSchedule {
+  double lambda;
+  // Step t (from 1) uses eta = 1/(lambda * (t + t_offset)).
+  uint64_t t_offset;
+  size_t steps;
+  size_t d;  // Weights per lane and floats per row.
+  bool balance_classes;
+  bool average_tail;
+};
+
 // Longest input, in bytes per side, of the alignment dynamic programs
 // (the similarity layer caps its inputs at this length).
 inline constexpr size_t kMaxAlignLength = 64;
@@ -122,6 +154,21 @@ struct KernelOps {
   // written; nrows is the whole mini-batch (any size).
   void (*nn_weight_grad)(const double* g, size_t nrows, size_t out,
                          const double* const* x, size_t in, double* dw);
+
+  // Pegasos SGD for 1 <= nlanes <= kSvmLanes independent linear SVM fits
+  // (LinearSvm::Fit, FitWarm and FitGroup), each lane exactly the scalar
+  // loop LinearSvm ran before this kernel. Per step t, a lane samples one
+  // example from its own Rng(seed) (a class first, with probability 1/2,
+  // when balance_classes and its sample holds both classes), then: dot =
+  // bias + sum_j w[j] * x[j] in ascending j; w[j] *= 1 - eta * lambda;
+  // when y * dot < 1 (y = +-1), w[j] += eta * y * x[j] and bias += eta * y;
+  // the squared norm summed from +0.0 in ascending j; and when that exceeds
+  // the squared radius, projection onto the ball of radius 1/sqrt(lambda)
+  // (both as the scalar loop rounds them). With average_tail the lane
+  // returns the mean of its iterates from step steps/2 + 1 on. Sampling
+  // never reads the weights.
+  void (*svm_pegasos)(const SvmSchedule& schedule, const SvmLane* lanes,
+                      size_t nlanes);
 };
 
 enum class Backend : int {

@@ -6,23 +6,27 @@
 // (kernel_scalar.cc): the integer alignment kernel computes the same exact
 // values, and the floating-point kernels vectorize across independent
 // accumulators (rows for the SVM GEMV and the NN affine, inputs for the NN
-// weight gradient) so each accumulator still sees its terms in the scalar
-// order with one rounded multiply and one rounded add per term. The TU is
-// additionally built with -ffp-contract=off (and WITHOUT -mfma) so the
-// compiler cannot fuse that multiply-add pair into a single
-// differently-rounded FMA. Net effect: bitwise-identical outputs, verified
-// by tests/kernel_backend_test.cc, tests/ml_nn_reference_test.cc and the
+// weight gradient, whole fits for Pegasos) so each accumulator still sees
+// its terms in the scalar order with one rounded multiply and one rounded
+// add per term. The TU is additionally built with -ffp-contract=off (and
+// WITHOUT -mfma) so the compiler cannot fuse that multiply-add pair into a
+// single differently-rounded FMA. Net effect: bitwise-identical outputs,
+// verified by tests/kernel_backend_test.cc, the learner reference tests
+// (tests/ml_nn_reference_test.cc, tests/ml_svm_reference_test.cc) and the
 // per-backend golden-baseline replay in report_gate.sh stage 7.
 
 #include <immintrin.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <string_view>
 
 #include "kernels/kernels_internal.h"
 #include "util/check.h"
+#include "util/rng.h"
 
 namespace alem {
 namespace kernels {
@@ -514,6 +518,247 @@ void NnWeightGradAvx2(const double* g, size_t nrows, size_t out,
   }
 }
 
+// ---- svm_pegasos -------------------------------------------------------
+//
+// One fit per double lane: w[j] of the four lanes rides one __m256d, and
+// each step makes one pass over j that scales w, takes the hinge step in
+// the lanes whose mask is set, sums ||w||^2 and accumulates the *next*
+// step's dot product w.x from the same updated w. That works because
+// sampling never reads the weights: each lane draws its next example one
+// step early from its own stream, in the scalar order. The pass also
+// transposes the next step's four rows, four floats per row at a time,
+// into a column buffer that the next step's hinge update reads. A lane
+// whose ||w||^2 exceeds the bound is shrunk in a second pass that also
+// redoes its next dot product from the shrunk w.
+//
+// Per lane every value sees the scalar reference's operations in its
+// order: the dot starts at the bias and adds w[j]*x[j] in ascending j,
+// ||w||^2 starts at +0.0 and adds w[j]*w[j] in ascending j, and the hinge
+// step adds (eta*y)*x[j] to the scaled w[j]. A lane without a hinge step
+// or projection keeps its values through a blend, never by adding 0
+// (which would turn -0.0 into +0.0). Lanes past nlanes read a zero row and
+// never step. A one-lane call runs the scalar body: a single live lane
+// pays the whole vector's cost. So does a tail-averaged call, which only
+// LinearSvm::FitWarm makes, one lane at a time.
+//
+// The kernel's memory is one aligned_alloc, not containers, and its
+// sampling the inline Rng draws: an out-of-line copy of a template that
+// baseline TUs also instantiate would be AVX2 code the linker may pick
+// for the whole program.
+
+// A lane's example sampler: the scalar loop's draws from its own stream.
+struct LaneSampler {
+  Rng rng;
+  const size_t* positives = nullptr;  // Class lists, ascending sample index.
+  size_t num_positives = 0;
+  const size_t* negatives = nullptr;
+  size_t num_negatives = 0;
+  size_t n = 0;
+  bool balance = false;
+
+  size_t Next() {
+    if (!balance) return static_cast<size_t>(rng.NextBelow(n));
+    if (rng.NextBernoulli(0.5)) {
+      return positives[rng.NextBelow(num_positives)];
+    }
+    return negatives[rng.NextBelow(num_negatives)];
+  }
+};
+
+inline __m256d LaneMask(const bool set[kSvmLanes]) {
+  return _mm256_castsi256_pd(
+      _mm256_set_epi64x(set[3] ? -1 : 0, set[2] ? -1 : 0, set[1] ? -1 : 0,
+                        set[0] ? -1 : 0));
+}
+
+// Calls f(j, column) for j = 0 .. d-1 in ascending order, where lane l of
+// column is rows[l][j] as a double.
+template <typename F>
+inline void ForEachColumn(size_t d, const float* const rows[kSvmLanes],
+                          F&& f) {
+  size_t j = 0;
+  for (; j + 4 <= d; j += 4) {
+    __m128 r0 = _mm_loadu_ps(rows[0] + j);
+    __m128 r1 = _mm_loadu_ps(rows[1] + j);
+    __m128 r2 = _mm_loadu_ps(rows[2] + j);
+    __m128 r3 = _mm_loadu_ps(rows[3] + j);
+    _MM_TRANSPOSE4_PS(r0, r1, r2, r3);
+    f(j, _mm256_cvtps_pd(r0));
+    f(j + 1, _mm256_cvtps_pd(r1));
+    f(j + 2, _mm256_cvtps_pd(r2));
+    f(j + 3, _mm256_cvtps_pd(r3));
+  }
+  for (; j < d; ++j) {
+    f(j, _mm256_set_pd(rows[3][j], rows[2][j], rows[1][j], rows[0][j]));
+  }
+}
+
+// One step's pass over j: scales w, takes the hinge step where `hinge` is
+// set (x_cur holds this step's columns), sums ||w||^2 into *norm and adds
+// w.x of the next step's rows to *dot, storing their columns in x_next.
+void PegasosPass(size_t d, __m256d* w, const __m256d* x_cur,
+                 const float* const next[kSvmLanes], __m256d* x_next,
+                 __m256d scale, __m256d eta_y, __m256d hinge, __m256d* norm,
+                 __m256d* dot) {
+  __m256d norm_acc = _mm256_setzero_pd();
+  __m256d dot_acc = *dot;
+  ForEachColumn(d, next, [&](size_t j, __m256d x) {
+    __m256d wj = _mm256_mul_pd(w[j], scale);
+    wj = _mm256_blendv_pd(
+        wj, _mm256_add_pd(wj, _mm256_mul_pd(eta_y, x_cur[j])), hinge);
+    norm_acc = _mm256_add_pd(norm_acc, _mm256_mul_pd(wj, wj));
+    dot_acc = _mm256_add_pd(dot_acc, _mm256_mul_pd(wj, x));
+    w[j] = wj;
+    x_next[j] = x;
+  });
+  *norm = norm_acc;
+  *dot = dot_acc;
+}
+
+void SvmPegasosAvx2(const SvmSchedule& schedule, const SvmLane* lanes,
+                    size_t nlanes) {
+  static_assert(kSvmLanes == 4, "AVX2 Pegasos holds one lane per double");
+  ALEM_CHECK_LE(nlanes, kSvmLanes);
+  if (nlanes < 2 || schedule.average_tail || schedule.steps == 0) {
+    kScalarOps.svm_pegasos(schedule, lanes, nlanes);
+    return;
+  }
+  const size_t d = schedule.d;
+  const size_t steps = schedule.steps;
+
+  // One allocation: w and two column buffers, d vectors each; a zero row
+  // for the idle lanes; the class lists.
+  const size_t vectors = 3 * d;
+  const size_t zero_floats = (d + 7) / 8 * 8;
+  size_t list_entries = 0;
+  for (size_t l = 0; l < nlanes; ++l) list_entries += lanes[l].n;
+  const size_t bytes =
+      (vectors * sizeof(__m256d) + zero_floats * sizeof(float) +
+       list_entries * sizeof(size_t) + 31) /
+      32 * 32;
+  struct Arena {
+    explicit Arena(size_t size) : memory(std::aligned_alloc(32, size)) {}
+    Arena(const Arena&) = delete;
+    Arena& operator=(const Arena&) = delete;
+    ~Arena() { std::free(memory); }
+    void* memory;
+  } arena(bytes);
+  ALEM_CHECK(arena.memory != nullptr);
+  __m256d* w = static_cast<__m256d*>(arena.memory);
+  __m256d* x_cur = w + d;
+  __m256d* x_next = x_cur + d;
+  float* zero_row = reinterpret_cast<float*>(w + vectors);
+  size_t* lists = reinterpret_cast<size_t*>(zero_row + zero_floats);
+  for (size_t j = 0; j < zero_floats; ++j) zero_row[j] = 0.0f;
+
+  LaneSampler samplers[kSvmLanes];
+  alignas(32) double bias[kSvmLanes] = {};
+  for (size_t l = 0; l < nlanes; ++l) {
+    const SvmLane& lane = lanes[l];
+    ALEM_CHECK_GT(lane.n, 0u);
+    LaneSampler& sampler = samplers[l];
+    sampler.rng = Rng(lane.seed);
+    sampler.n = lane.n;
+    sampler.positives = lists;
+    for (size_t i = 0; i < lane.n; ++i) {
+      if (lane.labels[i] == 1) lists[sampler.num_positives++] = i;
+    }
+    sampler.negatives = lists + sampler.num_positives;
+    for (size_t i = 0; i < lane.n; ++i) {
+      if (lane.labels[i] != 1) {
+        lists[sampler.num_positives + sampler.num_negatives++] = i;
+      }
+    }
+    lists += lane.n;
+    sampler.balance = schedule.balance_classes && sampler.num_positives > 0 &&
+                      sampler.num_negatives > 0;
+    bias[l] = *lane.bias;
+  }
+  for (size_t j = 0; j < d; ++j) {
+    alignas(32) double column[kSvmLanes] = {};
+    for (size_t l = 0; l < nlanes; ++l) column[l] = lanes[l].weights[j];
+    w[j] = _mm256_load_pd(column);
+  }
+
+  // Each lane's next example, its row and label; idle lanes keep the zero
+  // row. A step draws the next one once its own hinge test is done.
+  const float* rows[kSvmLanes] = {zero_row, zero_row, zero_row, zero_row};
+  double y[kSvmLanes] = {};
+  auto draw = [&] {
+    for (size_t l = 0; l < nlanes; ++l) {
+      const SvmLane& lane = lanes[l];
+      const size_t index = samplers[l].Next();
+      rows[l] = lane.x + d * (lane.sample ? lane.sample[index] : index);
+      y[l] = lane.labels[index] == 1 ? 1.0 : -1.0;
+    }
+  };
+
+  // Step 1's columns and dot products.
+  draw();
+  __m256d dot = _mm256_load_pd(bias);
+  ForEachColumn(d, rows, [&](size_t j, __m256d x) {
+    x_cur[j] = x;
+    dot = _mm256_add_pd(dot, _mm256_mul_pd(w[j], x));
+  });
+
+  const double lambda = schedule.lambda;
+  const double norm_bound = 1.0 / std::sqrt(lambda);
+  for (size_t t = 1; t <= steps; ++t) {
+    const double eta =
+        1.0 / (lambda * static_cast<double>(t + schedule.t_offset));
+    alignas(32) double dots[kSvmLanes] = {};
+    _mm256_store_pd(dots, dot);
+    alignas(32) double eta_y[kSvmLanes] = {};
+    bool hinge[kSvmLanes] = {};
+    for (size_t l = 0; l < nlanes; ++l) {
+      eta_y[l] = eta * y[l];
+      hinge[l] = y[l] * dots[l] < 1.0;
+      if (hinge[l]) bias[l] += eta * y[l];  // Bias is unregularized.
+    }
+    // The last step's pass re-reads its own rows; its next dot is unused.
+    if (t < steps) draw();
+    __m256d norm = _mm256_setzero_pd();
+    dot = _mm256_load_pd(bias);  // The next step's dot starts at its bias.
+    PegasosPass(d, w, x_cur, rows, x_next, _mm256_set1_pd(1.0 - eta * lambda),
+                _mm256_load_pd(eta_y), LaneMask(hinge), &norm, &dot);
+
+    // Projection onto the ball of radius 1/sqrt(lambda), lane by lane.
+    alignas(32) double norms[kSvmLanes] = {};
+    _mm256_store_pd(norms, norm);
+    alignas(32) double shrink[kSvmLanes] = {};
+    bool project[kSvmLanes] = {};
+    bool any = false;
+    for (size_t l = 0; l < nlanes; ++l) {
+      if (norms[l] > norm_bound * norm_bound) {
+        shrink[l] = norm_bound / std::sqrt(norms[l]);
+        project[l] = true;
+        any = true;
+      }
+    }
+    if (any) {
+      const __m256d mask = LaneMask(project);
+      const __m256d factor = _mm256_load_pd(shrink);
+      __m256d redo = _mm256_load_pd(bias);
+      for (size_t j = 0; j < d; ++j) {
+        const __m256d wj =
+            _mm256_blendv_pd(w[j], _mm256_mul_pd(w[j], factor), mask);
+        w[j] = wj;
+        redo = _mm256_add_pd(redo, _mm256_mul_pd(wj, x_next[j]));
+      }
+      dot = _mm256_blendv_pd(dot, redo, mask);
+    }
+    __m256d* const filled = x_next;
+    x_next = x_cur;
+    x_cur = filled;
+  }
+  for (size_t j = 0; j < d; ++j) {
+    alignas(32) double column[kSvmLanes] = {};
+    _mm256_store_pd(column, w[j]);
+    for (size_t l = 0; l < nlanes; ++l) lanes[l].weights[j] = column[l];
+  }
+  for (size_t l = 0; l < nlanes; ++l) *lanes[l].bias = bias[l];
+}
+
 }  // namespace
 
 const KernelOps kAvx2Ops = {
@@ -523,6 +768,7 @@ const KernelOps kAvx2Ops = {
     /*nn_affine_block_f32=*/NnAffineBlockAvx2<float>,
     /*nn_affine_block_f64=*/NnAffineBlockAvx2<double>,
     /*nn_weight_grad=*/NnWeightGradAvx2,
+    /*svm_pegasos=*/SvmPegasosAvx2,
 };
 
 }  // namespace internal

@@ -2,17 +2,20 @@
 // backend is differentially tested against (tests/kernel_backend_test.cc).
 // The ml kernels keep the accumulation order of the loops they replaced in
 // ml/linear_svm.cc and ml/neural_net.cc (per output, terms in the same
-// order, one rounded multiply and one rounded add each); the
-// alignment DPs compute sim/edit_based.cc's double-valued alignments in
-// exact integer units. Changing any arithmetic here changes the
-// framework's golden baselines.
+// order, one rounded multiply and one rounded add each; svm_pegasos is the
+// Pegasos loop itself, moved here unchanged); the alignment DPs compute
+// sim/edit_based.cc's double-valued alignments in exact integer units.
+// Changing any arithmetic here changes the framework's golden baselines.
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "kernels/kernels_internal.h"
 #include "util/check.h"
+#include "util/rng.h"
 
 namespace alem {
 namespace kernels {
@@ -158,6 +161,86 @@ void NnWeightGradScalar(const double* g, size_t nrows, size_t out,
   }
 }
 
+// One lane: LinearSvm's Pegasos loop as it ran before this kernel, with
+// the model in lane.weights / *lane.bias.
+void PegasosLaneScalar(const SvmSchedule& schedule, const SvmLane& lane) {
+  const size_t n = lane.n;
+  const size_t d = schedule.d;
+  ALEM_CHECK_GT(n, 0u);
+
+  std::vector<size_t> positives;
+  std::vector<size_t> negatives;
+  for (size_t i = 0; i < n; ++i) {
+    (lane.labels[i] == 1 ? positives : negatives).push_back(i);
+  }
+  const bool balance =
+      schedule.balance_classes && !positives.empty() && !negatives.empty();
+
+  Rng rng(lane.seed);
+  const double lambda = schedule.lambda;
+  // Pegasos norm bound: the optimum satisfies ||w|| <= 1/sqrt(lambda).
+  const double norm_bound = 1.0 / std::sqrt(lambda);
+  const size_t steps = schedule.steps;
+  // Tail averaging (warm path only): accumulate the iterates of the second
+  // half of the run and return their mean instead of the last iterate.
+  const size_t average_from =
+      schedule.average_tail ? steps / 2 + 1 : steps + 1;
+  std::vector<double> weight_sum;
+  double bias_sum = 0.0;
+  size_t averaged = 0;
+  if (schedule.average_tail) weight_sum.assign(d, 0.0);
+  double* weights = lane.weights;
+  double bias = *lane.bias;
+  for (size_t t = 1; t <= steps; ++t) {
+    size_t index;
+    if (balance) {
+      const std::vector<size_t>& pool =
+          rng.NextBernoulli(0.5) ? positives : negatives;
+      index = pool[rng.NextBelow(pool.size())];
+    } else {
+      index = static_cast<size_t>(rng.NextBelow(n));
+    }
+    const float* x = lane.x + d * (lane.sample ? lane.sample[index] : index);
+    const double y = lane.labels[index] == 1 ? 1.0 : -1.0;
+    const double eta =
+        1.0 / (lambda * static_cast<double>(t + schedule.t_offset));
+
+    double dot = bias;
+    for (size_t j = 0; j < d; ++j) dot += weights[j] * x[j];
+
+    const double scale = 1.0 - eta * lambda;
+    for (size_t j = 0; j < d; ++j) weights[j] *= scale;
+    if (y * dot < 1.0) {
+      for (size_t j = 0; j < d; ++j) weights[j] += eta * y * x[j];
+      bias += eta * y;  // Bias is unregularized.
+    }
+    // Projection onto the ball of radius 1/sqrt(lambda).
+    double norm_squared = 0.0;
+    for (size_t j = 0; j < d; ++j) norm_squared += weights[j] * weights[j];
+    if (norm_squared > norm_bound * norm_bound) {
+      const double shrink = norm_bound / std::sqrt(norm_squared);
+      for (size_t j = 0; j < d; ++j) weights[j] *= shrink;
+    }
+    if (t >= average_from) {
+      for (size_t j = 0; j < d; ++j) weight_sum[j] += weights[j];
+      bias_sum += bias;
+      ++averaged;
+    }
+  }
+  if (averaged > 0) {
+    const double inv = 1.0 / static_cast<double>(averaged);
+    for (size_t j = 0; j < d; ++j) weights[j] = weight_sum[j] * inv;
+    bias = bias_sum * inv;
+  }
+  *lane.bias = bias;
+}
+
+void SvmPegasosScalar(const SvmSchedule& schedule, const SvmLane* lanes,
+                      size_t nlanes) {
+  ALEM_CHECK_LE(nlanes, kSvmLanes);
+  for (size_t l = 0; l < nlanes; ++l) PegasosLaneScalar(schedule, lanes[l]);
+}
+
 }  // namespace
 
 const KernelOps kScalarOps = {
@@ -167,6 +250,7 @@ const KernelOps kScalarOps = {
     /*nn_affine_block_f32=*/NnAffineBlockScalar<float>,
     /*nn_affine_block_f64=*/NnAffineBlockScalar<double>,
     /*nn_weight_grad=*/NnWeightGradScalar,
+    /*svm_pegasos=*/SvmPegasosScalar,
 };
 
 }  // namespace internal

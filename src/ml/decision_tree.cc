@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 
 #include "util/check.h"
@@ -212,6 +213,17 @@ std::vector<TreeDnfClause> DecisionTree::ToDnfClauses() const {
     CollectClauses(root_, path, &clauses);
   }
   return clauses;
+}
+
+size_t DecisionTree::InputWidth() const {
+  constexpr size_t kMax = std::numeric_limits<size_t>::max();
+  size_t width = 0;
+  for (const Node& node : nodes_) {
+    if (node.is_leaf) continue;
+    // Saturated: a crafted split on the largest index must not wrap to 0.
+    width = std::max(width, node.dim < kMax ? node.dim + 1 : kMax);
+  }
+  return width;
 }
 
 size_t DecisionTree::NumDnfAtoms() const {

@@ -59,6 +59,10 @@ class DecisionTree {
   bool trained() const { return !nodes_.empty(); }
   int depth() const { return depth_; }
   size_t num_nodes() const { return nodes_.size(); }
+  // One past the largest feature index a split reads (0 for a lone leaf,
+  // saturated at the largest size_t): the narrowest row the tree can
+  // score.
+  size_t InputWidth() const;
 
   // All root-to-positive-leaf paths as DNF clauses. The number of atoms in
   // the DNF (counted with repetition) is the interpretability metric of

@@ -1,6 +1,7 @@
 #include "ml/dnf_rule.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "util/check.h"
 
@@ -18,6 +19,18 @@ bool Dnf::Matches(const float* boolean_row) const {
     if (conjunction.Matches(boolean_row)) return true;
   }
   return false;
+}
+
+size_t Dnf::InputWidth() const {
+  constexpr size_t kMax = std::numeric_limits<size_t>::max();
+  size_t width = 0;
+  for (const Conjunction& conjunction : conjunctions) {
+    for (const size_t atom : conjunction.atoms) {
+      // Saturated: a crafted atom on the largest index must not wrap to 0.
+      width = std::max(width, atom < kMax ? atom + 1 : kMax);
+    }
+  }
+  return width;
 }
 
 size_t Dnf::NumAtoms() const {

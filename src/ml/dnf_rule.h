@@ -41,6 +41,10 @@ struct Dnf {
   // #atoms counted with repetition (the interpretability metric).
   size_t NumAtoms() const;
 
+  // One past the largest atom index (0 when empty, saturated at the
+  // largest size_t): the narrowest Boolean row the DNF can evaluate.
+  size_t InputWidth() const;
+
   // All one-atom-dropped relaxations of the conjunctions (Rule-Minus rules).
   // Single-atom conjunctions have no relaxation.
   std::vector<Conjunction> RuleMinusVariants() const;

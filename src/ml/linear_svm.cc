@@ -6,7 +6,6 @@
 
 #include "kernels/backend.h"
 #include "util/check.h"
-#include "util/rng.h"
 
 namespace alem {
 
@@ -50,6 +49,38 @@ bool LinearSvm::FitWarm(const FeatureMatrix& features,
   return true;
 }
 
+void LinearSvm::FitGroup(const FeatureMatrix& features,
+                         std::span<LinearSvm* const> models,
+                         std::span<const SvmSample> samples) {
+  ALEM_CHECK_EQ(models.size(), samples.size());
+  ALEM_CHECK_LE(models.size(), kernels::kSvmLanes);
+  if (models.empty()) return;
+  const LinearSvmConfig& config = models[0]->config_;
+  const size_t n = samples[0].rows.size();
+  ALEM_CHECK_GT(n, 0u);
+  kernels::SvmLane lanes[kernels::kSvmLanes];
+  for (size_t i = 0; i < models.size(); ++i) {
+    LinearSvm& model = *models[i];
+    const SvmSample& sample = samples[i];
+    ALEM_CHECK(model.config_.lambda == config.lambda &&
+               model.config_.t0 == config.t0 &&
+               model.config_.epochs == config.epochs &&
+               model.config_.balance_classes == config.balance_classes);
+    ALEM_CHECK_EQ(sample.rows.size(), n);
+    ALEM_CHECK_EQ(sample.labels.size(), n);
+    for (const size_t row : sample.rows) ALEM_CHECK_LT(row, features.rows());
+    model.weights_.assign(features.dims(), 0.0);
+    model.bias_ = 0.0;
+    lanes[i] = {features.Row(0), sample.rows.data(), sample.labels.data(),
+                n, model.config_.seed, model.weights_.data(), &model.bias_};
+  }
+  const kernels::SvmSchedule schedule{
+      config.lambda, static_cast<uint64_t>(config.t0),
+      static_cast<size_t>(config.epochs) * n, features.dims(),
+      config.balance_classes, /*average_tail=*/false};
+  kernels::Active().svm_pegasos(schedule, lanes, models.size());
+}
+
 void LinearSvm::RunSgd(const FeatureMatrix& features,
                        const std::vector<int>& labels, size_t epochs,
                        uint64_t t_offset, uint64_t rng_seed,
@@ -57,68 +88,12 @@ void LinearSvm::RunSgd(const FeatureMatrix& features,
   ALEM_CHECK_EQ(features.rows(), labels.size());
   ALEM_CHECK_GT(features.rows(), 0u);
   const size_t n = features.rows();
-  const size_t d = features.dims();
-
-  std::vector<size_t> positives;
-  std::vector<size_t> negatives;
-  for (size_t i = 0; i < n; ++i) {
-    (labels[i] == 1 ? positives : negatives).push_back(i);
-  }
-  const bool balance =
-      config_.balance_classes && !positives.empty() && !negatives.empty();
-
-  Rng rng(rng_seed);
-  const double lambda = config_.lambda;
-  // Pegasos norm bound: the optimum satisfies ||w|| <= 1/sqrt(lambda).
-  const double norm_bound = 1.0 / std::sqrt(lambda);
-  const size_t steps = epochs * n;
-  // Tail averaging (warm path only): accumulate the iterates of the second
-  // half of the run and return their mean instead of the last iterate.
-  const size_t average_from = average_tail ? steps / 2 + 1 : steps + 1;
-  std::vector<double> weight_sum;
-  double bias_sum = 0.0;
-  size_t averaged = 0;
-  if (average_tail) weight_sum.assign(d, 0.0);
-  for (size_t t = 1; t <= steps; ++t) {
-    size_t index;
-    if (balance) {
-      const std::vector<size_t>& pool =
-          rng.NextBernoulli(0.5) ? positives : negatives;
-      index = pool[rng.NextBelow(pool.size())];
-    } else {
-      index = static_cast<size_t>(rng.NextBelow(n));
-    }
-    const float* x = features.Row(index);
-    const double y = labels[index] == 1 ? 1.0 : -1.0;
-    const double eta = 1.0 / (lambda * static_cast<double>(t + t_offset));
-
-    double dot = bias_;
-    for (size_t j = 0; j < d; ++j) dot += weights_[j] * x[j];
-
-    const double scale = 1.0 - eta * lambda;
-    for (size_t j = 0; j < d; ++j) weights_[j] *= scale;
-    if (y * dot < 1.0) {
-      for (size_t j = 0; j < d; ++j) weights_[j] += eta * y * x[j];
-      bias_ += eta * y;  // Bias is unregularized.
-    }
-    // Projection onto the ball of radius 1/sqrt(lambda).
-    double norm_squared = 0.0;
-    for (size_t j = 0; j < d; ++j) norm_squared += weights_[j] * weights_[j];
-    if (norm_squared > norm_bound * norm_bound) {
-      const double shrink = norm_bound / std::sqrt(norm_squared);
-      for (size_t j = 0; j < d; ++j) weights_[j] *= shrink;
-    }
-    if (t >= average_from) {
-      for (size_t j = 0; j < d; ++j) weight_sum[j] += weights_[j];
-      bias_sum += bias_;
-      ++averaged;
-    }
-  }
-  if (averaged > 0) {
-    const double inv = 1.0 / static_cast<double>(averaged);
-    for (size_t j = 0; j < d; ++j) weights_[j] = weight_sum[j] * inv;
-    bias_ = bias_sum * inv;
-  }
+  const kernels::SvmLane lane{features.Row(0), nullptr, labels.data(), n,
+                              rng_seed, weights_.data(), &bias_};
+  const kernels::SvmSchedule schedule{config_.lambda, t_offset, epochs * n,
+                                      features.dims(),
+                                      config_.balance_classes, average_tail};
+  kernels::Active().svm_pegasos(schedule, &lane, 1);
 }
 
 double LinearSvm::Margin(const float* x) const {

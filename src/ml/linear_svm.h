@@ -40,6 +40,13 @@ struct LinearSvmConfig {
   uint64_t seed = 1;
 };
 
+// One training set of LinearSvm::FitGroup: sample i is row rows[i] of the
+// matrix (rows may repeat), labeled labels[i].
+struct SvmSample {
+  std::span<const size_t> rows;
+  std::span<const int> labels;
+};
+
 class LinearSvm {
  public:
   LinearSvm() = default;
@@ -58,6 +65,15 @@ class LinearSvm {
   // docs/training.md). Returns false (model untouched) when untrained or
   // the feature dimensionality changed; callers then fall back to Fit.
   bool FitWarm(const FeatureMatrix& features, const std::vector<int>& labels);
+
+  // Cold-fits up to kernels::kSvmLanes models in one svm_pegasos call,
+  // models[i] on samples[i], reading its rows of `features` in place. Each
+  // model trains exactly the bits Fit trains on its rows gathered into a
+  // matrix. The models' configurations may differ only in the seed, and
+  // the samples must have one size.
+  static void FitGroup(const FeatureMatrix& features,
+                       std::span<LinearSvm* const> models,
+                       std::span<const SvmSample> samples);
 
   // Signed distance proxy: w . x + b (not normalized by ||w||; the margin
   // selector only compares magnitudes so the scale cancels).
@@ -90,13 +106,14 @@ class LinearSvm {
   friend std::string SerializeSvm(const LinearSvm& model);
   friend bool DeserializeSvm(const std::string& text, LinearSvm* model);
 
-  // Shared Pegasos loop: `epochs` passes over the data starting from the
-  // current weights, with step sizes 1/(lambda * (t + t_offset)) and example
-  // sampling driven by `rng_seed`. Fit resets the weights first; FitWarm
-  // continues from them. With `average_tail` the result is the mean of the
-  // second-half iterates (averaged Pegasos) instead of the last iterate —
-  // the warm path uses this to tame short-run SGD noise; the cold path must
-  // not, so the golden baselines stay bitwise.
+  // Shared Pegasos loop, one lane of the svm_pegasos kernel: `epochs`
+  // passes over the data starting from the current weights, with step
+  // sizes 1/(lambda * (t + t_offset)) and example sampling driven by
+  // `rng_seed`. Fit resets the weights first; FitWarm continues from them.
+  // With `average_tail` the result is the mean of the second-half iterates
+  // (averaged Pegasos) instead of the last iterate — the warm path uses
+  // this to tame short-run SGD noise; the cold path must not, so the
+  // golden baselines stay bitwise.
   void RunSgd(const FeatureMatrix& features, const std::vector<int>& labels,
               size_t epochs, uint64_t t_offset, uint64_t rng_seed,
               bool average_tail);

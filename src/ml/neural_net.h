@@ -93,6 +93,10 @@ class NeuralNetwork {
 
   bool trained() const { return !layers_.empty(); }
   const NeuralNetConfig& config() const { return config_; }
+  // Input features the first layer reads (0 when untrained).
+  size_t input_dims() const {
+    return layers_.empty() ? 0 : static_cast<size_t>(layers_.front().in);
+  }
 
   // Per-input-dimension importance: the absolute-weight product propagated
   // from the output back to each input (|W1|^T |gamma1| ... |w_out|). This

@@ -253,6 +253,14 @@ std::vector<int> RandomForest::PredictAll(const FeatureMatrix& features) const {
   return predictions;
 }
 
+size_t RandomForest::InputWidth() const {
+  size_t width = 0;
+  for (const DecisionTree& tree : trees_) {
+    width = std::max(width, tree.InputWidth());
+  }
+  return width;
+}
+
 int RandomForest::MaxDepth() const {
   int depth = 0;
   for (const DecisionTree& tree : trees_) {

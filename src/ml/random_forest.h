@@ -82,6 +82,8 @@ class RandomForest {
 
   // Maximum depth across all trees (Fig. 18b).
   int MaxDepth() const;
+  // The widest DecisionTree::InputWidth of the trees.
+  size_t InputWidth() const;
   // Total #DNF atoms across all trees (Fig. 18a).
   size_t TotalDnfAtoms() const;
 

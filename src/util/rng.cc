@@ -17,8 +17,6 @@ uint64_t SplitMix64(uint64_t& x) {
   return z ^ (z >> 31);
 }
 
-uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 }  // namespace
 
 Rng::Rng(uint64_t seed) {
@@ -26,37 +24,10 @@ Rng::Rng(uint64_t seed) {
   for (uint64_t& s : state_) s = SplitMix64(sm);
 }
 
-uint64_t Rng::Next() {
-  const uint64_t result = Rotl(state_[1] * 5, 7) * 9;
-  const uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = Rotl(state_[3], 45);
-  return result;
-}
-
-uint64_t Rng::NextBelow(uint64_t bound) {
-  ALEM_CHECK_GT(bound, 0u);
-  // Rejection sampling to avoid modulo bias.
-  const uint64_t threshold = -bound % bound;
-  while (true) {
-    const uint64_t r = Next();
-    if (r >= threshold) return r % bound;
-  }
-}
-
 int64_t Rng::NextInRange(int64_t lo, int64_t hi) {
   ALEM_CHECK_LE(lo, hi);
   const uint64_t span = static_cast<uint64_t>(hi - lo) + 1;
   return lo + static_cast<int64_t>(span == 0 ? Next() : NextBelow(span));
-}
-
-double Rng::NextDouble() {
-  // 53 uniformly distributed mantissa bits.
-  return static_cast<double>(Next() >> 11) * 0x1.0p-53;
 }
 
 double Rng::NextGaussian() {
@@ -73,8 +44,6 @@ double Rng::NextGaussian() {
   has_cached_gaussian_ = true;
   return radius * std::cos(angle);
 }
-
-bool Rng::NextBernoulli(double p) { return NextDouble() < p; }
 
 Rng Rng::Fork() { return Rng(Next()); }
 

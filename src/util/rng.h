@@ -14,6 +14,8 @@
 #include <string>
 #include <vector>
 
+#include "util/check.h"
+
 namespace alem {
 
 // A small, copyable, deterministic PRNG (xoshiro256**).
@@ -24,23 +26,28 @@ class Rng {
   Rng(const Rng&) = default;
   Rng& operator=(const Rng&) = default;
 
-  // Next raw 64-bit value.
-  uint64_t Next();
+  // Next raw 64-bit value. This and the other per-draw methods are defined
+  // below, in the header, so hot sampling loops (Pegasos steps, dropout
+  // masks) inline them. They are always inlined, at every optimization
+  // level: an out-of-line copy emitted by the AVX2 kernel TU, which is
+  // built with -mavx2, would be AVX code the linker may keep for the whole
+  // program (kernel_avx2_object_test checks that object for such copies).
+  [[gnu::always_inline]] uint64_t Next();
 
   // Uniform integer in [0, bound). `bound` must be > 0.
-  uint64_t NextBelow(uint64_t bound);
+  [[gnu::always_inline]] uint64_t NextBelow(uint64_t bound);
 
   // Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
   int64_t NextInRange(int64_t lo, int64_t hi);
 
   // Uniform double in [0, 1).
-  double NextDouble();
+  [[gnu::always_inline]] double NextDouble();
 
   // Gaussian (mean 0, stddev 1) via Box-Muller.
   double NextGaussian();
 
   // Bernoulli draw: true with probability `p`.
-  bool NextBernoulli(double p);
+  [[gnu::always_inline]] bool NextBernoulli(double p);
 
   // Derives an independent child generator; useful to give each parallel
   // component (e.g., each tree in a forest) its own stream.
@@ -72,10 +79,43 @@ class Rng {
   bool RestoreState(const std::string& state);
 
  private:
+  [[gnu::always_inline]] static uint64_t Rotl(uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   uint64_t state_[4];
   bool has_cached_gaussian_ = false;
   double cached_gaussian_ = 0.0;
 };
+
+inline uint64_t Rng::Next() {
+  const uint64_t result = Rotl(state_[1] * 5, 7) * 9;
+  const uint64_t t = state_[1] << 17;
+  state_[2] ^= state_[0];
+  state_[3] ^= state_[1];
+  state_[1] ^= state_[2];
+  state_[0] ^= state_[3];
+  state_[2] ^= t;
+  state_[3] = Rotl(state_[3], 45);
+  return result;
+}
+
+inline uint64_t Rng::NextBelow(uint64_t bound) {
+  ALEM_CHECK_GT(bound, 0u);
+  // Rejection sampling to avoid modulo bias.
+  const uint64_t threshold = -bound % bound;
+  while (true) {
+    const uint64_t r = Next();
+    if (r >= threshold) return r % bound;
+  }
+}
+
+inline double Rng::NextDouble() {
+  // 53 uniformly distributed mantissa bits.
+  return static_cast<double>(Next() >> 11) * 0x1.0p-53;
+}
+
+inline bool Rng::NextBernoulli(double p) { return NextDouble() < p; }
 
 }  // namespace alem
 

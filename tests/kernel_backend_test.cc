@@ -381,6 +381,96 @@ TEST(KernelDifferentialTest, NnWeightGradMatchesScalarBitwise) {
   }
 }
 
+// One to four Pegasos lanes over widths straddling the 4-wide column
+// transpose, sampled through index lists or straight from the matrix,
+// balanced or not, last iterate or tail-averaged. Each lane starts from
+// its own garbage weights and bias (the kernel trains in place): extreme
+// magnitudes in odd lanes, small ones in even lanes. Rows of random
+// magnitudes are packed at the width one float past the buffer's start,
+// and a sentinel after each lane's weights must survive. The strong
+// regularizer projects on many steps.
+TEST(KernelDifferentialTest, SvmPegasosMatchesScalarBitwise) {
+  const kernels::KernelOps& scalar = OpsFor("scalar");
+  const size_t widths[] = {0, 1, 3, 4, 5, 7, 8, 9, 17, 33};
+  for (const std::string& backend : NonScalarBackends()) {
+    const kernels::KernelOps& ops = OpsFor(backend);
+    Rng rng(17);
+    for (const size_t d : widths) {
+      for (size_t nlanes = 1; nlanes <= kernels::kSvmLanes; ++nlanes) {
+        for (const bool averaged : {false, true}) {
+          const size_t rows = 1 + rng.NextBelow(12);
+          std::vector<float> storage(rows * d + 1);
+          for (float& v : storage) v = RandomFloatMagnitude(rng);
+          std::vector<int> labels(rows);
+          for (int& label : labels) label = rng.NextBernoulli(0.3) ? 1 : 0;
+          const kernels::SvmSchedule schedule{
+              rng.NextBernoulli(0.5) ? 1e-2 : 3.0,
+              rng.NextBelow(60),
+              rows * (1 + rng.NextBelow(8)),
+              d,
+              rng.NextBernoulli(0.7),
+              averaged};
+          std::vector<std::vector<size_t>> samples(nlanes);
+          std::vector<std::vector<int>> sample_labels(nlanes);
+          std::vector<std::vector<double>> expected_w(nlanes);
+          std::vector<double> expected_b(nlanes);
+          for (size_t l = 0; l < nlanes; ++l) {
+            // Lane 0 reads the matrix rows directly; the others resample.
+            const size_t n = l == 0 ? rows : 1 + rng.NextBelow(2 * rows);
+            if (l > 0) samples[l] = rng.SampleWithReplacement(rows, n);
+            for (size_t i = 0; i < n; ++i) {
+              sample_labels[l].push_back(labels[l == 0 ? i : samples[l][i]]);
+            }
+            expected_w[l].resize(d + 1);
+            for (double& v : expected_w[l]) {
+              v = l % 2 == 1 ? RandomMagnitude(rng) : rng.NextDouble() - 0.5;
+            }
+            expected_b[l] = RandomMagnitude(rng);
+          }
+          std::vector<double> sentinels(nlanes);
+          for (size_t l = 0; l < nlanes; ++l) sentinels[l] = expected_w[l][d];
+          std::vector<std::vector<double>> actual_w = expected_w;
+          std::vector<double> actual_b = expected_b;
+          auto lanes = [&](std::vector<std::vector<double>>& w,
+                           std::vector<double>& b) {
+            std::vector<kernels::SvmLane> out(nlanes);
+            for (size_t l = 0; l < nlanes; ++l) {
+              out[l] = {storage.data() + 1,
+                        l == 0 ? nullptr : samples[l].data(),
+                        sample_labels[l].data(),
+                        sample_labels[l].size(),
+                        1000 + 7 * l + d,
+                        w[l].data(),
+                        &b[l]};
+            }
+            return out;
+          };
+          const std::vector<kernels::SvmLane> expected_lanes =
+              lanes(expected_w, expected_b);
+          const std::vector<kernels::SvmLane> actual_lanes =
+              lanes(actual_w, actual_b);
+          scalar.svm_pegasos(schedule, expected_lanes.data(), nlanes);
+          ops.svm_pegasos(schedule, actual_lanes.data(), nlanes);
+          for (size_t l = 0; l < nlanes; ++l) {
+            for (size_t j = 0; j <= d; ++j) {
+              ASSERT_EQ(DoubleBits(actual_w[l][j]),
+                        DoubleBits(expected_w[l][j]))
+                  << backend << " d=" << d << " lanes=" << nlanes
+                  << " averaged=" << averaged << " lane " << l << " weight "
+                  << j << ": " << actual_w[l][j] << " vs "
+                  << expected_w[l][j];
+            }
+            ASSERT_EQ(DoubleBits(actual_b[l]), DoubleBits(expected_b[l]))
+                << backend << " d=" << d << " lanes=" << nlanes << " lane "
+                << l << " bias";
+            ASSERT_EQ(DoubleBits(actual_w[l][d]), DoubleBits(sentinels[l]));
+          }
+        }
+      }
+    }
+  }
+}
+
 // ---- EvaluateBatch differential + chunk-boundary fuzz ------------------
 //
 // All 21 similarity functions, run through the public batch entry point

@@ -410,6 +410,8 @@ TEST_F(ParallelTest, ForestFitAndPredictionsIdenticalAcrossThreadCounts) {
   EXPECT_EQ(serial_predictions, threaded_predictions);
 }
 
+// At 1 thread the six SVM members fit as Pegasos lane groups of 4 and 2,
+// at 4 threads as three groups of 2: the selections must still match.
 std::vector<size_t> QbcSelection(int threads) {
   parallel::SetNumThreads(threads);
   FeatureMatrix features = SyntheticFeatures(200, 5, 11);
@@ -466,6 +468,7 @@ TEST_F(ParallelTest, AbtBuyForestCurveIdenticalAcrossThreadCounts) {
   ExpectIdenticalCurves(serial, threaded);
 }
 
+// One lane group of four members at 1 thread, four one-member fits at 4.
 TEST_F(ParallelTest, AbtBuyLinearQbcCurveIdenticalAcrossThreadCounts) {
   const RunResult serial = ProfileRun("Abt-Buy", "linear-qbc4", 1);
   const RunResult threaded = ProfileRun("Abt-Buy", "linear-qbc4", 4);

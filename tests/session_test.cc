@@ -11,6 +11,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -429,6 +431,160 @@ TEST(SessionSnapshotTest, MalformedEnsembleSectionFailsRestore) {
   }
   // The untouched section still restores.
   EXPECT_EQ(restore_error(ensm), "");
+}
+
+// ---- Learner width against the pool ------------------------------------
+//
+// A learner section holding a valid model of another width, swapped into a
+// paused session's snapshot whose bytes are then rewritten (so the
+// container checksum holds), must fail the restore with an error naming
+// both widths, for every learner; the session's own model still restores.
+
+// Saves `problem`'s session of make_learner() after one iteration, replaces
+// its learner section with `blob` (keeps its own when empty), round-trips
+// the snapshot through its serialized bytes and restores it into a fresh
+// environment. Returns the restore error, "" when it restored.
+template <typename MakeLearner>
+std::string RestoreWithLearnerBlob(const Problem& problem,
+                                   MakeLearner make_learner,
+                                   const std::string& blob) {
+  ActivePool pool(problem.features);
+  PerfectOracle oracle(problem.truth);
+  ProgressiveEvaluator evaluator(problem.truth);
+  RandomSelector selector(3);
+  std::unique_ptr<Learner> learner = make_learner();
+  LabelingSession session(*learner, selector, oracle, evaluator, pool,
+                          TestConfig());
+  Drive(&session, 1);
+  SessionSnapshot snapshot;
+  std::string error;
+  EXPECT_TRUE(session.SaveTo(&snapshot, &error)) << error;
+  EXPECT_FALSE(snapshot.section("LRNR").empty());
+  if (!blob.empty()) snapshot.set("LRNR", blob);
+  SessionSnapshot reparsed;
+  EXPECT_TRUE(SessionSnapshot::Parse(snapshot.Serialize(), &reparsed, &error))
+      << error;
+
+  ActivePool fresh_pool(problem.features);
+  PerfectOracle fresh_oracle(problem.truth);
+  ProgressiveEvaluator fresh_evaluator(problem.truth);
+  RandomSelector fresh_selector(3);
+  std::unique_ptr<Learner> fresh = make_learner();
+  error.clear();
+  const std::unique_ptr<LabelingSession> restored =
+      LabelingSession::Restore(*fresh, fresh_selector, fresh_oracle,
+                               fresh_evaluator, fresh_pool, reparsed, &error);
+  EXPECT_EQ(restored == nullptr, !error.empty()) << error;
+  return error;
+}
+
+// `width` columns; column `informative` equals the label, the others are 0.
+Problem MakeOneColumnProblem(size_t n, size_t width, size_t informative) {
+  Problem problem;
+  problem.features = FeatureMatrix(n, width);
+  problem.truth.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    problem.truth[i] = i % 4 == 0 ? 1 : 0;
+    problem.features.Set(i, informative,
+                         static_cast<float>(problem.truth[i]));
+  }
+  return problem;
+}
+
+TEST(SessionSnapshotTest, SvmWiderThanPoolFailsRestore) {
+  const Problem problem = MakeProblem(400, 5);
+  const auto make = [] { return std::make_unique<SvmLearner>(); };
+  EXPECT_EQ(RestoreWithLearnerBlob(problem, make, ""), "");
+  const Problem wide = MakeOneColumnProblem(40, 3, 2);
+  SvmLearner other;
+  other.Fit(wide.features, wide.truth);
+  EXPECT_NE(RestoreWithLearnerBlob(problem, make, other.SaveModel())
+                .find("reads exactly 3 input features but the pool has 2"),
+            std::string::npos);
+}
+
+TEST(SessionSnapshotTest, NeuralNetWiderThanPoolFailsRestore) {
+  const Problem problem = MakeProblem(400, 5);
+  const auto make = [] { return std::make_unique<NeuralNetLearner>(); };
+  EXPECT_EQ(RestoreWithLearnerBlob(problem, make, ""), "");
+  const Problem wide = MakeOneColumnProblem(40, 3, 2);
+  NeuralNetLearner other;
+  other.Fit(wide.features, wide.truth);
+  EXPECT_NE(RestoreWithLearnerBlob(problem, make, other.SaveModel())
+                .find("reads exactly 3 input features but the pool has 2"),
+            std::string::npos);
+}
+
+// The index past which one past it wraps to 0, written as the largest
+// size_t and as "-1" (which a size_t field also reads as that value).
+const char* const kWrappingIndices[] = {"18446744073709551615", "-1"};
+
+// A forest blob with the feature index of every split node (a tree node
+// row "is_leaf label dim threshold left right" with is_leaf 0) replaced
+// by `dim`, as written.
+std::string WithSplitDims(const std::string& blob, const std::string& dim) {
+  std::istringstream in(blob);
+  std::string out;
+  for (std::string line; std::getline(in, line);) {
+    std::istringstream fields(line);
+    std::vector<std::string> tokens;
+    for (std::string token; fields >> token;) tokens.push_back(token);
+    if (tokens.size() == 6 && tokens[0] == "0") {
+      tokens[2] = dim;
+      line = tokens[0];
+      for (size_t i = 1; i < tokens.size(); ++i) line += " " + tokens[i];
+    }
+    out += line + "\n";
+  }
+  return out;
+}
+
+// A split on feature 4 of a two-feature pool: the warm path would keep
+// such a tree untouched and read past every row. So would a split on the
+// largest index, whose width must not wrap to 0.
+TEST(SessionSnapshotTest, ForestSplitPastPoolFailsRestore) {
+  const Problem problem = MakeProblem(400, 5);
+  const auto make = [] { return std::make_unique<ForestLearner>(); };
+  EXPECT_EQ(RestoreWithLearnerBlob(problem, make, ""), "");
+  const Problem wide = MakeOneColumnProblem(40, 5, 4);
+  ForestLearner other;
+  other.Fit(wide.features, wide.truth);
+  ASSERT_EQ(other.ModelInputWidth().width, 5u);
+  EXPECT_NE(RestoreWithLearnerBlob(problem, make, other.SaveModel())
+                .find("reads at least 5 input features but the pool has 2"),
+            std::string::npos);
+  for (const char* const dim : kWrappingIndices) {
+    const std::string blob = WithSplitDims(other.SaveModel(), dim);
+    ASSERT_NE(blob, other.SaveModel()) << dim;
+    EXPECT_NE(RestoreWithLearnerBlob(problem, make, blob)
+                  .find("reads at least 18446744073709551615 input features "
+                        "but the pool has 2"),
+              std::string::npos)
+        << dim;
+  }
+}
+
+TEST(SessionSnapshotTest, RuleAtomPastPoolFailsRestore) {
+  // Rules read a 0/1 matrix: column 0 is the label.
+  const Problem problem = MakeOneColumnProblem(400, 2, 0);
+  const auto make = [] { return std::make_unique<RuleLearner>(); };
+  EXPECT_EQ(RestoreWithLearnerBlob(problem, make, ""), "");
+  const Problem wide = MakeOneColumnProblem(40, 5, 4);
+  RuleLearner other;
+  other.Fit(wide.features, wide.truth);
+  ASSERT_EQ(other.ModelInputWidth().width, 5u);
+  EXPECT_NE(RestoreWithLearnerBlob(problem, make, other.SaveModel())
+                .find("reads at least 5 input features but the pool has 2"),
+            std::string::npos);
+  // One conjunction of one atom on the largest index.
+  for (const char* const atom : kWrappingIndices) {
+    const std::string blob = std::string("alem-dnf\n1\n1\n1 ") + atom + "\n";
+    EXPECT_NE(RestoreWithLearnerBlob(problem, make, blob)
+                  .find("reads at least 18446744073709551615 input features "
+                        "but the pool has 2"),
+              std::string::npos)
+        << atom;
+  }
 }
 
 // ---- State-machine rejections -----------------------------------------

@@ -2,10 +2,11 @@
 # Regenerates the golden RunReport baselines that the `report` ctest label
 # gates against (bench/baselines/cli_abtbuy_*.report.json): one per golden
 # workload — linear-margin (margin selection), trees5 (forest + QBC),
-# linear-qbc4 (bootstrap committee), linear-margin-ensemble (active
-# ensemble; accepts its first member at iteration 3), nn-margin (neural
-# network, margin selection) and nn-qbc2 (bootstrap committee of two
-# networks).
+# linear-qbc4 (bootstrap committee: one Pegasos lane group), linear-qbc5
+# (one lane group plus a one-member remainder), linear-margin-ensemble
+# (active ensemble; accepts its first member at iteration 3), nn-margin
+# (neural network, margin selection) and nn-qbc2 (bootstrap committee of
+# two networks).
 #
 # Run this after a change that *intentionally* moves a learning curve or a
 # pipeline counter (new featurizer, different seeding, selector fixes) so
@@ -49,8 +50,8 @@ fi
 mkdir -p "$baseline_dir"
 # The exact workloads the report_gate test replays: small enough to run in
 # seconds, deterministic at any thread count.
-for approach in linear-margin trees5 linear-qbc4 linear-margin-ensemble \
-    nn-margin nn-qbc2; do
+for approach in linear-margin trees5 linear-qbc4 linear-qbc5 \
+    linear-margin-ensemble nn-margin nn-qbc2; do
   name="$(printf '%s' "$approach" | tr '-' '_')"
   baseline="$baseline_dir/cli_abtbuy_$name.report.json"
   mkdir -p "$work/cache_$name"

@@ -19,9 +19,11 @@
 #   2. Cache warmth: rerunning the same workload against the now-warm
 #      cache must produce a bitwise-identical curve, report
 #      config.cache="hit", and count exactly one featurize.cache.hit.
-#   3. Quality + counters: fresh runs of all six golden workloads
-#      (linear-margin, trees5, linear-qbc4, linear-margin-ensemble,
-#      nn-margin, nn-qbc2) must replay their committed baselines with the
+#   3. Quality + counters: fresh runs of all seven golden workloads
+#      (linear-margin, trees5, linear-qbc4, linear-qbc5,
+#      linear-margin-ensemble, nn-margin, nn-qbc2; linear-qbc5 fits its
+#      committee as one four-member lane group plus a one-member
+#      remainder) must replay their committed baselines with the
 #      curve exact and every counter exact (--exact-curve --counter-tol=0,
 #      including featurize.cache.*).
 #   4. Sensitivity: a baseline whose F1 is perturbed beyond tolerance
@@ -40,12 +42,15 @@
 #      invariant), per-region latency counts identical to the serial run
 #      for every region present in both (deterministic structure), p95s
 #      within a generous tolerance — and a perturbed-latency baseline must
-#      make `check --latency-p95-tol=0` FAIL.
-#   7. Kernel backends: scalar-forced reruns of all six golden
+#      make `check --latency-p95-tol=0` FAIL. (The workload fits no
+#      bootstrap committee: a committee's ml.fit spans count its lane
+#      groups, whose size follows the thread count; its models do not.)
+#   7. Kernel backends: scalar-forced reruns of all seven golden
 #      workloads must replay their committed baselines with the curve and
 #      every counter exact, and each additional backend reported by
-#      `alem_cli kernels` must reproduce the scalar linear-margin and
-#      nn-margin curves bitwise (--exact-curve --counter-tol=0) while
+#      `alem_cli kernels` must reproduce the scalar linear-margin,
+#      linear-qbc5 and nn-margin curves bitwise (--exact-curve
+#      --counter-tol=0) while
 #      stamping its name into config.kernel_backend — the end-to-end
 #      counterpart of the kernels-labeled ctest matrix (docs/kernels.md).
 #   8. Warm start (docs/training.md): a --warm-start=on run must stay
@@ -132,9 +137,10 @@ assert warm["counters"].get("featurize.cache.miss", 0) == 0, warm["counters"]
 EOF
 
 # The golden approaches, one committed baseline each.
-golden="linear-margin trees5 linear-qbc4 linear-margin-ensemble nn-margin nn-qbc2"
+golden="linear-margin trees5 linear-qbc4 linear-qbc5 linear-margin-ensemble \
+nn-margin nn-qbc2"
 
-echo "[3/9] quality: six golden workloads replay exactly, counters exact"
+echo "[3/9] quality: seven golden workloads replay exactly, counters exact"
 for approach in $golden; do
   name="$(printf '%s' "$approach" | tr '-' '_')"
   candidate="$work/cand_$name.report.json"
@@ -237,6 +243,8 @@ echo "[6/9] tail latency: pool invariant, p95 determinism"
 # serial and the 4-thread report must observe the same number of events
 # (pool-only regions like parallel.chunk are legitimately t4-only). The
 # t4 report's pool section was validated by its check in stage 1.
+# linear-margin fits no bootstrap committee, whose ml.fit span count
+# follows the thread count (one span per lane group; docs/training.md).
 python3 - "$work/t1.report.json" "$work/t4.report.json" <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
@@ -275,7 +283,7 @@ fi
 echo "perturbed latency baseline rejected as expected"
 
 echo "[7/9] kernel backends: scalar golden replay, per-backend equivalence"
-# Scalar-forced cold runs must replay all six committed baselines with
+# Scalar-forced cold runs must replay all seven committed baselines with
 # the curve and every counter exact — pins the scalar reference path end to
 # end.
 for approach in $golden; do
@@ -288,13 +296,14 @@ for approach in $golden; do
       "$work/scalar_$name.report.json" --exact-curve --counter-tol=0
 done
 # Every additional backend this host offers must reproduce the scalar
-# linear-margin and nn-margin curves bitwise (the network both trains and
+# linear-margin, linear-qbc5 and nn-margin curves bitwise (the SVM
+# committee trains in Pegasos lane groups and the network both trains and
 # scores through the backend's kernels) and stamp itself into
 # config.kernel_backend.
 backends="$("$cli" kernels | sed -n 's/^available: //p')"
 for backend in $backends; do
   [ "$backend" = "scalar" ] && continue
-  for approach in linear-margin nn-margin; do
+  for approach in linear-margin linear-qbc5 nn-margin; do
     name="$(printf '%s' "$approach" | tr '-' '_')"
     candidate="$work/kb_${backend}_$name.report.json"
     mkdir -p "$work/cache_kb_${backend}_$name"
