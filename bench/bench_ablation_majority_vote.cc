@@ -9,11 +9,11 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
-#include "core/active_loop.h"
 #include "core/evaluator.h"
 #include "core/oracle.h"
 #include "core/pool.h"
 #include "core/selector.h"
+#include "core/session.h"
 #include "synth/profiles.h"
 
 int main() {
@@ -40,8 +40,10 @@ int main() {
       ForestQbcSelector selector(9);
       ActiveLearningConfig config;
       config.max_labels = max_labels;
-      ActiveLearningLoop loop(learner, selector, oracle, evaluator, config);
-      const auto curve = loop.Run(pool);
+      LabelingSession session(learner, selector, oracle, evaluator, pool,
+                              config);
+      session.Run();
+      const auto curve = std::move(session).TakeCurve();
 
       double best_f1 = 0.0;
       size_t best_labels = 0;

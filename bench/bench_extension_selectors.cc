@@ -10,11 +10,11 @@
 #include <memory>
 
 #include "bench/bench_util.h"
-#include "core/active_loop.h"
 #include "core/evaluator.h"
 #include "core/oracle.h"
 #include "core/pool.h"
 #include "core/selector.h"
+#include "core/session.h"
 #include "synth/profiles.h"
 
 int main() {
@@ -36,8 +36,10 @@ int main() {
     SvmLearner learner{LinearSvmConfig{}};
     ActiveLearningConfig config;
     config.max_labels = max_labels;
-    ActiveLearningLoop loop(learner, *selector, oracle, evaluator, config);
-    return loop.Run(pool);
+    LabelingSession session(learner, *selector, oracle, evaluator, pool,
+                            config);
+    session.Run();
+    return std::move(session).TakeCurve();
   };
 
   const auto margin = run(std::make_unique<MarginSelector>());

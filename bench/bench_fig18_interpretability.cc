@@ -10,11 +10,11 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
-#include "core/active_loop.h"
 #include "core/evaluator.h"
 #include "core/oracle.h"
 #include "core/pool.h"
 #include "core/selector.h"
+#include "core/session.h"
 #include "synth/profiles.h"
 
 int main() {
@@ -55,8 +55,9 @@ int main() {
     LfpLfnSelector selector;
     ActiveLearningConfig config;
     config.max_labels = max_labels;
-    ActiveLearningLoop loop(learner, selector, oracle, evaluator, config);
-    loop.Run(pool);
+    LabelingSession session(learner, selector, oracle, evaluator, pool,
+                            config);
+    session.Run();
     std::printf("\nLearned rule ensemble (Abt-Buy, #DNF atoms = %zu):\n  %s\n",
                 learner.dnf().NumAtoms(),
                 learner.dnf().ToString(*data.featurizer).c_str());

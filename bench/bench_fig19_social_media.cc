@@ -17,11 +17,11 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "core/active_loop.h"
 #include "core/evaluator.h"
 #include "core/oracle.h"
 #include "core/pool.h"
 #include "core/selector.h"
+#include "core/session.h"
 #include "synth/profiles.h"
 
 namespace {
@@ -58,8 +58,10 @@ int main() {
     RuleLearner learner;
     ActiveLearningConfig config;
     config.max_labels = max_labels;
-    ActiveLearningLoop loop(learner, *selector, oracle, evaluator, config);
-    const std::vector<IterationStats> curve = loop.Run(pool);
+    LabelingSession session(learner, *selector, oracle, evaluator, pool,
+                            config);
+    session.Run();
+    const std::vector<IterationStats> curve = std::move(session).TakeCurve();
 
     StrategyReport report;
     report.name = name;

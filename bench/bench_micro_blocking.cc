@@ -4,7 +4,6 @@
 #include <benchmark/benchmark.h>
 
 #include "blocking/jaccard_blocking.h"
-#include "blocking/minhash_lsh.h"
 #include "synth/generator.h"
 #include "synth/profiles.h"
 
@@ -50,34 +49,6 @@ void BM_JaccardBlockingBruteForce(benchmark::State& state) {
       static_cast<int64_t>(dataset.TotalPairs()));
 }
 BENCHMARK(BM_JaccardBlockingBruteForce)->Arg(100)->Arg(300);
-
-void BM_JaccardBlockingPrefix(benchmark::State& state) {
-  const EmDataset& dataset = DatasetAtScale(static_cast<int>(state.range(0)));
-  const BlockingConfig config{0.1875};
-  size_t pairs = 0;
-  for (auto _ : state) {
-    pairs = JaccardBlockingPrefix(dataset, config).size();
-    benchmark::DoNotOptimize(pairs);
-  }
-  state.counters["post_blocking_pairs"] = static_cast<double>(pairs);
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(dataset.TotalPairs()));
-}
-BENCHMARK(BM_JaccardBlockingPrefix)->Arg(100)->Arg(300)->Arg(1000);
-
-void BM_MinHashBlocking(benchmark::State& state) {
-  const EmDataset& dataset = DatasetAtScale(static_cast<int>(state.range(0)));
-  const MinHashConfig config = ConfigForThreshold(0.1875, 64);
-  size_t pairs = 0;
-  for (auto _ : state) {
-    pairs = MinHashBlocking(dataset, config).size();
-    benchmark::DoNotOptimize(pairs);
-  }
-  state.counters["post_blocking_pairs"] = static_cast<double>(pairs);
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(dataset.TotalPairs()));
-}
-BENCHMARK(BM_MinHashBlocking)->Arg(100)->Arg(300)->Arg(1000);
 
 }  // namespace
 }  // namespace alem

@@ -35,7 +35,6 @@
 #include <string>
 #include <vector>
 
-#include "core/active_loop.h"
 #include "core/harness.h"
 
 namespace alem {

@@ -13,12 +13,12 @@
 #include <string>
 
 #include "blocking/jaccard_blocking.h"
-#include "core/active_loop.h"
 #include "core/evaluator.h"
 #include "core/learner.h"
 #include "core/oracle.h"
 #include "core/pool.h"
 #include "core/selector.h"
+#include "core/session.h"
 #include "features/feature_extractor.h"
 #include "util/csv.h"
 
@@ -94,8 +94,9 @@ int main() {
   config.seed_size = 6;   // The toy dataset has very few pairs.
   config.batch_size = 2;
   config.max_labels = 16;
-  ActiveLearningLoop loop(learner, selector, oracle, evaluator, config);
-  const auto curve = loop.Run(pool);
+  LabelingSession session(learner, selector, oracle, evaluator, pool, config);
+  session.Run();
+  const auto curve = std::move(session).TakeCurve();
 
   std::printf("\n%8s %8s\n", "#labels", "F1");
   for (const IterationStats& it : curve) {

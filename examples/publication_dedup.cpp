@@ -9,12 +9,12 @@
 
 #include <cstdio>
 
-#include "core/active_loop.h"
 #include "core/evaluator.h"
 #include "core/harness.h"
 #include "core/oracle.h"
 #include "core/pool.h"
 #include "core/selector.h"
+#include "core/session.h"
 #include "synth/profiles.h"
 
 int main() {
@@ -32,8 +32,10 @@ int main() {
   LfpLfnSelector selector;
   ActiveLearningConfig loop_config;
   loop_config.max_labels = 300;
-  ActiveLearningLoop loop(rules, selector, oracle, evaluator, loop_config);
-  const auto curve = loop.Run(pool);
+  LabelingSession session(rules, selector, oracle, evaluator, pool,
+                          loop_config);
+  session.Run();
+  const auto curve = std::move(session).TakeCurve();
 
   std::printf("rules terminated after %zu iterations (%zu labels), "
               "progressive F1 = %.3f\n",

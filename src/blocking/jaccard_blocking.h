@@ -31,15 +31,6 @@ std::vector<RecordPair> JaccardBlocking(const EmDataset& dataset,
 std::vector<RecordPair> JaccardBlockingBruteForce(const EmDataset& dataset,
                                                   const BlockingConfig& config);
 
-// Prefix-filtered exact join (AllPairs/PPJoin-style): tokens are globally
-// ordered by ascending document frequency and only each record's prefix
-// (the first |x| - ceil(t*|x|) + 1 tokens) is indexed/probed — any pair
-// with Jaccard >= t must collide on at least one prefix token, so the
-// output is *identical* to JaccardBlocking while probing far fewer
-// postings. Preferred for large, skewed-vocabulary tables.
-std::vector<RecordPair> JaccardBlockingPrefix(const EmDataset& dataset,
-                                              const BlockingConfig& config);
-
 // Fraction of ground-truth matches retained by `pairs` (blocking recall).
 double BlockingRecall(const EmDataset& dataset,
                       const std::vector<RecordPair>& pairs);

@@ -21,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "core/active_loop.h"
 #include "core/approaches.h"
 #include "core/evaluator.h"
 #include "core/oracle.h"
@@ -82,8 +81,8 @@ struct PrepareOptions {
 PreparedDataset PrepareDataset(const PrepareOptions& options);
 
 // The seed/batch/budget/target knobs live in the shared LoopBudget base
-// (core/active_loop.h), so RunConfig and ActiveLearningConfig can never
-// drift apart; `config.budget() = other.budget()` copies them across.
+// (core/session.h), so RunConfig and ActiveLearningConfig can never drift
+// apart; `config.budget() = other.budget()` copies them across.
 struct RunConfig : LoopBudget {
   ApproachSpec approach;
   // Oracle label-flip probability (0 = perfect Oracle).

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "util/check.h"
+#include "util/rng.h"
 
 namespace alem {
 namespace {
@@ -19,7 +20,7 @@ namespace {
 //   bytes 16..23 uint64 FNV-1a hash of the payload
 //   bytes 24..   payload: sections, each [4-char tag][uint64 length][bytes]
 constexpr char kSessionMagic[4] = {'A', 'L', 'S', 'S'};
-constexpr uint32_t kSessionFormatVersion = 1;
+constexpr uint32_t kSessionFormatVersion = 2;
 constexpr size_t kSessionHeaderSize = 4 + 4 + 8 + 8;
 constexpr size_t kTagSize = 4;
 
@@ -111,17 +112,13 @@ bool DecodeConfig(std::string_view blob, ActiveLearningConfig* config) {
   uint64_t batch_size = 0;
   uint64_t max_labels = 0;
   uint64_t plateau_window = 0;
+  uint8_t warm = 0;
   if (!r.U64(&seed_size) || !r.U64(&batch_size) || !r.U64(&max_labels) ||
       !r.F64(&config->target_f1) || !r.U64(&config->seed) ||
-      !r.U64(&plateau_window)) {
+      !r.U64(&plateau_window) || !r.U8(&warm) || !r.AtEnd()) {
     return false;
   }
-  // Optional warm-start byte; snapshots written before the incremental
-  // engine end here, meaning "off".
-  uint8_t warm = 0;
-  if (!r.AtEnd() && (!r.U8(&warm) || warm > 1)) return false;
-  if (!r.AtEnd()) return false;
-  if (batch_size == 0) return false;
+  if (batch_size == 0 || warm > 1) return false;
   config->seed_size = static_cast<size_t>(seed_size);
   config->batch_size = static_cast<size_t>(batch_size);
   config->max_labels = static_cast<size_t>(max_labels);
@@ -250,48 +247,21 @@ bool DecodeCurve(std::string_view blob, std::vector<IterationStats>* curve) {
   return true;
 }
 
-// "PLAT": plateau-termination state.
-std::string EncodePlateau(size_t stable_iterations,
-                          const std::vector<int>& previous_predictions) {
-  ByteWriter w;
-  w.U64(stable_iterations);
-  w.U64(previous_predictions.size());
-  for (const int p : previous_predictions) w.U8(static_cast<uint8_t>(p));
-  return w.Take();
-}
-
-bool DecodePlateau(std::string_view blob, size_t* stable_iterations,
-                   std::vector<int>* previous_predictions) {
-  ByteReader r(blob);
-  uint64_t stable = 0;
-  uint64_t count = 0;
-  if (!r.U64(&stable) || !r.U64(&count)) return false;
-  std::vector<int> predictions;
-  predictions.reserve(static_cast<size_t>(std::min<uint64_t>(count, 1 << 20)));
-  for (uint64_t i = 0; i < count; ++i) {
-    uint8_t p = 0;
-    if (!r.U8(&p) || p > 1) return false;
-    predictions.push_back(static_cast<int>(p));
-  }
-  if (!r.AtEnd()) return false;
-  *stable_iterations = static_cast<size_t>(stable);
-  *previous_predictions = std::move(predictions);
-  return true;
-}
-
 // Full-rescore audit cadence for the incremental progressive-F1 tally:
 // every kEvalAuditInterval incremental evaluations, Step recounts the whole
 // prediction vector and asserts the tally matches exactly.
 constexpr uint32_t kEvalAuditInterval = 16;
 
 // "IEVL": the incremental-evaluation cache — previous predictions (u8),
-// their confusion tally, and the audit countdown. Written once the first
-// Step has filled it; decode failures degrade to a cold cache rather than
-// failing the restore (the cache is an accelerator, not part of the result
-// stream).
+// their confusion tally, the audit countdown and the plateau stable count.
+// Every snapshot past iteration 0 carries it (the first Step fills it), and
+// a restore without it, or with one that does not fit the evaluator, fails:
+// the stable count decides the plateau stop, and a cold cache would rescore
+// every row and restart the audit countdown, so eval.rows_rescored would no
+// longer stitch.
 std::string EncodeEvalCache(const std::vector<uint8_t>& cache, uint64_t tp,
                             uint64_t fp, uint64_t fn, uint64_t tn,
-                            uint32_t audit_countdown) {
+                            uint32_t audit_countdown, uint64_t stable) {
   ByteWriter w;
   w.U64(cache.size());
   std::string out = w.Take();
@@ -302,35 +272,79 @@ std::string EncodeEvalCache(const std::vector<uint8_t>& cache, uint64_t tp,
   tail.U64(fn);
   tail.U64(tn);
   tail.U32(audit_countdown);
+  tail.U64(stable);
   out += tail.Take();
   return out;
 }
 
-bool DecodeEvalCache(std::string_view blob, std::vector<uint8_t>* cache,
-                     uint64_t* tp, uint64_t* fp, uint64_t* fn, uint64_t* tn,
-                     uint32_t* audit_countdown) {
+struct DecodedEvalCache {
+  std::vector<uint8_t> predictions;
+  uint64_t tally[4] = {0, 0, 0, 0};  // TP, FP, FN, TN.
+  uint32_t audit_countdown = 0;
+  uint64_t stable = 0;
+};
+
+// Decodes "IEVL" for an evaluator with `truth` at `iteration` (>= 1). The
+// predictions must cover exactly the evaluator's rows and the tally must be
+// their confusion counts against `truth`, so the restored cache is exactly
+// the one the paused run held.
+bool DecodeEvalCache(std::string_view blob, const std::vector<int>& truth,
+                     size_t iteration, DecodedEvalCache* out,
+                     std::string* error) {
   ByteReader r(blob);
   uint64_t count = 0;
-  if (!r.U64(&count) || count > blob.size()) return false;
-  std::vector<uint8_t> parsed(static_cast<size_t>(count));
-  for (uint64_t i = 0; i < count; ++i) {
-    if (!r.U8(&parsed[i]) || parsed[i] > 1) return false;
-  }
-  uint64_t sums[4] = {0, 0, 0, 0};
-  uint32_t countdown = 0;
-  if (!r.U64(&sums[0]) || !r.U64(&sums[1]) || !r.U64(&sums[2]) ||
-      !r.U64(&sums[3]) || !r.U32(&countdown) || !r.AtEnd()) {
+  if (!r.U64(&count) || count > blob.size()) {
+    *error = "session snapshot: truncated evaluation-cache section 'IEVL'";
     return false;
   }
-  // The tally must account for exactly the cached rows.
-  if (sums[0] + sums[1] + sums[2] + sums[3] != count) return false;
-  if (countdown == 0 || countdown > kEvalAuditInterval) return false;
-  *cache = std::move(parsed);
-  *tp = sums[0];
-  *fp = sums[1];
-  *fn = sums[2];
-  *tn = sums[3];
-  *audit_countdown = countdown;
+  if (count != truth.size()) {
+    *error = "session snapshot: evaluation-cache section 'IEVL' has " +
+             std::to_string(count) + " rows for an evaluator of " +
+             std::to_string(truth.size());
+    return false;
+  }
+  DecodedEvalCache parsed;
+  parsed.predictions.resize(truth.size());
+  uint64_t expected[4] = {0, 0, 0, 0};
+  for (size_t i = 0; i < truth.size(); ++i) {
+    uint8_t& p = parsed.predictions[i];
+    if (!r.U8(&p)) {
+      *error = "session snapshot: truncated evaluation-cache section 'IEVL'";
+      return false;
+    }
+    if (p > 1) {
+      *error = "session snapshot: evaluation-cache section 'IEVL' holds a "
+               "prediction other than 0/1";
+      return false;
+    }
+    ++expected[(p == 1 ? 0 : 2) + (truth[i] == 1 ? 0 : 1)];
+  }
+  if (!r.U64(&parsed.tally[0]) || !r.U64(&parsed.tally[1]) ||
+      !r.U64(&parsed.tally[2]) || !r.U64(&parsed.tally[3]) ||
+      !r.U32(&parsed.audit_countdown) || !r.U64(&parsed.stable) ||
+      !r.AtEnd()) {
+    *error = "session snapshot: malformed evaluation-cache section 'IEVL'";
+    return false;
+  }
+  if (!std::equal(expected, expected + 4, parsed.tally)) {
+    *error = "session snapshot: evaluation-cache section 'IEVL' tally "
+             "disagrees with its predictions";
+    return false;
+  }
+  if (parsed.audit_countdown == 0 ||
+      parsed.audit_countdown > kEvalAuditInterval) {
+    *error = "session snapshot: evaluation-cache section 'IEVL' audit "
+             "countdown out of range";
+    return false;
+  }
+  // Step 1 fills a cold cache, so at most iteration - 1 Steps were stable.
+  if (parsed.stable >= iteration) {
+    *error = "session snapshot: evaluation-cache section 'IEVL' counts " +
+             std::to_string(parsed.stable) + " stable steps at iteration " +
+             std::to_string(iteration);
+    return false;
+  }
+  *out = std::move(parsed);
   return true;
 }
 
@@ -442,6 +456,67 @@ bool DecodeCore(std::string_view blob, DecodedCore* core) {
 }
 
 }  // namespace
+
+std::string_view WarmStartModeName(WarmStartMode mode) {
+  return mode == WarmStartMode::kOn ? "on" : "off";
+}
+
+bool ParseWarmStartMode(std::string_view name, WarmStartMode* mode) {
+  if (name == "off") {
+    *mode = WarmStartMode::kOff;
+  } else if (name == "on") {
+    *mode = WarmStartMode::kOn;
+  } else {
+    return false;
+  }
+  return true;
+}
+
+SeedResult SeedPool(ActivePool& pool, Oracle& oracle, size_t seed_size,
+                    uint64_t seed) {
+  Rng rng(seed);
+  SeedResult result;
+  bool has_positive = false;
+  bool has_negative = false;
+
+  auto label_random_batch = [&](size_t count) {
+    const std::vector<size_t>& unlabeled = pool.unlabeled_rows();
+    if (unlabeled.empty()) return;
+    const size_t take = std::min(count, unlabeled.size());
+    const std::vector<size_t> picks =
+        rng.SampleWithoutReplacement(unlabeled.size(), take);
+    // Materialize rows first: labeling invalidates `unlabeled`.
+    std::vector<size_t> rows(take);
+    for (size_t i = 0; i < take; ++i) rows[i] = unlabeled[picks[i]];
+    for (const size_t row : rows) {
+      const int label = oracle.Label(row);
+      pool.AddLabel(row, label);
+      ++result.labeled;
+      (label == 1 ? has_positive : has_negative) = true;
+    }
+  };
+
+  label_random_batch(seed_size);
+  // Both classes are required to train any of the learners. Under heavy
+  // class skew a 30-example seed occasionally misses the minority class;
+  // keep labeling small random batches until it shows up. Pool exhaustion
+  // bounds the retry — a single-class pool terminates with the whole pool
+  // labeled and has_both_classes = false, never an unbounded spin.
+  while ((!has_positive || !has_negative) && !pool.unlabeled_rows().empty()) {
+    label_random_batch(10);
+  }
+  result.has_both_classes = has_positive && has_negative;
+  return result;
+}
+
+void CollectInterpretability(const Learner& learner, IterationStats* stats) {
+  if (const auto* forest = dynamic_cast<const ForestLearner*>(&learner)) {
+    stats->dnf_atoms = forest->model().TotalDnfAtoms();
+    stats->tree_depth = forest->model().MaxDepth();
+  } else if (const auto* rules = dynamic_cast<const RuleLearner*>(&learner)) {
+    stats->dnf_atoms = rules->dnf().NumAtoms();
+  }
+}
 
 bool DecodeSessionLoopConfig(const SessionSnapshot& snapshot,
                              ActiveLearningConfig* config) {
@@ -714,17 +789,6 @@ bool LabelingSession::Step() {
     }
     stats_.metrics = EvaluateIncremental(predictions);
     CollectInterpretability(learner_, &stats_);
-
-    // Plateau detection: count consecutive iterations whose predictions
-    // are identical to the previous iteration's.
-    if (config_.plateau_window > 0) {
-      if (predictions == previous_predictions_) {
-        ++stable_iterations_;
-      } else {
-        stable_iterations_ = 0;
-      }
-      previous_predictions_ = std::move(predictions);
-    }
     stats_.evaluate_seconds = evaluate_span.Close();
   }
 
@@ -936,12 +1000,6 @@ bool LabelingSession::Reject(std::string message) {
   return false;
 }
 
-void LabelingSession::ResetEvalCache() {
-  eval_cache_.clear();
-  eval_tp_ = eval_fp_ = eval_fn_ = eval_tn_ = 0;
-  eval_audit_countdown_ = 0;
-}
-
 BinaryMetrics LabelingSession::EvaluateIncremental(
     const std::vector<int>& predictions) {
   const std::vector<int>& truth = evaluator_.eval_truth();
@@ -955,9 +1013,9 @@ BinaryMetrics LabelingSession::EvaluateIncremental(
   // size (obs::ValidateReport).
   pool_rows.Set(static_cast<double>(n));
 
-  if (eval_audit_countdown_ == 0 || eval_cache_.size() != n) {
-    // Cold cache (first iteration, or restore fallback): one full rescore
-    // seeds the tally.
+  if (eval_audit_countdown_ == 0) {
+    // Cold cache (the first Step): one full rescore seeds the tally, and
+    // there is no previous prediction to be stable against.
     const BinaryMetrics full = ComputeBinaryMetrics(predictions, truth);
     eval_tp_ = full.true_positives;
     eval_fp_ = full.false_positives;
@@ -968,6 +1026,7 @@ BinaryMetrics LabelingSession::EvaluateIncremental(
       eval_cache_[i] = static_cast<uint8_t>(predictions[i] == 1 ? 1 : 0);
     }
     eval_audit_countdown_ = kEvalAuditInterval;
+    stable_iterations_ = 0;
     rescored.Add(n);
     return full;
   }
@@ -996,6 +1055,9 @@ BinaryMetrics LabelingSession::EvaluateIncremental(
     eval_cache_[i] = current;
   }
   rescored.Add(changed);
+  // Plateau detection: consecutive Steps whose predictions all match the
+  // previous Step's.
+  stable_iterations_ = changed == 0 ? stable_iterations_ + 1 : 0;
 
   // Periodic audit: recount everything and require exact agreement.
   if (--eval_audit_countdown_ == 0) {
@@ -1026,8 +1088,6 @@ bool LabelingSession::SaveTo(SessionSnapshot* snapshot,
                                    stop_reason_, seed_result_));
   snapshot->set("POOL", EncodePool(pool_));
   snapshot->set("CRVE", EncodeCurve(curve_));
-  snapshot->set("PLAT", EncodePlateau(stable_iterations_,
-                                      previous_predictions_));
   snapshot->set("LRNR", learner_.SaveModel());
   snapshot->set("SLCT", selector_.SaveState());
   snapshot->set("ORCL", oracle_.SaveState());
@@ -1036,12 +1096,12 @@ bool LabelingSession::SaveTo(SessionSnapshot* snapshot,
                                          ensemble_accepted_,
                                          ensemble_covered_));
   }
-  // The incremental-eval cache travels once warm: carrying it keeps
-  // eval.rows_rescored identical across save/resume.
-  if (eval_audit_countdown_ != 0) {
-    snapshot->set("IEVL",
-                  EncodeEvalCache(eval_cache_, eval_tp_, eval_fp_, eval_fn_,
-                                  eval_tn_, eval_audit_countdown_));
+  // The first Step fills the evaluation cache; from then on it travels.
+  if (iteration_ > 0) {
+    snapshot->set("IEVL", EncodeEvalCache(eval_cache_, eval_tp_, eval_fp_,
+                                          eval_fn_, eval_tn_,
+                                          eval_audit_countdown_,
+                                          stable_iterations_));
   }
   return true;
 }
@@ -1056,8 +1116,7 @@ std::unique_ptr<LabelingSession> LabelingSession::Restore(
     Learner& learner, ExampleSelector& selector, Oracle& oracle,
     const Evaluator& evaluator, ActivePool& pool,
     const SessionSnapshot& snapshot, std::string* error) {
-  for (const std::string_view tag :
-       {"BCFG", "SCOR", "POOL", "CRVE", "PLAT"}) {
+  for (const std::string_view tag : {"BCFG", "SCOR", "POOL", "CRVE"}) {
     if (!snapshot.has(tag)) {
       *error = "session snapshot: missing section '" + std::string(tag) + "'";
       return nullptr;
@@ -1078,17 +1137,25 @@ std::unique_ptr<LabelingSession> LabelingSession::Restore(
     *error = "session snapshot: malformed curve section";
     return nullptr;
   }
-  size_t stable_iterations = 0;
-  std::vector<int> previous_predictions;
-  if (!DecodePlateau(snapshot.section("PLAT"), &stable_iterations,
-                     &previous_predictions)) {
-    *error = "session snapshot: malformed plateau section";
-    return nullptr;
-  }
   // At an iteration boundary the curve holds exactly the completed
   // iterations.
   if (core.iteration != curve.size()) {
     *error = "session snapshot: iteration count disagrees with curve length";
+    return nullptr;
+  }
+  // The evaluation cache exists exactly once a Step has run.
+  DecodedEvalCache eval_cache;
+  if (core.iteration == 0) {
+    if (snapshot.has("IEVL")) {
+      *error = "session snapshot: unexpected section 'IEVL' at iteration 0";
+      return nullptr;
+    }
+  } else if (!snapshot.has("IEVL")) {
+    *error = "session snapshot: missing section 'IEVL'";
+    return nullptr;
+  } else if (!DecodeEvalCache(snapshot.section("IEVL"),
+                              evaluator.eval_truth(), core.iteration,
+                              &eval_cache, error)) {
     return nullptr;
   }
   if (pool.num_labeled() != 0) {
@@ -1144,20 +1211,13 @@ std::unique_ptr<LabelingSession> LabelingSession::Restore(
   session->stop_reason_ = core.stop_reason;
   session->state_ = core.state;
   session->curve_ = std::move(curve);
-  session->stable_iterations_ = stable_iterations;
-  session->previous_predictions_ = std::move(previous_predictions);
-  // Incremental-eval cache: best-effort. Absent or malformed (corrupt bytes
-  // that still passed the container checksum, or a tally that cannot be
-  // right) falls back to a cold cache — the next Step() does one full
-  // rescore and re-seeds the tally — rather than failing the restore.
-  if (snapshot.has("IEVL")) {
-    if (!DecodeEvalCache(snapshot.section("IEVL"), &session->eval_cache_,
-                         &session->eval_tp_, &session->eval_fp_,
-                         &session->eval_fn_, &session->eval_tn_,
-                         &session->eval_audit_countdown_)) {
-      session->ResetEvalCache();
-    }
-  }
+  session->eval_cache_ = std::move(eval_cache.predictions);
+  session->eval_tp_ = eval_cache.tally[0];
+  session->eval_fp_ = eval_cache.tally[1];
+  session->eval_fn_ = eval_cache.tally[2];
+  session->eval_tn_ = eval_cache.tally[3];
+  session->eval_audit_countdown_ = eval_cache.audit_countdown;
+  session->stable_iterations_ = eval_cache.stable;
   if (session->state_ == SessionState::kFinished) {
     // Nothing left to run; close the run span the restoring constructor
     // opened so the trace does not dangle.

@@ -1,10 +1,18 @@
-// LabelingSession: the step-wise, resumable core of the active-learning
-// loop (docs/sessions.md).
+// LabelingSession: the active-learning loop (Fig. 1a of the paper) as a
+// step-wise, resumable state machine (docs/sessions.md).
 //
-// ActiveLearningLoop::Run used to own the whole iterate-until-termination
-// control flow, which made pausing, snapshotting, or feeding labels from an
-// external UI impossible without re-running from scratch. The session
-// inverts that: the caller drives
+// Starting from a small labeled seed (~30 examples), each iteration:
+//   1. trains the learner on the cumulative labeled data,
+//   2. evaluates it (progressive or holdout F1),
+//   3. asks the example selector for the next batch of ambiguous examples,
+//   4. queries the Oracle for their labels and adds them to the pool.
+// Per-iteration statistics capture every metric the paper plots: quality
+// (P/R/F1), latency (training, committee-creation, example-scoring, user
+// wait time), #labels, and interpretability (#DNF atoms, tree depth).
+//
+// A one-shot run constructs a session, calls Run() and takes the curve with
+// TakeCurve(). Code that pauses, snapshots, or feeds labels from an external
+// UI drives the phases itself:
 //
 //     Step()          train + evaluate the current labeled data
 //     NextBatch()     select the next examples to label
@@ -32,10 +40,10 @@
 // At any iteration boundary (kNeedsStep or kFinished) the session can be
 // serialized with Save()/SaveTo() and reconstructed in a fresh process with
 // Restore(): learner model, labeled-pool contents, selector + oracle RNG
-// streams, the cumulative IterationStats curve, plateau state, ensemble
-// coverage, and config all round-trip, so the resumed run's curve and
-// RunReport are bitwise-identical to the uninterrupted run at any thread
-// count.
+// streams, the cumulative IterationStats curve, the evaluation cache (with
+// its plateau count), ensemble coverage, and config all round-trip, so the
+// resumed run's curve and RunReport are bitwise-identical to the
+// uninterrupted run at any thread count.
 //
 // Snapshots use the checksummed binary-container conventions of the ALFM
 // feature-cache format: "ALSS" magic, u32 version, u64 payload size, u64
@@ -56,15 +64,122 @@
 #include <string_view>
 #include <vector>
 
-#include "core/active_loop.h"
 #include "core/evaluator.h"
 #include "core/learner.h"
 #include "core/oracle.h"
 #include "core/pool.h"
 #include "core/selector.h"
+#include "ml/metrics.h"
 #include "obs/obs.h"
 
 namespace alem {
+
+// The label-budget knobs shared by every driver of the loop: the harness's
+// RunConfig and the loop's ActiveLearningConfig both inherit this one struct
+// (they used to duplicate the four fields, which invited drift), and the
+// session snapshot serializes exactly these. budget() gives copy-across
+// assignment between the two configs without naming each field.
+struct LoopBudget {
+  // Initial random labeled seed (the paper uses ~30).
+  size_t seed_size = 30;
+  // Examples labeled per iteration (the paper uses 10).
+  size_t batch_size = 10;
+  // Hard label budget (counts the seed).
+  size_t max_labels = 400;
+  // Early stop once progressive F1 reaches this value; 0 disables. The
+  // paper stops perfect-oracle runs when an approach nears F1 = 1.0.
+  double target_f1 = 0.0;
+
+  LoopBudget& budget() { return *this; }
+  const LoopBudget& budget() const { return *this; }
+};
+
+// Warm-start mode (docs/training.md; --warm-start CLI knob):
+//   kOff  — every iteration refits cold; the exact-replay path the golden
+//           baselines are pinned on (default).
+//   kOn   — refits warm-start from the previous model (FitHint::kWarm).
+//           Curves are gated against cold baselines by F1 tolerance, not
+//           bitwise.
+// Progressive F1 is evaluated incrementally in both modes: the delta tally
+// is exact, so it never moves a curve.
+enum class WarmStartMode { kOff, kOn };
+
+// "off" / "on".
+std::string_view WarmStartModeName(WarmStartMode mode);
+// Parses a mode name; returns false on anything else (*mode untouched).
+bool ParseWarmStartMode(std::string_view name, WarmStartMode* mode);
+
+struct ActiveLearningConfig : LoopBudget {
+  // Seed for the initial sample (selectors carry their own RNGs).
+  uint64_t seed = 1;
+  // Ground-truth-free termination: stop once the model's predictions over
+  // the evaluation rows are unchanged for this many consecutive iterations
+  // (0 disables). Section 6.3 of the paper motivates termination criteria
+  // that do not require ground truth.
+  size_t plateau_window = 0;
+  // Warm-start refits (see above).
+  WarmStartMode warm_start = WarmStartMode::kOff;
+  // Active ensemble of high-precision classifiers (paper §5.2) when > 0:
+  // the precision threshold tau a candidate must clear on its labeled
+  // predicted positives to be accepted. 0 means a plain run.
+  double ensemble_precision = 0.0;
+};
+
+struct IterationStats {
+  size_t iteration = 0;
+  // Cumulative #labels consumed (including the seed).
+  size_t labels_used = 0;
+  BinaryMetrics metrics;
+
+  // Phase latencies, each derived from the phase's trace span (obs::ObsSpan)
+  // so the recorded trace and the stats can never disagree.
+  double train_seconds = 0.0;
+  // Full example-selection span; committee + scoring below are the
+  // selector-reported breakdown of it (Fig. 10).
+  double select_seconds = 0.0;
+  double committee_seconds = 0.0;
+  double scoring_seconds = 0.0;
+  // Evaluation and Oracle-labeling time, excluded from user wait time: the
+  // paper's wait metric (Fig. 13) covers only what blocks the user between
+  // submitting labels and receiving the next batch.
+  double evaluate_seconds = 0.0;
+  double label_seconds = 0.0;
+  // train_seconds + select_seconds, summed from the phase spans rather than
+  // read from an independently restarted wall clock.
+  double wait_seconds = 0.0;
+
+  // Interpretability (0 when not applicable to the learner).
+  size_t dnf_atoms = 0;
+  int tree_depth = 0;
+
+  // Selection-time blocking counters (margin selector only).
+  size_t scored_examples = 0;
+  size_t pruned_examples = 0;
+
+  // #accepted classifiers (active-ensemble runs only).
+  size_t ensemble_size = 0;
+};
+
+struct SeedResult {
+  // #examples labeled while seeding (counts toward the budget).
+  size_t labeled = 0;
+  // False when the pool ran out of unlabeled examples before both classes
+  // appeared. Callers that need a trainable seed should surface this as a
+  // diagnosable condition (a single-class pool, e.g. an all-negative
+  // candidate set, makes every learner degenerate).
+  bool has_both_classes = false;
+};
+
+// Labels a random seed batch, retrying with extra random examples until both
+// classes are present (a learner cannot be trained otherwise). Retrying is
+// bounded by pool exhaustion: on a single-class pool the loop stops when no
+// unlabeled examples remain and reports has_both_classes = false rather than
+// labeling forever.
+SeedResult SeedPool(ActivePool& pool, Oracle& oracle, size_t seed_size,
+                    uint64_t seed);
+
+// Collects interpretability statistics from learners that support them.
+void CollectInterpretability(const Learner& learner, IterationStats* stats);
 
 enum class SessionState {
   kNeedsStep,       // Ready to train/evaluate the next iteration.
@@ -126,7 +241,7 @@ class LabelingSession {
   // freshly constructed (no labels) over the same dataset, with the same
   // exclusions applied, and learner/selector/oracle/evaluator must match
   // the original run's construction — the snapshot re-labels the pool and
-  // restores model, RNG streams, curve, and plateau state. Returns null
+  // restores model, RNG streams, curve, and evaluation cache. Returns null
   // with *error set when the snapshot is incomplete or inconsistent.
   static std::unique_ptr<LabelingSession> Restore(
       Learner& learner, ExampleSelector& selector, Oracle& oracle,
@@ -216,11 +331,12 @@ class LabelingSession {
   // Delta-based progressive F1 (docs/training.md): updates the TP/FP/FN/TN
   // tally for only the rows whose prediction changed since the cached
   // previous iteration, falling back to a full ComputeBinaryMetrics rescore
-  // when the cache is cold and auditing against one periodically. Counts
-  // updated rows into eval.rows_rescored. Bitwise-equal doubles to a full
-  // rescore: both funnel through MetricsFromCounts.
+  // when the cache is cold (the first Step) and auditing against one
+  // periodically. Counts updated rows into eval.rows_rescored, and counts
+  // the Step as stable when the cache was warm and no prediction changed.
+  // Bitwise-equal doubles to a full rescore: both funnel through
+  // MetricsFromCounts.
   BinaryMetrics EvaluateIncremental(const std::vector<int>& predictions);
-  void ResetEvalCache();
 
   bool ensemble() const { return config_.ensemble_precision > 0.0; }
   // The ensemble's prediction for `rows`: 1 where an accepted member covers
@@ -249,10 +365,6 @@ class LabelingSession {
   IterationStats stats_;  // The in-flight iteration's record.
   std::vector<size_t> pending_batch_;
 
-  // Plateau-termination state (config.plateau_window > 0).
-  std::vector<int> previous_predictions_;
-  size_t stable_iterations_ = 0;
-
   // Whether this iteration's candidate was fit (always true for a plain
   // run; an ensemble fits only while its uncovered labeled rows hold both
   // classes). NextBatch selects only for a trainable candidate.
@@ -265,16 +377,19 @@ class LabelingSession {
 
   // Incremental-evaluation cache: the previous iteration's predictions
   // aligned with evaluator_.eval_rows(), the confusion tally they imply,
-  // and the countdown to the next full-rescore audit (0 = cold, full
-  // rescore next Step). Snapshotted as the "IEVL" section so
-  // eval.rows_rescored stitches exactly across save/resume; a malformed or
-  // absent section degrades to a cold cache, never a restore failure.
+  // the countdown to the next full-rescore audit (0 = cold, full rescore
+  // next Step), and the number of consecutive Steps whose predictions all
+  // matched the cache, which plateau termination reads. Snapshotted as the
+  // "IEVL" section, which every snapshot past iteration 0 carries: the
+  // stable count decides when a plateaued run stops, and eval.rows_rescored
+  // stitches exactly across save/resume only from a warm cache.
   std::vector<uint8_t> eval_cache_;
   uint64_t eval_tp_ = 0;
   uint64_t eval_fp_ = 0;
   uint64_t eval_fn_ = 0;
   uint64_t eval_tn_ = 0;
   uint32_t eval_audit_countdown_ = 0;
+  uint64_t stable_iterations_ = 0;
 
   // The loop.run / loop.iteration trace spans outlive single calls, so the
   // session holds them open across the step-wise API (ObsSpan is

@@ -82,6 +82,17 @@ TEST_P(BlockingEquivalenceTest, MatchesBruteForce) {
 INSTANTIATE_TEST_SUITE_P(AllProfiles, BlockingEquivalenceTest,
                          ::testing::Range(0, 9));
 
+// Above every profile's threshold, where few token overlaps survive.
+TEST(BlockingTest, HighThresholdMatchesBruteForce) {
+  const EmDataset dataset = GenerateDataset(AbtBuyProfile(), 5, 0.2);
+  for (const double threshold : {0.5, 0.8, 0.99}) {
+    const BlockingConfig config{threshold};
+    EXPECT_EQ(JaccardBlocking(dataset, config),
+              JaccardBlockingBruteForce(dataset, config))
+        << threshold;
+  }
+}
+
 TEST(BlockingTest, RecallOnSyntheticDatasetsIsHigh) {
   for (const SynthProfile& profile : AllPublicProfiles()) {
     const EmDataset dataset = GenerateDataset(profile, 5, 0.5);

@@ -6,7 +6,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "core/active_loop.h"
 #include "core/evaluator.h"
 #include "core/learner.h"
 #include "core/oracle.h"

@@ -7,12 +7,12 @@
 #include <cmath>
 #include <set>
 
-#include "core/active_loop.h"
 #include "core/evaluator.h"
 #include "core/learner.h"
 #include "core/oracle.h"
 #include "core/pool.h"
 #include "core/selector.h"
+#include "core/session.h"
 #include "util/rng.h"
 
 namespace alem {
@@ -81,8 +81,9 @@ TEST(IwalSelectorTest, RunsInsideTheLoop) {
   IwalSelector selector(3, 0.1, 5);
   ActiveLearningConfig config;
   config.max_labels = 150;
-  ActiveLearningLoop loop(learner, selector, oracle, evaluator, config);
-  const auto curve = loop.Run(pool);
+  LabelingSession session(learner, selector, oracle, evaluator, pool, config);
+  session.Run();
+  const auto curve = std::move(session).TakeCurve();
   EXPECT_GT(curve.back().metrics.f1, 0.8);
 }
 
@@ -235,8 +236,9 @@ TEST(PlateauTerminationTest, StopsWhenPredictionsStabilize) {
   ActiveLearningConfig config;
   config.max_labels = 490;  // Would run ~46 iterations without the plateau.
   config.plateau_window = 3;
-  ActiveLearningLoop loop(learner, selector, oracle, evaluator, config);
-  const auto curve = loop.Run(pool);
+  LabelingSession session(learner, selector, oracle, evaluator, pool, config);
+  session.Run();
+  const auto curve = std::move(session).TakeCurve();
   // An easy separable problem stabilizes long before the budget runs out.
   EXPECT_LT(curve.back().labels_used, 490u);
   // The plateau window requires at least window+1 evaluations.

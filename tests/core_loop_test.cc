@@ -2,12 +2,12 @@
 
 #include <algorithm>
 
-#include "core/active_loop.h"
 #include "core/evaluator.h"
 #include "core/learner.h"
 #include "core/oracle.h"
 #include "core/pool.h"
 #include "core/selector.h"
+#include "core/session.h"
 #include "obs/obs.h"
 #include "util/rng.h"
 
@@ -49,7 +49,7 @@ TEST(SeedPoolTest, LabelsBothClasses) {
   EXPECT_TRUE(std::count(labels.begin(), labels.end(), 0) > 0);
 }
 
-TEST(ActiveLearningLoopTest, F1ImprovesAndLabelsGrow) {
+TEST(SessionRunTest, F1ImprovesAndLabelsGrow) {
   const Problem problem = MakeProblem(800, 2);
   ActivePool pool(problem.features);
   PerfectOracle oracle(problem.truth);
@@ -58,8 +58,9 @@ TEST(ActiveLearningLoopTest, F1ImprovesAndLabelsGrow) {
   MarginSelector selector;
   ActiveLearningConfig config;
   config.max_labels = 150;
-  ActiveLearningLoop loop(learner, selector, oracle, evaluator, config);
-  const std::vector<IterationStats> curve = loop.Run(pool);
+  LabelingSession session(learner, selector, oracle, evaluator, pool, config);
+  session.Run();
+  const std::vector<IterationStats> curve = std::move(session).TakeCurve();
 
   ASSERT_GE(curve.size(), 2u);
   // Labels grow by the batch size each iteration.
@@ -71,7 +72,7 @@ TEST(ActiveLearningLoopTest, F1ImprovesAndLabelsGrow) {
   EXPECT_LE(curve.back().labels_used, 150u);
 }
 
-TEST(ActiveLearningLoopTest, StopsAtMaxLabels) {
+TEST(SessionRunTest, StopsAtMaxLabels) {
   const Problem problem = MakeProblem(400, 3);
   ActivePool pool(problem.features);
   PerfectOracle oracle(problem.truth);
@@ -80,13 +81,13 @@ TEST(ActiveLearningLoopTest, StopsAtMaxLabels) {
   MarginSelector selector;
   ActiveLearningConfig config;
   config.max_labels = 60;
-  ActiveLearningLoop loop(learner, selector, oracle, evaluator, config);
-  loop.Run(pool);
+  LabelingSession session(learner, selector, oracle, evaluator, pool, config);
+  session.Run();
   EXPECT_LE(pool.num_labeled(), 60u);
   EXPECT_LE(oracle.queries(), 60u);
 }
 
-TEST(ActiveLearningLoopTest, StopsAtTargetF1) {
+TEST(SessionRunTest, StopsAtTargetF1) {
   const Problem problem = MakeProblem(600, 4);
   ActivePool pool(problem.features);
   PerfectOracle oracle(problem.truth);
@@ -98,13 +99,14 @@ TEST(ActiveLearningLoopTest, StopsAtTargetF1) {
   ActiveLearningConfig config;
   config.max_labels = 500;
   config.target_f1 = 0.95;
-  ActiveLearningLoop loop(learner, selector, oracle, evaluator, config);
-  const auto curve = loop.Run(pool);
+  LabelingSession session(learner, selector, oracle, evaluator, pool, config);
+  session.Run();
+  const auto curve = std::move(session).TakeCurve();
   EXPECT_GE(curve.back().metrics.f1, 0.95);
   EXPECT_LT(pool.num_labeled(), 500u);  // Stopped well before the budget.
 }
 
-TEST(ActiveLearningLoopTest, RecordsLatencyBreakdown) {
+TEST(SessionRunTest, RecordsLatencyBreakdown) {
   const Problem problem = MakeProblem(400, 5);
   ActivePool pool(problem.features);
   PerfectOracle oracle(problem.truth);
@@ -113,8 +115,9 @@ TEST(ActiveLearningLoopTest, RecordsLatencyBreakdown) {
   QbcSelector selector(3, 7);
   ActiveLearningConfig config;
   config.max_labels = 70;
-  ActiveLearningLoop loop(learner, selector, oracle, evaluator, config);
-  const auto curve = loop.Run(pool);
+  LabelingSession session(learner, selector, oracle, evaluator, pool, config);
+  session.Run();
+  const auto curve = std::move(session).TakeCurve();
   for (size_t i = 0; i + 1 < curve.size(); ++i) {
     EXPECT_GT(curve[i].train_seconds, 0.0);
     EXPECT_GT(curve[i].committee_seconds, 0.0);  // QBC builds committees.
@@ -126,7 +129,7 @@ TEST(ActiveLearningLoopTest, RecordsLatencyBreakdown) {
 // wait_seconds must equal the sum of the measured train + select phase
 // spans (single measurement, no separately restarted wall clock), so the
 // trace and the learning curve tell the same latency story.
-TEST(ActiveLearningLoopTest, WaitSecondsIsSumOfPhaseSpans) {
+TEST(SessionRunTest, WaitSecondsIsSumOfPhaseSpans) {
   obs::TraceRecorder::Global().Clear();
   obs::SetTracingEnabled(true);
 
@@ -138,8 +141,9 @@ TEST(ActiveLearningLoopTest, WaitSecondsIsSumOfPhaseSpans) {
   QbcSelector selector(3, 7);
   ActiveLearningConfig config;
   config.max_labels = 70;
-  ActiveLearningLoop loop(learner, selector, oracle, evaluator, config);
-  const auto curve = loop.Run(pool);
+  LabelingSession session(learner, selector, oracle, evaluator, pool, config);
+  session.Run();
+  const auto curve = std::move(session).TakeCurve();
 
   obs::SetTracingEnabled(false);
   const std::vector<obs::SpanRecord> spans =
@@ -169,7 +173,7 @@ TEST(ActiveLearningLoopTest, WaitSecondsIsSumOfPhaseSpans) {
   }
 }
 
-TEST(ActiveLearningLoopTest, CollectsInterpretabilityForForests) {
+TEST(SessionRunTest, CollectsInterpretabilityForForests) {
   const Problem problem = MakeProblem(400, 6);
   ActivePool pool(problem.features);
   PerfectOracle oracle(problem.truth);
@@ -180,24 +184,29 @@ TEST(ActiveLearningLoopTest, CollectsInterpretabilityForForests) {
   ForestQbcSelector selector(2);
   ActiveLearningConfig config;
   config.max_labels = 60;
-  ActiveLearningLoop loop(learner, selector, oracle, evaluator, config);
-  const auto curve = loop.Run(pool);
+  LabelingSession session(learner, selector, oracle, evaluator, pool, config);
+  session.Run();
+  const auto curve = std::move(session).TakeCurve();
   EXPECT_GT(curve.back().dnf_atoms, 0u);
   EXPECT_GT(curve.back().tree_depth, 0);
 }
 
-TEST(ActiveLearningLoopTest, IncompatibleSelectorAborts) {
+TEST(SessionRunTest, IncompatibleSelectorAborts) {
   SvmLearner svm;
   LfpLfnSelector selector;  // Rules-only.
   PerfectOracle oracle({0, 1});
   ProgressiveEvaluator evaluator({0, 1});
+  ActivePool pool(FeatureMatrix(2, 1));
   ActiveLearningConfig config;
   EXPECT_DEATH(
-      { ActiveLearningLoop loop(svm, selector, oracle, evaluator, config); },
+      {
+        LabelingSession session(svm, selector, oracle, evaluator, pool,
+                                config);
+      },
       "CompatibleWith");
 }
 
-TEST(ActiveLearningLoopTest, HoldoutEvaluationNeverSelectsTestRows) {
+TEST(SessionRunTest, HoldoutEvaluationNeverSelectsTestRows) {
   const Problem problem = MakeProblem(500, 7);
   ActivePool pool(problem.features);
   // Hold out the first 100 rows.
@@ -214,8 +223,8 @@ TEST(ActiveLearningLoopTest, HoldoutEvaluationNeverSelectsTestRows) {
   MarginSelector selector;
   ActiveLearningConfig config;
   config.max_labels = 100;
-  ActiveLearningLoop loop(learner, selector, oracle, evaluator, config);
-  loop.Run(pool);
+  LabelingSession session(learner, selector, oracle, evaluator, pool, config);
+  session.Run();
   for (size_t i = 0; i < 100; ++i) {
     EXPECT_FALSE(pool.IsLabeled(i)) << "test row " << i << " was labeled";
   }

@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/active_loop.h"
 #include "core/evaluator.h"
 #include "core/learner.h"
 #include "core/oracle.h"
@@ -48,8 +47,9 @@ TEST(EdgeCaseTest, PoolSmallerThanSeedLabelsEverything) {
   ActiveLearningConfig config;
   config.seed_size = 30;  // Bigger than the pool.
   config.max_labels = 100;
-  ActiveLearningLoop loop(learner, selector, oracle, evaluator, config);
-  const auto curve = loop.Run(pool);
+  LabelingSession session(learner, selector, oracle, evaluator, pool, config);
+  session.Run();
+  const auto curve = std::move(session).TakeCurve();
   EXPECT_EQ(pool.num_labeled(), 20u);
   EXPECT_FALSE(curve.empty());
 }
@@ -67,8 +67,9 @@ TEST(EdgeCaseTest, AllNegativePoolTerminatesGracefully) {
   ForestQbcSelector selector(1);
   ActiveLearningConfig config;
   config.max_labels = 100;
-  ActiveLearningLoop loop(learner, selector, oracle, evaluator, config);
-  const auto curve = loop.Run(pool);
+  LabelingSession session(learner, selector, oracle, evaluator, pool, config);
+  session.Run();
+  const auto curve = std::move(session).TakeCurve();
   ASSERT_FALSE(curve.empty());
   // Everything predicted negative: F1 undefined -> 0, never NaN.
   EXPECT_EQ(curve.back().metrics.f1, 0.0);
@@ -84,8 +85,9 @@ TEST(EdgeCaseTest, BudgetBelowSeedStopsAfterFirstEvaluation) {
   ActiveLearningConfig config;
   config.seed_size = 30;
   config.max_labels = 10;  // Below the seed size.
-  ActiveLearningLoop loop(learner, selector, oracle, evaluator, config);
-  const auto curve = loop.Run(pool);
+  LabelingSession session(learner, selector, oracle, evaluator, pool, config);
+  session.Run();
+  const auto curve = std::move(session).TakeCurve();
   EXPECT_EQ(curve.size(), 1u);  // One evaluation, no further selection.
 }
 
@@ -100,8 +102,8 @@ TEST(EdgeCaseTest, BatchLargerThanRemainingPool) {
   config.seed_size = 30;
   config.batch_size = 100;  // Far more than the 15 remaining examples.
   config.max_labels = 1000;
-  ActiveLearningLoop loop(learner, selector, oracle, evaluator, config);
-  loop.Run(pool);
+  LabelingSession session(learner, selector, oracle, evaluator, pool, config);
+  session.Run();
   EXPECT_EQ(pool.num_labeled(), 45u);  // Exhausted, no overflow.
 }
 
@@ -116,8 +118,9 @@ TEST(EdgeCaseTest, FullyNoisyOracleStillTerminates) {
   ForestQbcSelector selector(2);
   ActiveLearningConfig config;
   config.max_labels = 80;
-  ActiveLearningLoop loop(learner, selector, oracle, evaluator, config);
-  const auto curve = loop.Run(pool);
+  LabelingSession session(learner, selector, oracle, evaluator, pool, config);
+  session.Run();
+  const auto curve = std::move(session).TakeCurve();
   ASSERT_FALSE(curve.empty());
   // Learning inverted labels: progressive F1 on the true labels collapses.
   EXPECT_LT(curve.back().metrics.f1, 0.3);

@@ -14,18 +14,20 @@
 //     including empty and one-row deltas (every session evaluates through
 //     it; the golden replays pin its curves bitwise).
 //   * Every session writes the IEVL snapshot section once it has evaluated;
-//     the section round-trips, and a corrupt one degrades to a cold
-//     evaluation cache — never a restore failure.
+//     the section round-trips, and a restore fails with an error naming it
+//     when it is missing after the first Step, present before it, or does
+//     not fit the evaluator, its predictions or the iteration count.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <string>
 #include <vector>
 
-#include "core/active_loop.h"
 #include "core/evaluator.h"
 #include "core/learner.h"
 #include "core/oracle.h"
@@ -354,33 +356,11 @@ ActiveLearningConfig TestConfig(WarmStartMode mode) {
   config.seed_size = 30;
   config.batch_size = 10;
   config.max_labels = 100;
-  // Plateau-termination restarts exercise the interaction between the
-  // prediction cache the plateau check keeps and the evaluation cache.
+  // A window the runs never reach: the plateau count still rides in the
+  // IEVL section across every save/resume below.
   config.plateau_window = 50;
   config.warm_start = mode;
   return config;
-}
-
-void Drive(LabelingSession* session, size_t stop_after = 0) {
-  while (!session->finished()) {
-    if (stop_after > 0 && session->state() == SessionState::kNeedsStep &&
-        session->curve().size() >= stop_after) {
-      return;
-    }
-    switch (session->state()) {
-      case SessionState::kNeedsStep:
-        ASSERT_TRUE(session->Step());
-        break;
-      case SessionState::kBatchReady:
-        session->NextBatch();
-        break;
-      case SessionState::kAwaitingLabels:
-        ASSERT_TRUE(session->SubmitLabels());
-        break;
-      default:
-        FAIL() << "unexpected state";
-    }
-  }
 }
 
 void ExpectCurvesIdentical(const std::vector<IterationStats>& expected,
@@ -404,7 +384,7 @@ std::vector<IterationStats> RunSession(const Problem& problem,
   Env env(problem);
   LabelingSession session(env.learner, env.selector, env.oracle,
                           env.evaluator, env.pool, TestConfig(mode));
-  Drive(&session);
+  session.Run();
   EXPECT_EQ(session.state(), SessionState::kFinished);
   return std::move(session).TakeCurve();
 }
@@ -457,7 +437,7 @@ TEST(WarmStartSessionTest, WarmSaveResumeBitwiseIdentical) {
     LabelingSession first(first_env.learner, first_env.selector,
                           first_env.oracle, first_env.evaluator,
                           first_env.pool, TestConfig(WarmStartMode::kOn));
-    Drive(&first, boundary);
+    first.Run(boundary);
     ASSERT_EQ(first.state(), SessionState::kNeedsStep);
 
     SessionSnapshot saved;
@@ -478,43 +458,96 @@ TEST(WarmStartSessionTest, WarmSaveResumeBitwiseIdentical) {
         second_env.learner, second_env.selector, second_env.oracle,
         second_env.evaluator, second_env.pool, loaded, &error);
     ASSERT_NE(resumed, nullptr) << error;
-    Drive(resumed.get());
+    resumed->Run();
     ASSERT_EQ(resumed->state(), SessionState::kFinished);
     ExpectCurvesIdentical(golden, std::move(*resumed).TakeCurve());
   }
 }
 
-// A corrupt (or garbage) IEVL section must degrade to a cold evaluation
-// cache on restore — never fail the restore — and since the incremental
-// tally equals a full rescore exactly, the finished curve is still
-// bitwise-identical to the uninterrupted run.
-TEST(WarmStartSessionTest, CorruptEvalCacheFallsBackCold) {
+// The IEVL section is required state from the first Step on: it holds the
+// plateau count, and eval.rows_rescored stitches only from a warm cache. A
+// restore therefore fails, with an error naming the section, whenever it is
+// missing, misplaced or does not fit. Layout: u64 rows, one 0/1 byte per
+// row, u64 TP/FP/FN/TN, u32 audit countdown, u64 stable count.
+TEST(EvalCacheRestoreTest, BadSectionFailsNamingIevl) {
   const Problem problem = MakeProblem(600, 36);
-  const std::vector<IterationStats> golden =
-      RunSession(problem, WarmStartMode::kOn);
-  ASSERT_GE(golden.size(), 3u);
-
+  const size_t n = problem.truth.size();
+  const ActiveLearningConfig config = TestConfig(WarmStartMode::kOn);
   Env first_env(problem);
   LabelingSession first(first_env.learner, first_env.selector,
                         first_env.oracle, first_env.evaluator, first_env.pool,
-                        TestConfig(WarmStartMode::kOn));
-  Drive(&first, 2);
-  ASSERT_EQ(first.state(), SessionState::kNeedsStep);
-
-  SessionSnapshot saved;
+                        config);
+  SessionSnapshot at_start;
   std::string error;
+  ASSERT_TRUE(first.SaveTo(&at_start, &error)) << error;
+  first.Run(2);
+  ASSERT_EQ(first.state(), SessionState::kNeedsStep);
+  SessionSnapshot saved;
   ASSERT_TRUE(first.SaveTo(&saved, &error)) << error;
-  ASSERT_TRUE(saved.has("IEVL"));
-  saved.set("IEVL", "definitely not a valid eval cache");
+  const std::string ievl = saved.section("IEVL");
+  ASSERT_EQ(ievl.size(), 8 + n + 4 * 8 + 4 + 8);
 
-  Env second_env(problem);
-  std::unique_ptr<LabelingSession> resumed = LabelingSession::Restore(
-      second_env.learner, second_env.selector, second_env.oracle,
-      second_env.evaluator, second_env.pool, saved, &error);
-  ASSERT_NE(resumed, nullptr) << error;
-  Drive(resumed.get());
-  ASSERT_EQ(resumed->state(), SessionState::kFinished);
-  ExpectCurvesIdentical(golden, std::move(*resumed).TakeCurve());
+  // `ievl` with the u64 at `offset` replaced by `value`.
+  const auto with_u64 = [&](size_t offset, uint64_t value) {
+    std::string out = ievl;
+    std::memcpy(out.data() + offset, &value, sizeof(value));
+    return out;
+  };
+  uint64_t tp = 0;
+  std::memcpy(&tp, ievl.data() + 8 + n, sizeof(tp));
+  std::string two = ievl;
+  two[8] = 2;  // A prediction other than 0/1.
+  std::string no_countdown = ievl;
+  std::memset(no_countdown.data() + 8 + n + 32, 0, 4);
+
+  struct Case {
+    const char* name;
+    const SessionSnapshot* base;
+    std::optional<std::string> ievl;  // nullopt erases the section.
+    std::string message;              // Empty: the restore succeeds.
+  };
+  const Case cases[] = {
+      {"untouched", &saved, ievl, ""},
+      {"missing after Step 1", &saved, std::nullopt,
+       "missing section 'IEVL'"},
+      {"present at iteration 0", &at_start, ievl,
+       "unexpected section 'IEVL' at iteration 0"},
+      {"truncated", &saved, ievl.substr(0, ievl.size() - 1),
+       "malformed evaluation-cache section 'IEVL'"},
+      // A corrupt section used to fall back to a cold cache.
+      {"garbage", &saved, "definitely not a valid eval cache",
+       "truncated evaluation-cache section 'IEVL'"},
+      {"row count", &saved, with_u64(0, n + 1),
+       "'IEVL' has 601 rows for an evaluator of 600"},
+      {"prediction byte", &saved, two,
+       "'IEVL' holds a prediction other than 0/1"},
+      {"tally", &saved, with_u64(8 + n, tp + 1),
+       "'IEVL' tally disagrees with its predictions"},
+      {"audit countdown", &saved, no_countdown,
+       "'IEVL' audit countdown out of range"},
+      {"stable count", &saved, with_u64(8 + n + 36, 2),
+       "'IEVL' counts 2 stable steps at iteration 2"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    SessionSnapshot bad = *c.base;
+    if (c.ievl.has_value()) {
+      bad.set("IEVL", *c.ievl);
+    } else {
+      bad.sections.erase("IEVL");
+    }
+    Env second_env(problem);
+    std::string message;
+    const std::unique_ptr<LabelingSession> resumed = LabelingSession::Restore(
+        second_env.learner, second_env.selector, second_env.oracle,
+        second_env.evaluator, second_env.pool, bad, &message);
+    if (c.message.empty()) {
+      EXPECT_NE(resumed, nullptr) << message;
+    } else {
+      EXPECT_EQ(resumed, nullptr);
+      EXPECT_NE(message.find(c.message), std::string::npos) << message;
+    }
+  }
 }
 
 // Every session evaluates incrementally, so in either warm-start mode the
@@ -531,7 +564,7 @@ TEST(WarmStartSessionTest, EverySessionWritesEvalSectionAfterFirstStep) {
     std::string error;
     ASSERT_TRUE(session.SaveTo(&saved, &error)) << error;
     EXPECT_FALSE(saved.has("IEVL"));
-    Drive(&session, 1);
+    session.Run(1);
     ASSERT_TRUE(session.SaveTo(&saved, &error)) << error;
     EXPECT_TRUE(saved.has("IEVL"));
   }
@@ -557,21 +590,26 @@ TEST(WarmStartModeTest, UnknownSnapshotModeByteIsMalformed) {
   LabelingSession session(env.learner, env.selector, env.oracle,
                           env.evaluator, env.pool,
                           TestConfig(WarmStartMode::kOff));
-  Drive(&session, 1);
+  session.Run(1);
   SessionSnapshot saved;
   std::string error;
   ASSERT_TRUE(session.SaveTo(&saved, &error)) << error;
-  std::string config = saved.section("BCFG");
-  config.back() = 2;
-  saved.set("BCFG", config);
-
-  ActiveLearningConfig decoded;
-  EXPECT_FALSE(DecodeSessionLoopConfig(saved, &decoded));
-  Env env2(problem);
-  EXPECT_EQ(LabelingSession::Restore(env2.learner, env2.selector, env2.oracle,
-                                     env2.evaluator, env2.pool, saved, &error),
-            nullptr);
-  EXPECT_NE(error.find("malformed config"), std::string::npos) << error;
+  const std::string config = saved.section("BCFG");
+  // A byte other than 0/1, and no byte at all (the layout that predates
+  // warm starts).
+  std::string unknown = config;
+  unknown.back() = 2;
+  for (const std::string& bad : {unknown, config.substr(0, config.size() - 1)}) {
+    saved.set("BCFG", bad);
+    ActiveLearningConfig decoded;
+    EXPECT_FALSE(DecodeSessionLoopConfig(saved, &decoded));
+    Env env2(problem);
+    EXPECT_EQ(LabelingSession::Restore(env2.learner, env2.selector,
+                                       env2.oracle, env2.evaluator, env2.pool,
+                                       saved, &error),
+              nullptr);
+    EXPECT_NE(error.find("malformed config"), std::string::npos) << error;
+  }
 }
 
 }  // namespace

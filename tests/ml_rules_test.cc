@@ -155,5 +155,50 @@ TEST(DnfRuleLearnerTest, RespectsMaxConjunctions) {
   EXPECT_LE(learner.dnf().conjunctions.size(), 1u);
 }
 
+// ---- Dnf::Simplify ----
+
+TEST(DnfSimplifyTest, RemovesSupersetsAndDuplicates) {
+  Dnf dnf;
+  dnf.conjunctions.push_back(Conjunction{{1, 2}});
+  dnf.conjunctions.push_back(Conjunction{{1, 2, 3}});  // Superset: redundant.
+  dnf.conjunctions.push_back(Conjunction{{2, 1}});     // Duplicate (order).
+  dnf.conjunctions.push_back(Conjunction{{5}});
+  const size_t removed = dnf.Simplify();
+  EXPECT_EQ(removed, 2u);
+  ASSERT_EQ(dnf.conjunctions.size(), 2u);
+  EXPECT_EQ(dnf.conjunctions[0].atoms, (std::vector<size_t>{1, 2}));
+  EXPECT_EQ(dnf.conjunctions[1].atoms, (std::vector<size_t>{5}));
+}
+
+TEST(DnfSimplifyTest, PreservesSemantics) {
+  Rng rng(4);
+  Dnf dnf;
+  for (int c = 0; c < 8; ++c) {
+    Conjunction conjunction;
+    const int atoms = static_cast<int>(rng.NextInRange(1, 4));
+    for (int a = 0; a < atoms; ++a) {
+      conjunction.atoms.push_back(rng.NextBelow(6));
+    }
+    dnf.conjunctions.push_back(conjunction);
+  }
+  Dnf simplified = dnf;
+  simplified.Simplify();
+  // Exhaustively check all 2^6 boolean inputs.
+  for (int mask = 0; mask < 64; ++mask) {
+    float row[6];
+    for (int a = 0; a < 6; ++a) row[a] = (mask >> a) & 1 ? 1.0f : 0.0f;
+    EXPECT_EQ(dnf.Matches(row), simplified.Matches(row)) << mask;
+  }
+}
+
+TEST(DnfSimplifyTest, EmptyAndSingleton) {
+  Dnf empty;
+  EXPECT_EQ(empty.Simplify(), 0u);
+  Dnf single;
+  single.conjunctions.push_back(Conjunction{{0}});
+  EXPECT_EQ(single.Simplify(), 0u);
+  EXPECT_EQ(single.conjunctions.size(), 1u);
+}
+
 }  // namespace
 }  // namespace alem

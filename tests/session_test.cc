@@ -3,8 +3,10 @@
 // a run paused at ANY iteration boundary and restored into a freshly
 // constructed environment must finish with a curve whose deterministic
 // fields are bitwise-identical to the uninterrupted run's, at any thread
-// count — active-ensemble sessions included. Corrupt, truncated, and
-// version-skewed snapshots must fail with clean errors, never crashes.
+// count — active-ensemble and plateau-terminated sessions included. The
+// plateau stop is checked against the rule it implements, recomputed from
+// the learner's predictions. Corrupt, truncated, and version-skewed
+// snapshots must fail with clean errors, never crashes.
 
 #include <gtest/gtest.h>
 
@@ -16,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "core/active_loop.h"
 #include "core/evaluator.h"
 #include "core/learner.h"
 #include "core/oracle.h"
@@ -29,27 +30,35 @@
 namespace alem {
 namespace {
 
-// A 2-D, mostly separable problem with 10% class skew (like EM pairs).
 struct Problem {
   FeatureMatrix features;
   std::vector<int> truth;
 };
 
-Problem MakeProblem(size_t n, uint64_t seed) {
+// 2-D blobs: every `stride`-th row is a positive around (high, high), the
+// rest negatives around (low, low), each coordinate with Gaussian noise of
+// standard deviation `spread`.
+Problem MakeBlobProblem(size_t n, uint64_t seed, size_t stride, double low,
+                        double high, double spread) {
   Rng rng(seed);
   Problem problem;
   problem.features = FeatureMatrix(n, 2);
   problem.truth.resize(n);
   for (size_t i = 0; i < n; ++i) {
-    const bool positive = i % 10 == 0;
-    const double center = positive ? 0.75 : 0.3;
+    const bool positive = i % stride == 0;
+    const double center = positive ? high : low;
     problem.features.Set(
-        i, 0, static_cast<float>(center + rng.NextGaussian() * 0.07));
+        i, 0, static_cast<float>(center + rng.NextGaussian() * spread));
     problem.features.Set(
-        i, 1, static_cast<float>(center + rng.NextGaussian() * 0.07));
+        i, 1, static_cast<float>(center + rng.NextGaussian() * spread));
     problem.truth[i] = positive ? 1 : 0;
   }
   return problem;
+}
+
+// A 2-D, mostly separable problem with 10% class skew (like EM pairs).
+Problem MakeProblem(size_t n, uint64_t seed) {
+  return MakeBlobProblem(n, seed, 10, 0.3, 0.75, 0.07);
 }
 
 // Two positive clusters around (0.85, 0.15) and (0.15, 0.85) with negatives
@@ -106,29 +115,17 @@ ActiveLearningConfig EnsembleTestConfig() {
   return config;
 }
 
-// Drives the session until it finishes or — when stop_after > 0 — until
-// that many iterations have completed and the session sits at the
-// needs_step boundary.
-void Drive(LabelingSession* session, size_t stop_after = 0) {
-  while (!session->finished()) {
-    if (stop_after > 0 && session->state() == SessionState::kNeedsStep &&
-        session->curve().size() >= stop_after) {
-      return;
-    }
-    switch (session->state()) {
-      case SessionState::kNeedsStep:
-        ASSERT_TRUE(session->Step());
-        break;
-      case SessionState::kBatchReady:
-        session->NextBatch();
-        break;
-      case SessionState::kAwaitingLabels:
-        ASSERT_TRUE(session->SubmitLabels());
-        break;
-      default:
-        FAIL() << "unexpected state";
-    }
-  }
+// Ends kPlateaued at iteration 9 on PlateauProblem(), well inside the
+// label budget; the streak that stops it starts at Step 7.
+Problem PlateauProblem() {
+  return MakeBlobProblem(600, 13, 10, 0.3, 0.75, 0.09);
+}
+
+ActiveLearningConfig PlateauTestConfig() {
+  ActiveLearningConfig config = TestConfig();
+  config.max_labels = 300;
+  config.plateau_window = 3;
+  return config;
 }
 
 // Bitwise equality on the deterministic curve fields. Timing fields
@@ -159,31 +156,14 @@ void ExpectCurvesIdentical(const std::vector<IterationStats>& expected,
   }
 }
 
-TEST(LabelingSessionTest, MatchesActiveLearningLoop) {
-  const Problem problem = MakeProblem(600, 11);
-  const ActiveLearningConfig config = TestConfig();
-
-  Env loop_env(problem);
-  ActiveLearningLoop loop(loop_env.learner, loop_env.selector,
-                          loop_env.oracle, loop_env.evaluator, config);
-  const std::vector<IterationStats> loop_curve = loop.Run(loop_env.pool);
-
-  Env session_env(problem);
-  LabelingSession session(session_env.learner, session_env.selector,
-                          session_env.oracle, session_env.evaluator,
-                          session_env.pool, config);
-  Drive(&session);
-  ASSERT_EQ(session.state(), SessionState::kFinished);
-  EXPECT_EQ(session.stop_reason(), StopReason::kBudgetExhausted);
-  ExpectCurvesIdentical(loop_curve, std::move(session).TakeCurve());
-}
-
 // The tentpole contract: pause at EVERY iteration boundary, round-trip the
 // snapshot through the serialized container, restore into a fresh
-// environment, and finish — the stitched curve must match the
-// uninterrupted run bitwise. Verified at 1 and 4 threads, for a plain run
-// and for an active ensemble (whose later boundaries carry a non-empty
-// coverage mask).
+// environment, and finish — the stitched curve and stop reason must match
+// the uninterrupted run bitwise. Verified at 1 and 4 threads, for a plain
+// run, for an active ensemble (whose later boundaries carry a non-empty
+// coverage mask) and for a plateau-terminated run (whose last
+// plateau_window - 1 boundaries fall inside the stable streak that stops
+// it).
 void SaveRestoreAtEveryBoundary(const Problem& problem,
                                 const ActiveLearningConfig& config,
                                 int threads) {
@@ -193,8 +173,13 @@ void SaveRestoreAtEveryBoundary(const Problem& problem,
   LabelingSession golden(golden_env.learner, golden_env.selector,
                          golden_env.oracle, golden_env.evaluator,
                          golden_env.pool, config);
-  Drive(&golden);
+  golden.Run();
   ASSERT_EQ(golden.state(), SessionState::kFinished);
+  const StopReason golden_stop = golden.stop_reason();
+  ASSERT_EQ(golden_stop, config.plateau_window > 0
+                             ? StopReason::kPlateaued
+                             : StopReason::kBudgetExhausted);
+  ASSERT_NE(config.plateau_window, 1u);  // A window of 1 has no streak.
   const std::vector<IterationStats> golden_curve =
       std::move(golden).TakeCurve();
   ASSERT_GE(golden_curve.size(), 3u);
@@ -210,7 +195,7 @@ void SaveRestoreAtEveryBoundary(const Problem& problem,
     LabelingSession first(first_env.learner, first_env.selector,
                           first_env.oracle, first_env.evaluator,
                           first_env.pool, config);
-    Drive(&first, boundary);
+    first.Run(boundary);
     ASSERT_EQ(first.state(), SessionState::kNeedsStep);
     ASSERT_EQ(first.curve().size(), boundary);
 
@@ -231,9 +216,9 @@ void SaveRestoreAtEveryBoundary(const Problem& problem,
     EXPECT_EQ(resumed->iteration(), boundary);
     EXPECT_EQ(resumed->resume_count(), 1u);
 
-    Drive(resumed.get());
+    resumed->Run();
     ASSERT_EQ(resumed->state(), SessionState::kFinished);
-    EXPECT_EQ(resumed->stop_reason(), StopReason::kBudgetExhausted);
+    EXPECT_EQ(resumed->stop_reason(), golden_stop);
     ExpectCurvesIdentical(golden_curve, std::move(*resumed).TakeCurve());
   }
   parallel::SetNumThreads(1);
@@ -257,6 +242,68 @@ TEST(SessionSnapshotTest, EnsembleSaveRestoreBitwiseEveryBoundaryFourThreads) {
                              EnsembleTestConfig(), 4);
 }
 
+TEST(SessionSnapshotTest, PlateauSaveRestoreBitwiseEveryBoundarySingleThread) {
+  SaveRestoreAtEveryBoundary(PlateauProblem(), PlateauTestConfig(), 1);
+}
+
+TEST(SessionSnapshotTest, PlateauSaveRestoreBitwiseEveryBoundaryFourThreads) {
+  SaveRestoreAtEveryBoundary(PlateauProblem(), PlateauTestConfig(), 4);
+}
+
+// ---- Plateau termination ------------------------------------------------
+
+// Runs a plateau_window = 3 session one Step at a time, recomputing the
+// plateau rule outside it after every Step: the learner's predictions over
+// the evaluator's rows are compared with the previous Step's, and the run
+// must stop kPlateaued exactly when three consecutive Steps matched (the
+// session derives the same count from its evaluation cache). *stopped_at
+// receives the iteration it stopped at.
+void ExpectPlateauWhereReferenceRuleStops(const Problem& problem,
+                                          size_t* stopped_at) {
+  ActivePool pool(problem.features);
+  PerfectOracle oracle(problem.truth);
+  ProgressiveEvaluator evaluator(problem.truth);
+  SvmLearner learner{LinearSvmConfig{}};
+  MarginSelector selector;
+  ActiveLearningConfig config;
+  config.max_labels = 490;
+  config.plateau_window = 3;
+  LabelingSession session(learner, selector, oracle, evaluator, pool, config);
+
+  std::vector<int> previous;
+  size_t stable = 0;
+  while (true) {
+    ASSERT_TRUE(session.Step());
+    SCOPED_TRACE("iteration " + std::to_string(session.iteration()));
+    const std::vector<size_t>& rows = evaluator.eval_rows();
+    std::vector<int> predictions(rows.size());
+    learner.PredictBatch(pool.features(), rows, predictions.data());
+    stable = predictions == previous ? stable + 1 : 0;
+    previous = std::move(predictions);
+    const bool plateaued = stable >= config.plateau_window;
+    if (session.NextBatch().empty()) {
+      ASSERT_TRUE(plateaued);
+      ASSERT_EQ(session.stop_reason(), StopReason::kPlateaued);
+      *stopped_at = session.iteration();
+      return;
+    }
+    ASSERT_FALSE(plateaued);
+    ASSERT_TRUE(session.SubmitLabels());
+  }
+}
+
+TEST(PlateauTest, StopsWhereTheReferenceRuleStops) {
+  // core_extensions_test's separable problem, and a noisier one whose
+  // predictions keep changing for longer.
+  size_t separable = 0;
+  ExpectPlateauWhereReferenceRuleStops(
+      MakeBlobProblem(500, 8, 5, 0.2, 0.8, 0.03), &separable);
+  size_t noisy = 0;
+  ExpectPlateauWhereReferenceRuleStops(
+      MakeBlobProblem(500, 8, 5, 0.35, 0.65, 0.1), &noisy);
+  EXPECT_GT(noisy, separable);
+}
+
 // A finished session snapshots and restores too (kFinished is an iteration
 // boundary); the restored session is immediately finished with the same
 // curve and stop reason.
@@ -267,7 +314,7 @@ TEST(SessionSnapshotTest, FinishedSessionRoundTrips) {
   Env env(problem);
   LabelingSession session(env.learner, env.selector, env.oracle,
                           env.evaluator, env.pool, config);
-  Drive(&session);
+  session.Run();
   ASSERT_EQ(session.state(), SessionState::kFinished);
 
   SessionSnapshot snapshot;
@@ -291,7 +338,7 @@ std::string SerializedSnapshot() {
   Env env(problem);
   LabelingSession session(env.learner, env.selector, env.oracle,
                           env.evaluator, env.pool, TestConfig());
-  Drive(&session, 1);
+  session.Run(1);
   SessionSnapshot snapshot;
   std::string error;
   EXPECT_TRUE(session.SaveTo(&snapshot, &error)) << error;
@@ -323,11 +370,18 @@ TEST(SessionSnapshotTest, TruncatedFileFailsCleanly) {
 
 TEST(SessionSnapshotTest, VersionSkewFailsCleanly) {
   std::string blob = SerializedSnapshot();
-  blob[4] = 99;  // Format version lives at bytes 4..7.
-  SessionSnapshot out;
-  std::string error;
-  EXPECT_FALSE(SessionSnapshot::Parse(blob, &out, &error));
-  EXPECT_NE(error.find("version"), std::string::npos) << error;
+  // The format version lives at bytes 4..7. Version 1 snapshots carry the
+  // plateau state in a section of their own, which this format dropped.
+  for (const uint32_t version : {1u, 99u}) {
+    std::memcpy(blob.data() + 4, &version, sizeof(version));
+    SessionSnapshot out;
+    std::string error;
+    EXPECT_FALSE(SessionSnapshot::Parse(blob, &out, &error));
+    EXPECT_NE(error.find("unsupported format version " +
+                         std::to_string(version)),
+              std::string::npos)
+        << error;
+  }
 }
 
 TEST(SessionSnapshotTest, BadMagicFailsCleanly) {
@@ -344,7 +398,7 @@ TEST(SessionSnapshotTest, MissingSectionFailsRestore) {
   Env env(problem);
   LabelingSession session(env.learner, env.selector, env.oracle,
                           env.evaluator, env.pool, TestConfig());
-  Drive(&session, 1);
+  session.Run(1);
   SessionSnapshot snapshot;
   std::string error;
   ASSERT_TRUE(session.SaveTo(&snapshot, &error)) << error;
@@ -363,7 +417,7 @@ TEST(SessionSnapshotTest, RestoreRequiresLabelFreePool) {
   Env env(problem);
   LabelingSession session(env.learner, env.selector, env.oracle,
                           env.evaluator, env.pool, TestConfig());
-  Drive(&session, 1);
+  session.Run(1);
   SessionSnapshot snapshot;
   std::string error;
   ASSERT_TRUE(session.SaveTo(&snapshot, &error)) << error;
@@ -386,7 +440,7 @@ TEST(SessionSnapshotTest, MalformedEnsembleSectionFailsRestore) {
                           env.evaluator, env.pool, EnsembleTestConfig());
   while (session.curve().empty() || session.curve().back().ensemble_size == 0) {
     ASSERT_FALSE(session.finished());
-    Drive(&session, session.curve().size() + 1);
+    session.Run(session.curve().size() + 1);
   }
   SessionSnapshot snapshot;
   std::string error;
@@ -455,7 +509,7 @@ std::string RestoreWithLearnerBlob(const Problem& problem,
   std::unique_ptr<Learner> learner = make_learner();
   LabelingSession session(*learner, selector, oracle, evaluator, pool,
                           TestConfig());
-  Drive(&session, 1);
+  session.Run(1);
   SessionSnapshot snapshot;
   std::string error;
   EXPECT_TRUE(session.SaveTo(&snapshot, &error)) << error;
@@ -620,7 +674,7 @@ TEST(LabelingSessionTest, InvalidTransitionsAreRecoverable) {
   EXPECT_EQ(session.state(), SessionState::kNeedsStep);
 
   // The session still works after every rejection above.
-  Drive(&session);
+  session.Run();
   EXPECT_EQ(session.state(), SessionState::kFinished);
 }
 

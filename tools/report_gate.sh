@@ -68,7 +68,13 @@
 #      produce stitched reports that replay the committed uninterrupted
 #      baselines with the curve exact and every counter exact
 #      (--exact-curve --counter-tol=0), stamped config.session="resumed" /
-#      session_resumes=1 (docs/sessions.md).
+#      session_resumes=1 (docs/sessions.md). The resumed linear-margin
+#      report must also match stage 1's fresh t1 report in both directions
+#      (a check looks up only its baseline's counters, and the committed
+#      baseline predates eval.rows_rescored, so the reverse direction is
+#      what pins every counter of the resumed run), and resuming a copy of
+#      its snapshot with one payload byte flipped must fail on the
+#      checksum.
 set -eu
 
 build_dir="${1:-build}"
@@ -404,10 +410,39 @@ mkdir -p "$work/cache_session"
     --cache-dir="$work/cache_session" \
     --snapshot="$work/gate.alss" --stop-after=2 > /dev/null
 "$cli" session resume --snapshot="$work/gate.alss" --threads=4 --no-cache \
-    --quiet --report="$work/resumed.report.json" > /dev/null
+    --quiet --report="$work/resumed.report.json" > "$work/resumed.out"
+if ! grep -q "resume #1" "$work/resumed.out"; then
+  echo "FAIL: resume banner missing:" >&2
+  cat "$work/resumed.out" >&2
+  exit 1
+fi
 "$report_tool" check \
     "$baseline_dir/cli_abtbuy_linear_margin.report.json" \
     "$work/resumed.report.json" --exact-curve --counter-tol=0
+"$report_tool" check "$work/t1.report.json" "$work/resumed.report.json" \
+    --exact-curve --counter-tol=0
+"$report_tool" check "$work/resumed.report.json" "$work/t1.report.json" \
+    --exact-curve --counter-tol=0
+# A snapshot with one payload byte flipped must be refused on its checksum.
+python3 - "$work/gate.alss" "$work/corrupt.alss" <<'EOF'
+import sys
+with open(sys.argv[1], "rb") as f:
+    blob = bytearray(f.read())
+blob[len(blob) // 2] ^= 0x5A
+with open(sys.argv[2], "wb") as f:
+    f.write(blob)
+EOF
+if "$cli" session resume --snapshot="$work/corrupt.alss" --no-cache \
+    > /dev/null 2> "$work/corrupt.err"; then
+  echo "FAIL: session resume accepted a corrupted snapshot" >&2
+  exit 1
+fi
+if ! grep -q checksum "$work/corrupt.err"; then
+  echo "FAIL: corrupted snapshot not rejected on its checksum:" >&2
+  cat "$work/corrupt.err" >&2
+  exit 1
+fi
+echo "corrupted snapshot rejected as expected"
 # The golden ensemble, paused after its first acceptance (iteration 3):
 # the ENSM section carries the coverage mask into the resumed process.
 mkdir -p "$work/cache_session_ensemble"
@@ -421,16 +456,20 @@ mkdir -p "$work/cache_session_ensemble"
 "$report_tool" check \
     "$baseline_dir/cli_abtbuy_linear_margin_ensemble.report.json" \
     "$work/resumed_ensemble.report.json" --exact-curve --counter-tol=0
-python3 - "$work/resumed.report.json" "$work/resumed_ensemble.report.json" \
-    <<'EOF'
+python3 - "$work/t1.report.json" "$work/resumed.report.json" \
+    "$work/resumed_ensemble.report.json" <<'EOF'
 import json, sys
-for path in sys.argv[1:]:
+fresh, *resumed = sys.argv[1:]
+with open(fresh) as f:
+    session = json.load(f)["config"].get("session")
+assert session == "fresh", session
+for path in resumed:
     with open(path) as f:
         report = json.load(f)
     config = report["config"]
     assert config.get("session") == "resumed", config.get("session")
     assert config.get("session_resumes") == 1, config.get("session_resumes")
 EOF
-echo "resumed runs replay the golden baselines exactly"
+echo "resumed runs replay the golden baselines and the fresh run exactly"
 
 echo "report gate OK"
