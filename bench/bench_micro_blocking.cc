@@ -1,7 +1,10 @@
-// Micro-benchmarks: offline blocking throughput — inverted-index blocking
-// vs the brute-force reference across dataset scales (google-benchmark).
+// Micro-benchmarks: offline blocking throughput — the posting-list join
+// vs the brute-force reference across dataset scales, and the join on the
+// pool-scan workload's input (google-benchmark).
 
 #include <benchmark/benchmark.h>
+
+#include <map>
 
 #include "blocking/jaccard_blocking.h"
 #include "synth/generator.h"
@@ -37,6 +40,24 @@ void BM_JaccardBlockingIndexed(benchmark::State& state) {
       static_cast<int64_t>(dataset.TotalPairs()));
 }
 BENCHMARK(BM_JaccardBlockingIndexed)->Arg(100)->Arg(300)->Arg(1000);
+
+// The input every pool-scan pass of bench/perf blocks: DBLP-Scholar at
+// data seed 7 and scale 4 (2,840 x 5,126 records), 33,991 pairs survive.
+void BM_JaccardBlockingPoolScan(benchmark::State& state) {
+  static const EmDataset& dataset =
+      *new EmDataset(GenerateDataset(DblpScholarProfile(), 7, 4.0));
+  const BlockingConfig config{0.1875};
+  size_t pairs = 0;
+  for (auto _ : state) {
+    pairs = JaccardBlocking(dataset, config).size();
+    benchmark::DoNotOptimize(pairs);
+  }
+  state.counters["post_blocking_pairs"] = static_cast<double>(pairs);
+  state.SetItemsProcessed(
+      static_cast<int64_t>(state.iterations()) *
+      static_cast<int64_t>(dataset.TotalPairs()));
+}
+BENCHMARK(BM_JaccardBlockingPoolScan)->Unit(benchmark::kMillisecond);
 
 void BM_JaccardBlockingBruteForce(benchmark::State& state) {
   const EmDataset& dataset = DatasetAtScale(static_cast<int>(state.range(0)));

@@ -1,6 +1,8 @@
 #include "blocking/jaccard_blocking.h"
 
 #include <algorithm>
+#include <cstddef>
+#include <cstdint>
 #include <string>
 #include <unordered_map>
 
@@ -51,6 +53,7 @@ std::vector<std::vector<int>> TokenizeWithDictionary(
 struct TokenizedDataset {
   std::vector<std::vector<int>> left;
   std::vector<std::vector<int>> right;
+  size_t vocabulary = 0;  // Distinct tokens of both tables; ids are below.
 };
 
 TokenizedDataset TokenizeDataset(const EmDataset& dataset) {
@@ -66,16 +69,11 @@ TokenizedDataset TokenizeDataset(const EmDataset& dataset) {
       TokenizeWithDictionary(dataset.left, left_columns, &dictionary);
   tokenized.right =
       TokenizeWithDictionary(dataset.right, right_columns, &dictionary);
+  tokenized.vocabulary = dictionary.size();
   return tokenized;
 }
 
 }  // namespace
-
-std::vector<std::vector<int>> TokenizeRecords(const Table& table,
-                                              const std::vector<int>& columns) {
-  TokenDictionary dictionary;
-  return TokenizeWithDictionary(table, columns, &dictionary);
-}
 
 double SortedJaccard(const std::vector<int>& a, const std::vector<int>& b) {
   if (a.empty() && b.empty()) return 1.0;
@@ -115,41 +113,64 @@ std::vector<RecordPair> JaccardBlocking(const EmDataset& dataset,
   using internal_blocking::TokenizeDataset;
   ALEM_CHECK_GT(config.jaccard_threshold, 0.0);
   const auto tokenized = TokenizeDataset(dataset);
+  const size_t vocabulary = tokenized.vocabulary;
+  const size_t num_right = tokenized.right.size();
 
-  // Inverted index: token id -> right-record ids containing it.
-  std::unordered_map<int, std::vector<uint32_t>> index;
-  for (uint32_t r = 0; r < tokenized.right.size(); ++r) {
-    for (const int token : tokenized.right[r]) {
-      index[token].push_back(r);
-    }
+  // Inverted index in CSR form: the right records holding token t are
+  // postings[offsets[t] .. offsets[t + 1]), ascending because records are
+  // appended in id order.
+  std::vector<uint32_t> offsets(vocabulary + 1, 0);
+  std::vector<uint32_t> right_sizes(num_right);
+  for (size_t r = 0; r < num_right; ++r) {
+    right_sizes[r] = static_cast<uint32_t>(tokenized.right[r].size());
+    for (const int token : tokenized.right[r]) ++offsets[token + 1];
+  }
+  for (size_t t = 0; t < vocabulary; ++t) offsets[t + 1] += offsets[t];
+  std::vector<uint32_t> postings(offsets[vocabulary]);
+  std::vector<uint32_t> cursor(offsets.begin(), offsets.end() - 1);
+  for (uint32_t r = 0; r < num_right; ++r) {
+    for (const int token : tokenized.right[r]) postings[cursor[token]++] = r;
   }
 
+  // Shared-token count per right record for the current left record, and
+  // the right records it made nonzero; only those are reset. Every probe
+  // writes its right id to the next touched slot, and the slot advances on
+  // a first touch only, so the probe loop has no data-dependent branch
+  // (the one spare slot takes the writes once every right record is in).
+  std::vector<uint32_t> overlap(num_right, 0);
+  std::vector<uint32_t> touched(num_right + 1);
+  uint32_t* const counts = overlap.data();
+  uint32_t* const touched_ids = touched.data();
   std::vector<RecordPair> pairs;
-  std::unordered_map<uint32_t, int> overlap;  // right id -> shared tokens.
   for (uint32_t l = 0; l < tokenized.left.size(); ++l) {
     const std::vector<int>& left_tokens = tokenized.left[l];
-    if (left_tokens.empty()) continue;
-    overlap.clear();
+    size_t num_touched = 0;
     for (const int token : left_tokens) {
-      const auto it = index.find(token);
-      if (it == index.end()) continue;
-      for (const uint32_t r : it->second) ++overlap[r];
+      const uint32_t* posting = postings.data() + offsets[token];
+      const uint32_t* const end = postings.data() + offsets[token + 1];
+      for (; posting != end; ++posting) {
+        touched_ids[num_touched] = *posting;
+        num_touched += counts[*posting]++ == 0 ? 1 : 0;
+      }
     }
-    for (const auto& [r, shared] : overlap) {
-      const size_t unions =
-          left_tokens.size() + tokenized.right[r].size() -
-          static_cast<size_t>(shared);
-      const double jaccard =
-          static_cast<double>(shared) / static_cast<double>(unions);
-      if (jaccard >= config.jaccard_threshold) {
+    const size_t first = pairs.size();
+    for (size_t k = 0; k < num_touched; ++k) {
+      const uint32_t r = touched_ids[k];
+      const size_t shared = counts[r];
+      counts[r] = 0;
+      // SortedJaccard's arithmetic, so every decision matches the
+      // brute-force reference.
+      const size_t unions = left_tokens.size() + right_sizes[r] - shared;
+      if (static_cast<double>(shared) / static_cast<double>(unions) >=
+          config.jaccard_threshold) {
         pairs.push_back(RecordPair{l, r});
       }
     }
+    std::sort(pairs.begin() + static_cast<std::ptrdiff_t>(first), pairs.end(),
+              [](const RecordPair& a, const RecordPair& b) {
+                return a.right < b.right;
+              });
   }
-  std::sort(pairs.begin(), pairs.end(), [](const RecordPair& a,
-                                           const RecordPair& b) {
-    return a.left != b.left ? a.left < b.left : a.right < b.right;
-  });
   CountCandidatePairs(pairs.size());
   return pairs;
 }

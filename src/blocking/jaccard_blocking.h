@@ -3,10 +3,11 @@
 // The paper prunes the Cartesian product of record pairs with a Jaccard
 // similarity threshold over the tokenized attributes of each pair (threshold
 // 0.1875 on Abt-Buy/DBLP-ACM/DBLP-Scholar, 0.12 on Amazon-GoogleProducts,
-// 0.16 on Cora and Walmart-Amazon). This module implements that step with a
-// token inverted index so that only pairs sharing at least one token are
-// scored, plus a brute-force reference implementation used by the tests to
-// verify exact equivalence.
+// 0.16 on Cora and Walmart-Amazon). This module implements that step as one
+// exact join: the right records' token ids form CSR posting lists, and each
+// left record counts its shared tokens per right record in a dense counter
+// array, so only pairs sharing at least one token are scored. A brute-force
+// reference implementation lets the tests verify exact equivalence.
 
 #ifndef ALEM_BLOCKING_JACCARD_BLOCKING_H_
 #define ALEM_BLOCKING_JACCARD_BLOCKING_H_
@@ -36,11 +37,6 @@ double BlockingRecall(const EmDataset& dataset,
                       const std::vector<RecordPair>& pairs);
 
 namespace internal_blocking {
-
-// Token-set representation used by both implementations: sorted unique token
-// ids of the concatenated matched columns of each record.
-std::vector<std::vector<int>> TokenizeRecords(
-    const Table& table, const std::vector<int>& columns);
 
 // Jaccard over two sorted unique int vectors.
 double SortedJaccard(const std::vector<int>& a, const std::vector<int>& b);

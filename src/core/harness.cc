@@ -360,7 +360,7 @@ RunEnv BuildRunEnv(const PreparedDataset& data, const RunConfig& config) {
                                       : data.float_features;
   ALEM_CHECK_GT(features.rows(), 0u);
 
-  RunEnv env{ActivePool(features), nullptr, nullptr, {}};
+  RunEnv env{ActivePool(&features), nullptr, nullptr, {}};
 
   // Evaluation protocol.
   if (config.holdout) {

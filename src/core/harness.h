@@ -130,7 +130,8 @@ RunResult RunActiveLearning(const PreparedDataset& data,
                             const RunConfig& config);
 
 // The per-run environment RunActiveLearning used to build inline: pool over
-// the approach-appropriate features, evaluation protocol, oracle, and the
+// the approach-appropriate features (a view of `data`'s matrix, so `data`
+// must outlive the environment), evaluation protocol, oracle, and the
 // instantiated approach. Factored out so a resumed session (which must
 // reconstruct the identical environment in a fresh process) and a fresh run
 // share one construction path — the RNG seed derivations inside are part of
@@ -166,7 +167,8 @@ bool ReadSessionRunInfo(const SessionSnapshot& snapshot, SessionRunInfo* info,
 // session sections; Restore() rebuilds the counters (histograms restart
 // empty — they are latency telemetry, not part of the determinism contract)
 // and the session from them. RunActiveLearning is a thin wrapper over this
-// class.
+// class. The runner's pool views the PreparedDataset's features, so the
+// dataset must outlive the runner.
 class SessionRunner {
  public:
   // Fresh run: builds the environment and seeds the session.

@@ -7,10 +7,18 @@
 namespace alem {
 
 ActivePool::ActivePool(FeatureMatrix features)
-    : features_(std::move(features)),
-      state_(features_.rows(), RowState::kUnlabeled),
-      excluded_(features_.rows(), 0),
-      labels_(features_.rows(), -1) {}
+    : ActivePool(std::make_unique<const FeatureMatrix>(std::move(features))) {}
+
+ActivePool::ActivePool(std::unique_ptr<const FeatureMatrix> owned)
+    : ActivePool(owned.get()) {
+  owned_ = std::move(owned);
+}
+
+ActivePool::ActivePool(const FeatureMatrix* features)
+    : features_(features),
+      state_(features_->rows(), RowState::kUnlabeled),
+      excluded_(features_->rows(), 0),
+      labels_(features_->rows(), -1) {}
 
 void ActivePool::AddLabel(size_t row, int label) {
   ALEM_CHECK_LT(row, size());
@@ -54,7 +62,7 @@ std::vector<size_t> ActivePool::ActiveLabeledRows() const {
 }
 
 FeatureMatrix ActivePool::ActiveLabeledFeatures() const {
-  return features_.Gather(ActiveLabeledRows());
+  return features_->Gather(ActiveLabeledRows());
 }
 
 std::vector<int> ActivePool::ActiveLabeledLabels() const {

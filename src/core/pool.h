@@ -5,22 +5,27 @@
 #define ALEM_CORE_POOL_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "features/feature_matrix.h"
 
 namespace alem {
 
-// Owns the feature matrix of all post-blocking pairs plus per-row state:
+// The feature matrix of all post-blocking pairs plus per-row state:
 // unlabeled (selectable), labeled (training data), excluded (never
 // selectable: held-out test rows, or rows covered by an accepted
 // active-ensemble classifier).
 class ActivePool {
  public:
+  // Owns `features`.
   explicit ActivePool(FeatureMatrix features);
+  // Views `*features`, which must outlive the pool: a run's pool over its
+  // PreparedDataset's matrix, so building or restoring a run copies none.
+  explicit ActivePool(const FeatureMatrix* features);
 
-  size_t size() const { return features_.rows(); }
-  const FeatureMatrix& features() const { return features_; }
+  size_t size() const { return features_->rows(); }
+  const FeatureMatrix& features() const { return *features_; }
 
   // --- Labeling ---
 
@@ -56,7 +61,10 @@ class ActivePool {
  private:
   enum class RowState : uint8_t { kUnlabeled, kLabeled };
 
-  FeatureMatrix features_;
+  explicit ActivePool(std::unique_ptr<const FeatureMatrix> owned);
+
+  std::unique_ptr<const FeatureMatrix> owned_;  // Null for a view.
+  const FeatureMatrix* features_;               // *owned_ or the view.
   std::vector<RowState> state_;
   std::vector<char> excluded_;
   std::vector<int> labels_;

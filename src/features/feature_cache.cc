@@ -89,14 +89,14 @@ bool FeatureCache::Load(const FeatureCacheKey& key, FeatureMatrix* out) const {
     CountCacheMiss();
     return false;
   }
-  // One buffer of the file's exact size: a multi-MB entry is read without
-  // the grow-and-copy steps of a stream buffer.
+  // The payload is read straight into the matrix: a multi-MB entry takes
+  // no intermediate buffer.
   const std::streamoff size = file.tellg();
-  std::string blob(size > 0 ? static_cast<size_t>(size) : 0, '\0');
   file.seekg(0);
-  file.read(blob.data(), static_cast<std::streamsize>(blob.size()));
   FeatureMatrix parsed;
-  if (!file.good() || !FeatureMatrix::Deserialize(blob, &parsed) ||
+  if (size < 0 ||
+      !FeatureMatrix::DeserializeFrom(file, static_cast<size_t>(size),
+                                      &parsed) ||
       parsed.dims() != key.num_dims) {
     CountCacheMiss();
     return false;
@@ -125,9 +125,7 @@ bool FeatureCache::Store(const FeatureCacheKey& key,
   {
     std::ofstream file(tmp_path, std::ios::binary | std::ios::trunc);
     if (!file.is_open()) return false;
-    const std::string blob = matrix.Serialize();
-    file.write(blob.data(), static_cast<std::streamsize>(blob.size()));
-    if (!file.good()) {
+    if (!matrix.SerializeTo(file)) {
       file.close();
       std::filesystem::remove(tmp_path, ec);
       return false;

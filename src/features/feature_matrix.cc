@@ -33,6 +33,16 @@ void AppendRaw(std::string* out, const void* data, size_t size) {
   out->append(static_cast<const char*>(data), size);
 }
 
+void AppendHeader(std::string* out, uint64_t rows, uint64_t dims,
+                  uint64_t checksum) {
+  AppendRaw(out, kMatrixMagic, sizeof(kMatrixMagic));
+  const uint32_t version = kMatrixFormatVersion;
+  AppendRaw(out, &version, sizeof(version));
+  AppendRaw(out, &rows, sizeof(rows));
+  AppendRaw(out, &dims, sizeof(dims));
+  AppendRaw(out, &checksum, sizeof(checksum));
+}
+
 }  // namespace
 
 FeatureMatrix::FeatureMatrix(size_t rows, size_t dims)
@@ -81,22 +91,60 @@ std::string FeatureMatrix::Serialize() const {
   const size_t payload_bytes = data_.size() * sizeof(float);
   std::string out;
   out.reserve(kMatrixHeaderSize + payload_bytes);
-  AppendRaw(&out, kMatrixMagic, sizeof(kMatrixMagic));
-  const uint32_t version = kMatrixFormatVersion;
-  AppendRaw(&out, &version, sizeof(version));
-  const uint64_t rows = rows_;
-  const uint64_t dims = dims_;
-  AppendRaw(&out, &rows, sizeof(rows));
-  AppendRaw(&out, &dims, sizeof(dims));
-  const uint64_t checksum = Fnv1a(data_.data(), payload_bytes);
-  AppendRaw(&out, &checksum, sizeof(checksum));
+  AppendHeader(&out, rows_, dims_, Fnv1a(data_.data(), payload_bytes));
   AppendRaw(&out, data_.data(), payload_bytes);
   return out;
 }
 
+bool FeatureMatrix::SerializeTo(std::ostream& out) const {
+  const size_t payload_bytes = data_.size() * sizeof(float);
+  std::string header;
+  AppendHeader(&header, rows_, dims_, Fnv1a(data_.data(), payload_bytes));
+  out.write(header.data(), static_cast<std::streamsize>(header.size()));
+  out.write(reinterpret_cast<const char*>(data_.data()),
+            static_cast<std::streamsize>(payload_bytes));
+  return out.good();
+}
+
 bool FeatureMatrix::Deserialize(std::string_view blob, FeatureMatrix* out) {
-  if (blob.size() < kMatrixHeaderSize) return false;
-  const char* cursor = blob.data();
+  FeatureMatrix parsed;
+  uint64_t checksum = 0;
+  if (blob.size() < kMatrixHeaderSize ||
+      !ParseHeader(blob.data(), blob.size(), &parsed, &checksum)) {
+    return false;
+  }
+  const size_t payload_bytes = blob.size() - kMatrixHeaderSize;
+  const char* payload = blob.data() + kMatrixHeaderSize;
+  if (Fnv1a(payload, payload_bytes) != checksum) return false;
+  if (payload_bytes > 0) {
+    std::memcpy(parsed.data_.data(), payload, payload_bytes);
+  }
+  *out = std::move(parsed);
+  return true;
+}
+
+bool FeatureMatrix::DeserializeFrom(std::istream& in, size_t size,
+                                    FeatureMatrix* out) {
+  if (size < kMatrixHeaderSize) return false;
+  char header[kMatrixHeaderSize];
+  if (!in.read(header, sizeof(header))) return false;
+  FeatureMatrix parsed;
+  uint64_t checksum = 0;
+  if (!ParseHeader(header, size, &parsed, &checksum)) return false;
+  const size_t payload_bytes = size - kMatrixHeaderSize;
+  if (payload_bytes > 0 &&
+      !in.read(reinterpret_cast<char*>(parsed.data_.data()),
+               static_cast<std::streamsize>(payload_bytes))) {
+    return false;
+  }
+  if (Fnv1a(parsed.data_.data(), payload_bytes) != checksum) return false;
+  *out = std::move(parsed);
+  return true;
+}
+
+bool FeatureMatrix::ParseHeader(const char* header, size_t size,
+                                FeatureMatrix* shaped, uint64_t* checksum) {
+  const char* cursor = header;
   if (std::memcmp(cursor, kMatrixMagic, sizeof(kMatrixMagic)) != 0) {
     return false;
   }
@@ -107,25 +155,20 @@ bool FeatureMatrix::Deserialize(std::string_view blob, FeatureMatrix* out) {
   if (version != kMatrixFormatVersion) return false;
   uint64_t rows = 0;
   uint64_t dims = 0;
-  uint64_t checksum = 0;
   std::memcpy(&rows, cursor, sizeof(rows));
   cursor += sizeof(rows);
   std::memcpy(&dims, cursor, sizeof(dims));
   cursor += sizeof(dims);
-  std::memcpy(&checksum, cursor, sizeof(checksum));
-  cursor += sizeof(checksum);
+  std::memcpy(checksum, cursor, sizeof(*checksum));
 
   // Reject shapes whose element count overflows or whose payload size does
   // not exactly match the remaining bytes (truncated or padded file).
   if (dims != 0 && rows > SIZE_MAX / sizeof(float) / dims) return false;
   const size_t expected_payload =
       static_cast<size_t>(rows) * static_cast<size_t>(dims) * sizeof(float);
-  if (blob.size() - kMatrixHeaderSize != expected_payload) return false;
-  if (Fnv1a(cursor, expected_payload) != checksum) return false;
-
-  FeatureMatrix parsed(static_cast<size_t>(rows), static_cast<size_t>(dims));
-  std::memcpy(parsed.data_.data(), cursor, expected_payload);
-  *out = std::move(parsed);
+  if (size - kMatrixHeaderSize != expected_payload) return false;
+  *shaped =
+      FeatureMatrix(static_cast<size_t>(rows), static_cast<size_t>(dims));
   return true;
 }
 

@@ -4,9 +4,14 @@
 #define ALEM_FEATURES_FEATURE_MATRIX_H_
 
 #include <cstddef>
+#include <cstdint>
+#include <istream>
+#include <ostream>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "util/page_allocator.h"
 
 namespace alem {
 
@@ -40,16 +45,32 @@ class FeatureMatrix {
   // (see docs/featurization.md).
   std::string Serialize() const;
 
+  // Writes the Serialize() bytes to `out` without building them in memory
+  // (the feature cache stores entries this way). Returns out.good().
+  bool SerializeTo(std::ostream& out) const;
+
   // Parses a Serialize() blob. Returns false (leaving *out untouched) on
   // any validation failure: wrong magic, unsupported version, truncated or
   // oversized payload, or checksum mismatch — corrupt cache files must
   // read as a miss, never crash.
   static bool Deserialize(std::string_view blob, FeatureMatrix* out);
 
+  // Deserialize over the next `size` bytes of `in`, read straight into the
+  // matrix (the feature cache loads entries this way). The same checks,
+  // and a short read, return false.
+  static bool DeserializeFrom(std::istream& in, size_t size,
+                              FeatureMatrix* out);
+
  private:
+  // Checks a serialized header against a blob of `size` bytes in all; on
+  // success *shaped is a zero matrix of the stored shape.
+  static bool ParseHeader(const char* header, size_t size,
+                          FeatureMatrix* shaped, uint64_t* checksum);
+
   size_t rows_ = 0;
   size_t dims_ = 0;
-  std::vector<float> data_;
+  // Large matrices get their own pages (see util/page_allocator.h).
+  std::vector<float, PageAllocator<float>> data_;
 };
 
 }  // namespace alem

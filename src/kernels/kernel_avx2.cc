@@ -546,7 +546,8 @@ void NnWeightGradAvx2(const double* g, size_t nrows, size_t out,
 // baseline TUs also instantiate would be AVX2 code the linker may pick
 // for the whole program.
 
-// A lane's example sampler: the scalar loop's draws from its own stream.
+// A lane's example sampler: the scalar loop's draws from its own stream,
+// with each bound's rejection threshold computed once by Init.
 struct LaneSampler {
   Rng rng;
   const size_t* positives = nullptr;  // Class lists, ascending sample index.
@@ -555,13 +556,25 @@ struct LaneSampler {
   size_t num_negatives = 0;
   size_t n = 0;
   bool balance = false;
+  uint64_t n_threshold = 0;
+  uint64_t positives_threshold = 0;
+  uint64_t negatives_threshold = 0;
+
+  // Call once n, the class lists and balance are set.
+  void Init() {
+    n_threshold = Rng::RejectionThreshold(n);
+    if (balance) {
+      positives_threshold = Rng::RejectionThreshold(num_positives);
+      negatives_threshold = Rng::RejectionThreshold(num_negatives);
+    }
+  }
 
   size_t Next() {
-    if (!balance) return static_cast<size_t>(rng.NextBelow(n));
+    if (!balance) return static_cast<size_t>(rng.NextBelow(n, n_threshold));
     if (rng.NextBernoulli(0.5)) {
-      return positives[rng.NextBelow(num_positives)];
+      return positives[rng.NextBelow(num_positives, positives_threshold)];
     }
-    return negatives[rng.NextBelow(num_negatives)];
+    return negatives[rng.NextBelow(num_negatives, negatives_threshold)];
   }
 };
 
@@ -672,6 +685,7 @@ void SvmPegasosAvx2(const SvmSchedule& schedule, const SvmLane* lanes,
     lists += lane.n;
     sampler.balance = schedule.balance_classes && sampler.num_positives > 0 &&
                       sampler.num_negatives > 0;
+    sampler.Init();
     bias[l] = *lane.bias;
   }
   for (size_t j = 0; j < d; ++j) {

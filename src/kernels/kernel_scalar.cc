@@ -175,6 +175,12 @@ void PegasosLaneScalar(const SvmSchedule& schedule, const SvmLane& lane) {
   }
   const bool balance =
       schedule.balance_classes && !positives.empty() && !negatives.empty();
+  // Each bound's rejection threshold, computed once per fit.
+  const uint64_t n_threshold = Rng::RejectionThreshold(n);
+  const uint64_t positives_threshold =
+      balance ? Rng::RejectionThreshold(positives.size()) : 0;
+  const uint64_t negatives_threshold =
+      balance ? Rng::RejectionThreshold(negatives.size()) : 0;
 
   Rng rng(lane.seed);
   const double lambda = schedule.lambda;
@@ -194,11 +200,12 @@ void PegasosLaneScalar(const SvmSchedule& schedule, const SvmLane& lane) {
   for (size_t t = 1; t <= steps; ++t) {
     size_t index;
     if (balance) {
-      const std::vector<size_t>& pool =
-          rng.NextBernoulli(0.5) ? positives : negatives;
-      index = pool[rng.NextBelow(pool.size())];
+      const bool positive = rng.NextBernoulli(0.5);
+      const std::vector<size_t>& pool = positive ? positives : negatives;
+      index = pool[rng.NextBelow(
+          pool.size(), positive ? positives_threshold : negatives_threshold)];
     } else {
-      index = static_cast<size_t>(rng.NextBelow(n));
+      index = static_cast<size_t>(rng.NextBelow(n, n_threshold));
     }
     const float* x = lane.x + d * (lane.sample ? lane.sample[index] : index);
     const double y = lane.labels[index] == 1 ? 1.0 : -1.0;

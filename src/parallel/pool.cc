@@ -109,88 +109,104 @@ bool ThreadPool::OnWorkerThread() { return t_pool_worker; }
 
 ThreadPool::Totals ThreadPool::SnapshotAccounts() const {
   Totals totals;
-  const uint64_t now = obs::TraceNowNanos();
   for (size_t i = 0; i < workers_.size(); ++i) {
     const WorkerAccount& account = accounts_[i];
-    const uint64_t start = account.start_ns.load(std::memory_order_relaxed);
+    uint64_t busy = 0, idle = 0, queue = 0, start = 0, end = 0, open = 0;
+    uint64_t now = 0;
+    Phase phase = Phase::kOff;
+    while (true) {
+      const uint64_t version = account.version.load(std::memory_order_acquire);
+      if (version % 2 == 1) {  // The worker is mid-update.
+        std::this_thread::yield();
+        continue;
+      }
+      busy = account.busy_ns.load(std::memory_order_relaxed);
+      idle = account.idle_ns.load(std::memory_order_relaxed);
+      queue = account.queue_ns.load(std::memory_order_relaxed);
+      start = account.start_ns.load(std::memory_order_relaxed);
+      end = account.end_ns.load(std::memory_order_relaxed);
+      open = account.open_ns.load(std::memory_order_relaxed);
+      phase = account.phase.load(std::memory_order_relaxed);
+      now = obs::TraceNowNanos();
+      std::atomic_thread_fence(std::memory_order_acquire);
+      if (account.version.load(std::memory_order_relaxed) == version) break;
+    }
     if (start == 0) continue;  // Worker thread not up yet.
-    const uint64_t end = account.end_ns.load(std::memory_order_relaxed);
+    const uint64_t elapsed = now > open ? now - open : 0;
+    switch (phase) {
+      case Phase::kIdle: idle += elapsed; break;
+      case Phase::kQueue: queue += elapsed; break;
+      case Phase::kBusy: busy += elapsed; break;
+      case Phase::kOff: break;
+    }
     const uint64_t upto = end != 0 ? end : std::max(now, start);
     totals.worker_wall_seconds += static_cast<double>(upto - start) / 1e9;
-    totals.busy_seconds +=
-        static_cast<double>(
-            account.busy_ns.load(std::memory_order_relaxed)) /
-        1e9;
-    totals.queue_wait_seconds +=
-        static_cast<double>(
-            account.queue_ns.load(std::memory_order_relaxed)) /
-        1e9;
-    double idle =
-        static_cast<double>(account.idle_ns.load(std::memory_order_relaxed)) /
-        1e9;
-    // A live worker blocked in its job wait has an open idle interval;
-    // extend it to "now" so busy + idle + queue-wait tracks the wall.
-    const uint64_t idle_since =
-        account.idle_since_ns.load(std::memory_order_relaxed);
-    if (end == 0 && idle_since != 0 && now > idle_since) {
-      idle += static_cast<double>(now - idle_since) / 1e9;
-    }
-    totals.idle_seconds += idle;
+    totals.busy_seconds += static_cast<double>(busy) / 1e9;
+    totals.idle_seconds += static_cast<double>(idle) / 1e9;
+    totals.queue_wait_seconds += static_cast<double>(queue) / 1e9;
   }
   return totals;
+}
+
+void ThreadPool::Enter(WorkerAccount& account, Phase next, uint64_t now) {
+  // Seqlock write side: odd version, release fence, relaxed field updates
+  // (single writer), even version with release.
+  const uint64_t version = account.version.load(std::memory_order_relaxed);
+  account.version.store(version + 1, std::memory_order_relaxed);
+  std::atomic_thread_fence(std::memory_order_release);
+  const uint64_t open = account.open_ns.load(std::memory_order_relaxed);
+  auto charge = [&](std::atomic<uint64_t>& bucket) {
+    bucket.store(bucket.load(std::memory_order_relaxed) + (now - open),
+                 std::memory_order_relaxed);
+  };
+  switch (account.phase.load(std::memory_order_relaxed)) {
+    case Phase::kIdle: charge(account.idle_ns); break;
+    case Phase::kQueue: charge(account.queue_ns); break;
+    case Phase::kBusy: charge(account.busy_ns); break;
+    case Phase::kOff:
+      account.start_ns.store(now, std::memory_order_relaxed);
+      break;
+  }
+  if (next == Phase::kOff) account.end_ns.store(now, std::memory_order_relaxed);
+  account.open_ns.store(now, std::memory_order_relaxed);
+  account.phase.store(next, std::memory_order_relaxed);
+  account.version.store(version + 2, std::memory_order_release);
 }
 
 void ThreadPool::WorkerLoop(size_t worker) {
   t_pool_worker = true;
   WorkerAccount& account = accounts_[worker];
   uint64_t seen_generation = 0;
-  // One "cycle" spans from waking with a job to re-entering the wait; the
-  // part of it that was not chunk execution (claim overhead, completion
-  // notify, mutex re-acquisition) is charged to queue wait, so busy +
-  // idle + queue-wait tiles the worker wall with no gaps. The wall clock
-  // starts at the first wait, not at thread spawn: spawn -> first mutex
+  // The time between waking with a job and the first chunk, between
+  // chunks, and after the last chunk until parking again (claim overhead,
+  // completion notify, mutex re-acquisition) is queue wait, so busy + idle
+  // + queue-wait tiles the worker wall with no gaps. The wall clock starts
+  // at the first wait, not at thread spawn: spawn -> first mutex
   // acquisition is scheduler noise that belongs to no bucket, and charging
   // it would open a gap in the tiling whenever the host CPU is contended.
-  uint64_t cycle_start_ns = 0;  // wait_end of the previous cycle; 0 = none.
-  uint64_t cycle_busy_ns = 0;
   while (true) {
     std::shared_ptr<Job> job;
-    uint64_t wait_end = 0;
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      const uint64_t wait_start = obs::TraceNowNanos();
-      if (cycle_start_ns != 0) {
-        account.queue_ns.fetch_add(wait_start - cycle_start_ns - cycle_busy_ns,
-                                   std::memory_order_relaxed);
-      } else {
-        account.start_ns.store(wait_start, std::memory_order_relaxed);
-      }
-      account.idle_since_ns.store(wait_start, std::memory_order_relaxed);
+      Enter(account, Phase::kIdle, obs::TraceNowNanos());
       work_cv_.wait(lock, [&] {
         return shutdown_ || (generation_ != seen_generation && job_ != nullptr);
       });
-      wait_end = obs::TraceNowNanos();
-      account.idle_since_ns.store(0, std::memory_order_relaxed);
-      account.idle_ns.fetch_add(wait_end - wait_start,
-                                std::memory_order_relaxed);
-      if (shutdown_) {
-        account.end_ns.store(wait_end, std::memory_order_relaxed);
-        return;
-      }
+      Enter(account, shutdown_ ? Phase::kOff : Phase::kQueue,
+            obs::TraceNowNanos());
+      if (shutdown_) return;
       seen_generation = generation_;
       job = job_;
     }
-    cycle_busy_ns = RunChunks(*job, account);
-    cycle_start_ns = wait_end;
+    RunChunks(*job, account);
   }
 }
 
-uint64_t ThreadPool::RunChunks(Job& job, WorkerAccount& account) {
-  uint64_t busy_ns = 0;
+void ThreadPool::RunChunks(Job& job, WorkerAccount& account) {
   while (true) {
     const size_t chunk = job.next_chunk.fetch_add(1, std::memory_order_relaxed);
     if (chunk >= job.num_chunks) break;
-    const uint64_t chunk_start = obs::TraceNowNanos();
+    Enter(account, Phase::kBusy, obs::TraceNowNanos());
     try {
       (*job.fn)(chunk);
     } catch (...) {
@@ -202,7 +218,7 @@ uint64_t ThreadPool::RunChunks(Job& job, WorkerAccount& account) {
         job.error_chunk = chunk;
       }
     }
-    busy_ns += obs::TraceNowNanos() - chunk_start;
+    Enter(account, Phase::kQueue, obs::TraceNowNanos());
     // acq_rel: the final completion forms a release sequence Run()'s
     // acquire load synchronizes with, making every chunk's writes visible
     // to the submitter.
@@ -212,8 +228,6 @@ uint64_t ThreadPool::RunChunks(Job& job, WorkerAccount& account) {
       done_cv_.notify_all();
     }
   }
-  account.busy_ns.fetch_add(busy_ns, std::memory_order_relaxed);
-  return busy_ns;
 }
 
 void ThreadPool::Run(size_t num_chunks, const std::function<void(size_t)>& fn) {

@@ -32,7 +32,8 @@
 // docs/parallelism.md).
 //
 // Utilization profiling: every pool worker keeps per-thread busy / idle /
-// queue-wait nanosecond totals (a handful of relaxed atomics per chunk),
+// queue-wait nanosecond totals (a handful of relaxed atomic stores under a
+// seqlock per chunk, exact at any instant),
 // and ParallelFor accumulates per-region chunk-duration imbalance stats
 // while metrics are enabled. SnapshotPoolProfile() folds both into a
 // PoolProfile; StampPoolProfile() writes it into a RunReport `pool`
@@ -89,8 +90,9 @@ class ThreadPool {
   static bool OnWorkerThread();
 
   // Per-pool busy / idle / queue-wait / wall totals in seconds, summed over
-  // the workers. Safe to call while the pool is idle (between fork-join
-  // regions); in-flight idle waits are extrapolated to "now".
+  // the workers. Safe to call at any time, also while a job runs: each
+  // worker's open interval (parked, inside a chunk or between chunks) is
+  // charged up to "now", so busy + idle + queue-wait equals the wall.
   struct Totals {
     double busy_seconds = 0.0;
     double idle_seconds = 0.0;
@@ -113,22 +115,37 @@ class ThreadPool {
     size_t error_chunk = 0;
   };
 
-  // Per-worker accounting slot. Cache-line aligned: the totals are bumped
-  // with relaxed atomics on every chunk, and false sharing between workers
-  // would show up as exactly the kind of overhead this profiler measures.
+  // What a worker is doing; each phase but kOff is charged to one bucket.
+  enum class Phase : uint8_t { kOff, kIdle, kQueue, kBusy };
+
+  // Per-worker accounting slot. Every nanosecond of a worker's wall clock
+  // falls in one interval: parked (idle), executing a chunk body (busy), or
+  // in a job between chunks (queue wait). An interval is charged to its
+  // bucket when it closes; the open one is charged by SnapshotAccounts.
+  // The worker is the only writer. `version` is a seqlock, odd while the
+  // worker updates the other fields, so a snapshot reads them as of one
+  // instant. Cache-line aligned: the fields change on every chunk, and
+  // false sharing between workers would show up as exactly the kind of
+  // overhead this profiler measures.
   struct alignas(64) WorkerAccount {
-    std::atomic<uint64_t> busy_ns{0};        // Executing chunk bodies.
-    std::atomic<uint64_t> idle_ns{0};        // Blocked waiting for a job.
-    std::atomic<uint64_t> queue_ns{0};       // In a job but between chunks.
-    std::atomic<uint64_t> start_ns{0};       // Worker wall-clock start.
-    std::atomic<uint64_t> end_ns{0};         // Worker wall-clock end.
-    std::atomic<uint64_t> idle_since_ns{0};  // Nonzero while blocked.
+    std::atomic<uint64_t> version{0};
+    std::atomic<uint64_t> busy_ns{0};   // Executing chunk bodies.
+    std::atomic<uint64_t> idle_ns{0};   // Blocked waiting for a job.
+    std::atomic<uint64_t> queue_ns{0};  // In a job but between chunks.
+    std::atomic<uint64_t> start_ns{0};  // Worker wall-clock start.
+    std::atomic<uint64_t> end_ns{0};    // Worker wall-clock end.
+    std::atomic<uint64_t> open_ns{0};   // Start of the open interval.
+    std::atomic<Phase> phase{Phase::kOff};  // Bucket of the open interval.
   };
 
+  // Closes the worker's open interval at `now`, charging it to its bucket,
+  // and opens one in `next`. The first call starts the wall clock; a call
+  // with kOff ends it.
+  static void Enter(WorkerAccount& account, Phase next, uint64_t now);
+
   void WorkerLoop(size_t worker);
-  // Executes chunks of `job` until none remain; returns the nanoseconds
-  // spent inside chunk bodies (also added to account.busy_ns).
-  uint64_t RunChunks(Job& job, WorkerAccount& account);
+  // Executes chunks of `job` until none remain.
+  void RunChunks(Job& job, WorkerAccount& account);
 
   std::mutex mutex_;
   std::condition_variable work_cv_;
@@ -174,8 +191,8 @@ struct PoolRegionProfile {
 };
 
 // Process-wide pool accounting: the live pool plus totals folded in from
-// pools destroyed by SetNumThreads. Satisfies busy + idle + queue_wait ≈
-// worker_wall (small accounting gaps at job handoff only).
+// pools destroyed by SetNumThreads. Satisfies busy + idle + queue_wait ==
+// worker_wall up to floating-point rounding, at any instant.
 struct PoolProfile {
   int workers = 0;  // Worker count of the live (or last) pool.
   double busy_seconds = 0.0;

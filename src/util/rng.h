@@ -37,6 +37,16 @@ class Rng {
   // Uniform integer in [0, bound). `bound` must be > 0.
   [[gnu::always_inline]] uint64_t NextBelow(uint64_t bound);
 
+  // NextBelow's rejection threshold for `bound` (> 0): raw draws below it
+  // are redrawn. It costs a 64-bit division, so a loop that draws from a
+  // fixed bound computes it once and passes it to the overload below.
+  [[gnu::always_inline]] static uint64_t RejectionThreshold(uint64_t bound);
+
+  // NextBelow(bound) with `threshold` = RejectionThreshold(bound); consumes
+  // Next() exactly as NextBelow(bound) does, so the stream is the same.
+  [[gnu::always_inline]] uint64_t NextBelow(uint64_t bound,
+                                            uint64_t threshold);
+
   // Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
   int64_t NextInRange(int64_t lo, int64_t hi);
 
@@ -100,14 +110,22 @@ inline uint64_t Rng::Next() {
   return result;
 }
 
-inline uint64_t Rng::NextBelow(uint64_t bound) {
+inline uint64_t Rng::RejectionThreshold(uint64_t bound) {
   ALEM_CHECK_GT(bound, 0u);
+  // 2^64 mod bound: the values at or above it cover each residue equally.
+  return -bound % bound;
+}
+
+inline uint64_t Rng::NextBelow(uint64_t bound, uint64_t threshold) {
   // Rejection sampling to avoid modulo bias.
-  const uint64_t threshold = -bound % bound;
   while (true) {
     const uint64_t r = Next();
     if (r >= threshold) return r % bound;
   }
+}
+
+inline uint64_t Rng::NextBelow(uint64_t bound) {
+  return NextBelow(bound, RejectionThreshold(bound));
 }
 
 inline double Rng::NextDouble() {

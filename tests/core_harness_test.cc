@@ -83,6 +83,18 @@ TEST(RunActiveLearningTest, DeterministicForSameRunSeed) {
   }
 }
 
+// A run's pool views the prepared matrix: building or restoring a run
+// copies no features.
+TEST(BuildRunEnvTest, PoolViewsPreparedFeatures) {
+  RunConfig config;
+  config.approach = TreesSpec(5);
+  EXPECT_EQ(&BuildRunEnv(SmallAbtBuy(), config).pool.features(),
+            &SmallAbtBuy().float_features);
+  config.approach = RulesLfpLfnSpec();
+  EXPECT_EQ(&BuildRunEnv(SmallAbtBuy(), config).pool.features(),
+            &SmallAbtBuy().boolean_features);
+}
+
 TEST(RunActiveLearningTest, NoisyOracleDegradesQuality) {
   RunConfig clean_config;
   clean_config.approach = TreesSpec(10);

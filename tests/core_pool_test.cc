@@ -51,6 +51,20 @@ TEST(ActivePoolTest, ActiveLabeledFeaturesGathersRows) {
   EXPECT_FLOAT_EQ(gathered.At(1, 0), 0.0f);
 }
 
+TEST(ActivePoolTest, ViewsBorrowedFeaturesWithoutCopying) {
+  const FeatureMatrix features = MakeFeatures(5);
+  ActivePool pool(&features);
+  EXPECT_EQ(&pool.features(), &features);
+  EXPECT_EQ(pool.size(), 5u);
+  pool.AddLabel(4, 1);
+  const FeatureMatrix gathered = pool.ActiveLabeledFeatures();
+  ASSERT_EQ(gathered.rows(), 1u);
+  EXPECT_FLOAT_EQ(gathered.At(0, 0), 4.0f);
+  // Moving the pool (as a RunEnv is) keeps the view.
+  const ActivePool moved = std::move(pool);
+  EXPECT_EQ(&moved.features(), &features);
+}
+
 TEST(ActivePoolTest, ExcludeRemovesFromSelectable) {
   ActivePool pool(MakeFeatures(5));
   pool.Exclude(0);

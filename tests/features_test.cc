@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
+#include <sstream>
+#include <string>
 
 #include "features/boolean_features.h"
 #include "features/feature_extractor.h"
 #include "features/feature_matrix.h"
 #include "features/feature_schema.h"
 #include "sim/similarity.h"
+#include "util/page_allocator.h"
 
 namespace alem {
 namespace {
@@ -102,6 +106,77 @@ TEST(FeatureMatrixTest, DeserializeRejectsCorruption) {
 
   // The valid blob still parses after all the rejected variants.
   EXPECT_TRUE(FeatureMatrix::Deserialize(blob, &parsed));
+}
+
+TEST(FeatureMatrixTest, StreamedSerializationMatchesBlob) {
+  FeatureMatrix matrix(5, 3);
+  for (size_t r = 0; r < 5; ++r) {
+    for (size_t d = 0; d < 3; ++d) {
+      matrix.Set(r, d, 0.25f * static_cast<float>(r * 3 + d) - 1.0f);
+    }
+  }
+  const std::string blob = matrix.Serialize();
+  std::ostringstream written;
+  ASSERT_TRUE(matrix.SerializeTo(written));
+  EXPECT_EQ(written.str(), blob);
+
+  std::istringstream in(blob);
+  FeatureMatrix parsed;
+  ASSERT_TRUE(FeatureMatrix::DeserializeFrom(in, blob.size(), &parsed));
+  EXPECT_EQ(parsed.Serialize(), blob);
+}
+
+TEST(FeatureMatrixTest, DeserializeFromRejectsCorruption) {
+  FeatureMatrix matrix(4, 3);
+  matrix.Set(2, 1, 0.5f);
+  const std::string blob = matrix.Serialize();
+  const auto parses = [](const std::string& bytes, size_t size) {
+    std::istringstream in(bytes);
+    FeatureMatrix parsed;
+    return FeatureMatrix::DeserializeFrom(in, size, &parsed);
+  };
+  // Truncated (by size and by a short stream) and padded.
+  EXPECT_FALSE(parses(blob, 10));
+  EXPECT_FALSE(parses(blob, blob.size() - 4));
+  EXPECT_FALSE(parses(blob.substr(0, blob.size() - 4), blob.size()));
+  EXPECT_FALSE(parses(blob + "pad!", blob.size() + 4));
+  // Wrong magic and a flipped payload byte.
+  std::string bad_magic = blob;
+  bad_magic[0] = 'X';
+  EXPECT_FALSE(parses(bad_magic, blob.size()));
+  std::string bad_payload = blob;
+  bad_payload[blob.size() - 3] =
+      static_cast<char>(bad_payload[blob.size() - 3] + 1);
+  EXPECT_FALSE(parses(bad_payload, blob.size()));
+  EXPECT_TRUE(parses(blob, blob.size()));
+}
+
+// A matrix of at least kPageAllocatorMinBytes lives in a mapping of its own
+// (page-aligned; a block glibc maps itself starts 16 bytes in), and copies,
+// moves and round trips through the serializers keep its values.
+TEST(FeatureMatrixTest, LargeMatrixHasItsOwnPages) {
+  const size_t dims = 64;
+  const size_t rows = kPageAllocatorMinBytes / (dims * sizeof(float)) + 1;
+  FeatureMatrix matrix(rows, dims);
+  for (size_t r = 0; r < rows; ++r) {
+    matrix.Set(r, r % dims, static_cast<float>(r));
+  }
+  const auto address = reinterpret_cast<uintptr_t>(matrix.Row(0));
+  EXPECT_EQ(address % 4096, 0u);
+
+  FeatureMatrix copy = matrix;
+  EXPECT_NE(copy.Row(0), matrix.Row(0));
+  EXPECT_EQ(copy.Serialize(), matrix.Serialize());
+  FeatureMatrix moved = std::move(copy);
+  EXPECT_EQ(moved.At(rows - 1, (rows - 1) % dims),
+            static_cast<float>(rows - 1));
+
+  const std::string blob = matrix.Serialize();
+  std::istringstream in(blob);
+  FeatureMatrix parsed;
+  ASSERT_TRUE(FeatureMatrix::DeserializeFrom(in, blob.size(), &parsed));
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(parsed.Row(0)) % 4096, 0u);
+  EXPECT_EQ(parsed.Serialize(), blob);
 }
 
 // ---- FeatureSchema ----

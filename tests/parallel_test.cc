@@ -10,9 +10,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <latch>
 #include <mutex>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -344,6 +347,74 @@ TEST_F(ParallelTest, PoolAccountingTilesWorkerWall) {
     EXPECT_LE(region.utilization, 1.0 + 1e-9);
   }
   EXPECT_TRUE(found);
+  parallel::ResetPoolProfile();
+}
+
+// A snapshot taken while a chunk still runs charges that chunk as busy up
+// to the snapshot, so busy + idle + queue-wait tiles the wall then too. A
+// snapshot that counted only closed intervals would fall short by the time
+// the chunk has been blocked.
+TEST_F(ParallelTest, SnapshotDuringARunningChunkTilesWorkerWall) {
+  parallel::ResetPoolProfile();
+  parallel::SetNumThreads(2);
+  std::latch started(1);
+  std::latch release(1);
+  std::thread submitter([&] {
+    parallel::ParallelFor(0, 2, 1, [&](size_t, size_t, size_t chunk) {
+      if (chunk != 0) return;
+      started.count_down();
+      release.wait();
+    });
+  });
+  started.wait();
+  constexpr double kBlockedSeconds = 0.1;
+  std::this_thread::sleep_for(std::chrono::duration<double>(kBlockedSeconds));
+  const parallel::PoolProfile profile = parallel::SnapshotPoolProfile();
+  release.count_down();
+  submitter.join();
+
+  ASSERT_TRUE(profile.engaged());
+  EXPECT_GE(profile.busy_seconds, kBlockedSeconds);
+  const double accounted = profile.busy_seconds + profile.idle_seconds +
+                           profile.queue_wait_seconds;
+  EXPECT_NEAR(accounted, profile.worker_wall_seconds, 1e-6);
+  parallel::ResetPoolProfile();
+}
+
+// Snapshots taken while workers keep starting and finishing chunks each
+// read every account as of one instant (the seqlock), so each tiles the
+// wall too. Run it under -DALEM_SANITIZE=thread as well.
+TEST_F(ParallelTest, ConcurrentSnapshotsTileWorkerWall) {
+  parallel::ResetPoolProfile();
+  parallel::SetNumThreads(3);
+  std::atomic<bool> stop{false};
+  std::latch first_run(1);
+  std::thread submitter([&] {
+    for (bool first = true; !stop.load(std::memory_order_relaxed);
+         first = false) {
+      parallel::ParallelFor(0, 48, 1, [](size_t b, size_t, size_t) {
+        volatile double sink = 0.0;
+        for (size_t i = 0; i < 200; ++i) {
+          sink = sink + static_cast<double>(b + i) * 1e-9;
+        }
+      });
+      if (first) first_run.count_down();
+    }
+  });
+  first_run.wait();
+  // Each worker's buckets sum to its wall in whole nanoseconds, so only
+  // rounding separates the totals; a torn read would be off by at least
+  // the interval it lost or counted twice.
+  for (int i = 0; i < 200; ++i) {
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    const parallel::PoolProfile profile = parallel::SnapshotPoolProfile();
+    EXPECT_TRUE(profile.engaged());
+    EXPECT_NEAR(profile.busy_seconds + profile.idle_seconds +
+                    profile.queue_wait_seconds,
+                profile.worker_wall_seconds, 1e-9);
+  }
+  stop.store(true, std::memory_order_relaxed);
+  submitter.join();
   parallel::ResetPoolProfile();
 }
 
