@@ -10,6 +10,8 @@
 #include <benchmark/benchmark.h>
 
 #include <filesystem>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/harness.h"
@@ -101,17 +103,22 @@ BENCHMARK(BM_CacheLoad)->Unit(benchmark::kMillisecond);
 void BM_MatrixSerialize(benchmark::State& state) {
   const FeatureMatrix& matrix = Data().float_features;
   for (auto _ : state) {
-    const std::string blob = matrix.Serialize();
-    benchmark::DoNotOptimize(blob.size());
+    std::ostringstream out;
+    const bool ok = matrix.SerializeTo(out);
+    benchmark::DoNotOptimize(ok);
+    benchmark::DoNotOptimize(out.str().size());
   }
 }
 BENCHMARK(BM_MatrixSerialize)->Unit(benchmark::kMillisecond);
 
 void BM_MatrixDeserialize(benchmark::State& state) {
-  const std::string blob = Data().float_features.Serialize();
+  std::ostringstream out;
+  Data().float_features.SerializeTo(out);
+  const std::string blob = out.str();
   FeatureMatrix parsed;
   for (auto _ : state) {
-    const bool ok = FeatureMatrix::Deserialize(blob, &parsed);
+    std::istringstream in(blob);
+    const bool ok = FeatureMatrix::DeserializeFrom(in, blob.size(), &parsed);
     benchmark::DoNotOptimize(ok);
   }
 }

@@ -210,7 +210,16 @@ bool ApproachFromName(const std::string& name, ApproachSpec* spec) {
   return false;
 }
 
-Approach MakeApproach(const ApproachSpec& spec, uint64_t seed) {
+namespace {
+
+// The most members a bootstrap committee or a forest may have: a forest
+// model blob holds at most 4096 trees (ml/serialization.cc).
+constexpr int kMaxMembers = 4096;
+
+// Builds the learner and selector `spec` names. The QBC selector checks
+// its committee size on construction, so CheckApproach's ranges come
+// first.
+Approach BuildApproach(const ApproachSpec& spec, uint64_t seed) {
   Approach approach;
   switch (spec.learner) {
     case LearnerKind::kLinearSvm: {
@@ -260,13 +269,50 @@ Approach MakeApproach(const ApproachSpec& spec, uint64_t seed) {
       approach.selector = std::make_unique<RandomSelector>(seed ^ 0x2545u);
       break;
   }
-  ALEM_CHECK(approach.selector->CompatibleWith(*approach.learner));
-  if (spec.active_ensemble) {
-    // Ensembles require a margin learner (paper §5.2).
-    ALEM_CHECK(dynamic_cast<MarginLearner*>(approach.learner.get()) !=
-               nullptr);
-  }
   return approach;
+}
+
+}  // namespace
+
+bool CheckApproach(const ApproachSpec& spec, std::string* error) {
+  const std::string max = std::to_string(kMaxMembers);
+  if (spec.selector == SelectorKind::kQbc &&
+      (spec.committee_size < 2 || spec.committee_size > kMaxMembers)) {
+    *error = "committee_size " + std::to_string(spec.committee_size) +
+             " is outside [2, " + max + "] for a QBC selector";
+    return false;
+  }
+  if (spec.learner == LearnerKind::kRandomForest &&
+      (spec.num_trees < 1 || spec.num_trees > kMaxMembers)) {
+    *error = "num_trees " + std::to_string(spec.num_trees) +
+             " is outside [1, " + max + "] for a forest";
+    return false;
+  }
+  const Approach approach = BuildApproach(spec, /*seed=*/0);
+  if (!approach.selector->CompatibleWith(*approach.learner)) {
+    *error = "selector " + std::string(approach.selector->name()) +
+             " cannot drive learner " +
+             std::string(approach.learner->name()) + " (Fig. 2)";
+    return false;
+  }
+  if (spec.active_ensemble) {
+    if (dynamic_cast<MarginLearner*>(approach.learner.get()) == nullptr) {
+      *error = "active_ensemble needs a margin learner (paper §5.2), not " +
+               std::string(approach.learner->name());
+      return false;
+    }
+    if (!(spec.ensemble_precision > 0.0 && spec.ensemble_precision <= 1.0)) {
+      *error = "ensemble_precision must lie in (0, 1]";
+      return false;
+    }
+  }
+  return true;
+}
+
+Approach MakeApproach(const ApproachSpec& spec, uint64_t seed) {
+  std::string error;
+  ALEM_CHECK(CheckApproach(spec, &error));
+  return BuildApproach(spec, seed);
 }
 
 }  // namespace alem

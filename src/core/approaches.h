@@ -87,8 +87,15 @@ struct Approach {
   std::unique_ptr<ExampleSelector> selector;
 };
 
-// Builds learner + selector per the spec; aborts on incompatible combos.
-// `seed` drives all stochastic components.
+// Whether MakeApproach can build `spec`. False with *error naming the
+// field otherwise: a QBC committee_size outside [2, 4096], a forest's
+// num_trees outside [1, 4096], a selector whose CompatibleWith rejects
+// the learner (Fig. 2), an active_ensemble without a margin learner, or
+// an ensemble_precision outside (0, 1].
+bool CheckApproach(const ApproachSpec& spec, std::string* error);
+
+// Builds learner + selector per the spec; aborts on a spec CheckApproach
+// rejects. `seed` drives all stochastic components.
 Approach MakeApproach(const ApproachSpec& spec, uint64_t seed);
 
 }  // namespace alem

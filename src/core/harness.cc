@@ -1,9 +1,9 @@
 #include "core/harness.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstring>
-#include <sstream>
+#include <iterator>
+#include <limits>
+#include <string_view>
 #include <utility>
 
 #include "blocking/jaccard_blocking.h"
@@ -16,6 +16,7 @@
 #include "parallel/pool.h"
 #include "sim/similarity.h"
 #include "synth/generator.h"
+#include "util/byte_codec.h"
 #include "util/check.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -104,217 +105,146 @@ double EnsemblePrecision(const ApproachSpec& spec) {
   return spec.active_ensemble ? spec.ensemble_precision : 0.0;
 }
 
-// ---- Snapshot provenance sections (text, one "key value" per line) -----
-//
-// The session's own sections are binary (core/session.cc); the harness
-// provenance riding alongside them is line-based text — small, stable, and
-// diagnosable with `strings` on a snapshot file. Doubles travel as raw hex
-// bit patterns so they round-trip exactly.
+// Share of the pool a holdout run evaluates on (the CLI prints "holdout
+// 80/20").
+constexpr double kHoldoutFraction = 0.2;
 
-std::string DoubleToHexBits(double v) {
-  uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%llx",
-                static_cast<unsigned long long>(bits));
-  return buffer;
+// The largest scale a run prepares its dataset at: the profiles are scaled
+// down 10-100x from the paper's datasets (DESIGN.md), so 100 regenerates a
+// dataset at about its full size.
+constexpr double kMaxScale = 100.0;
+
+// ---- Harness snapshot sections (docs/sessions.md) ----------------------
+
+// A prepare's feature-cache outcomes, by their code in "HRUN".
+constexpr std::string_view kCacheOutcomes[] = {"off", "miss", "hit"};
+
+// "HRUN": what the session's own sections do not carry of the run: the
+// dataset's generation provenance; the original prepare's feature-cache
+// outcome (the stitched report's config.cache describes the run's own
+// prepare, not the resume process's); the oracle noise and evaluation
+// protocol; and the ApproachSpec field by field (DisplayName() output such
+// as "Trees(20)" does not parse back). The run seed, warm-start mode and
+// label budget travel once, in the session's "BCFG".
+std::string EncodeRunSection(const SessionRunInfo& info) {
+  const auto* cache = std::find(std::begin(kCacheOutcomes),
+                                std::end(kCacheOutcomes), info.feature_cache);
+  ALEM_CHECK(cache != std::end(kCacheOutcomes));
+  const RunConfig& config = info.config;
+  const ApproachSpec& spec = config.approach;
+  ByteWriter w;
+  w.Str(info.dataset);
+  w.U64(info.data_seed);
+  w.F64(info.scale);
+  w.U8(static_cast<uint8_t>(cache - std::begin(kCacheOutcomes)));
+  w.F64(config.oracle_noise);
+  w.U8(config.holdout ? 1 : 0);
+  w.U8(static_cast<uint8_t>(spec.learner));
+  w.U8(static_cast<uint8_t>(spec.selector));
+  w.I64(spec.committee_size);
+  w.I64(spec.num_trees);
+  w.U64(spec.blocking_dims);
+  w.U8(spec.active_ensemble ? 1 : 0);
+  w.F64(spec.ensemble_precision);
+  return w.Take();
 }
 
-bool HexBitsToDouble(const std::string& hex, double* v) {
-  unsigned long long bits = 0;
-  char trailing = 0;
-  if (std::sscanf(hex.c_str(), "%llx %c", &bits, &trailing) != 1) return false;
-  const uint64_t raw = static_cast<uint64_t>(bits);
-  std::memcpy(v, &raw, sizeof(*v));
-  return true;
+bool FitsInt(int64_t v) {
+  return v >= std::numeric_limits<int>::min() &&
+         v <= std::numeric_limits<int>::max();
 }
 
-// "PROV": dataset generation provenance, plus the original prepare's
-// feature-cache outcome (the stitched report's config.cache must describe
-// the run's own prepare, not the resume process's). The dataset name is
-// last and consumes the rest of its line (names may contain spaces).
-std::string EncodeProvenanceSection(const std::string& dataset,
-                                    uint64_t data_seed, double scale,
-                                    const std::string& feature_cache) {
-  std::ostringstream out;
-  out << "data_seed " << data_seed << "\n";
-  out << "scale " << DoubleToHexBits(scale) << "\n";
-  out << "cache " << feature_cache << "\n";
-  out << "dataset " << dataset << "\n";
-  return out.str();
-}
-
-bool DecodeProvenanceSection(const std::string& blob, SessionRunInfo* info) {
-  std::istringstream in(blob);
-  std::string keyword;
-  std::string scale_hex;
-  if (!(in >> keyword >> info->data_seed) || keyword != "data_seed") {
-    return false;
-  }
-  if (!(in >> keyword >> scale_hex) || keyword != "scale" ||
-      !HexBitsToDouble(scale_hex, &info->scale)) {
-    return false;
-  }
-  if (!(in >> keyword >> info->feature_cache) || keyword != "cache") {
-    return false;
-  }
-  if (!(in >> keyword) || keyword != "dataset") return false;
-  std::getline(in, info->dataset);
-  while (!info->dataset.empty() && info->dataset.front() == ' ') {
-    info->dataset.erase(info->dataset.begin());
-  }
-  return !info->dataset.empty();
-}
-
-// "RCFG": the RunConfig fields beyond the loop budget (which the session's
-// own "BCFG" section carries).
-std::string EncodeRunConfigSection(const RunConfig& config) {
-  std::ostringstream out;
-  out << "oracle_noise " << DoubleToHexBits(config.oracle_noise) << "\n";
-  out << "holdout " << (config.holdout ? 1 : 0) << "\n";
-  out << "holdout_fraction " << DoubleToHexBits(config.holdout_fraction)
-      << "\n";
-  out << "run_seed " << config.run_seed << "\n";
-  return out.str();
-}
-
-bool DecodeRunConfigSection(const std::string& blob, RunConfig* config) {
-  std::istringstream in(blob);
-  std::string keyword;
-  std::string noise_hex;
-  std::string fraction_hex;
-  int holdout = 0;
-  if (!(in >> keyword >> noise_hex) || keyword != "oracle_noise" ||
-      !HexBitsToDouble(noise_hex, &config->oracle_noise)) {
-    return false;
-  }
-  if (!(in >> keyword >> holdout) || keyword != "holdout" ||
-      (holdout != 0 && holdout != 1)) {
-    return false;
-  }
-  config->holdout = holdout == 1;
-  if (!(in >> keyword >> fraction_hex) || keyword != "holdout_fraction" ||
-      !HexBitsToDouble(fraction_hex, &config->holdout_fraction)) {
-    return false;
-  }
-  if (!(in >> keyword >> config->run_seed) || keyword != "run_seed") {
-    return false;
-  }
-  return true;
-}
-
-// "APPR": the ApproachSpec, field by field. DisplayName() output is not
-// parseable by ApproachFromName (e.g. "Trees(20)" vs "trees20"), so the
-// snapshot stores the structured fields instead of a name.
-std::string EncodeApproachSection(const ApproachSpec& spec) {
-  std::ostringstream out;
-  out << "learner " << static_cast<int>(spec.learner) << "\n";
-  out << "selector " << static_cast<int>(spec.selector) << "\n";
-  out << "committee_size " << spec.committee_size << "\n";
-  out << "num_trees " << spec.num_trees << "\n";
-  out << "blocking_dims " << spec.blocking_dims << "\n";
-  out << "active_ensemble " << (spec.active_ensemble ? 1 : 0) << "\n";
-  out << "ensemble_precision " << DoubleToHexBits(spec.ensemble_precision)
-      << "\n";
-  return out.str();
-}
-
-bool DecodeApproachSection(const std::string& blob, ApproachSpec* spec) {
-  std::istringstream in(blob);
-  std::string keyword;
-  int learner = 0;
-  int selector = 0;
-  int active_ensemble = 0;
+// Decodes the fields "HRUN" carries into *info; the values are checked
+// afterwards, by CheckRunInfo.
+bool DecodeRunSection(std::string_view blob, SessionRunInfo* info) {
+  RunConfig& config = info->config;
+  ApproachSpec& spec = config.approach;
+  ByteReader r(blob);
+  uint8_t cache = 0;
+  uint8_t holdout = 0;
+  uint8_t learner = 0;
+  uint8_t selector = 0;
+  int64_t committee_size = 0;
+  int64_t num_trees = 0;
   uint64_t blocking_dims = 0;
-  std::string precision_hex;
-  if (!(in >> keyword >> learner) || keyword != "learner" || learner < 0 ||
-      learner > static_cast<int>(LearnerKind::kDeepMatcherProxy)) {
+  uint8_t ensemble = 0;
+  if (!r.Str(&info->dataset) || !r.U64(&info->data_seed) ||
+      !r.F64(&info->scale) || !r.U8(&cache) || !r.F64(&config.oracle_noise) ||
+      !r.U8(&holdout) || !r.U8(&learner) || !r.U8(&selector) ||
+      !r.I64(&committee_size) || !r.I64(&num_trees) ||
+      !r.U64(&blocking_dims) || !r.U8(&ensemble) ||
+      !r.F64(&spec.ensemble_precision) || !r.AtEnd()) {
     return false;
   }
-  if (!(in >> keyword >> selector) || keyword != "selector" || selector < 0 ||
-      selector > static_cast<int>(SelectorKind::kRandom)) {
+  if (cache >= std::size(kCacheOutcomes) || holdout > 1 ||
+      learner > static_cast<uint8_t>(LearnerKind::kDeepMatcherProxy) ||
+      selector > static_cast<uint8_t>(SelectorKind::kRandom) ||
+      !FitsInt(committee_size) || !FitsInt(num_trees) || ensemble > 1) {
     return false;
   }
-  if (!(in >> keyword >> spec->committee_size) || keyword != "committee_size") {
-    return false;
-  }
-  if (!(in >> keyword >> spec->num_trees) || keyword != "num_trees") {
-    return false;
-  }
-  if (!(in >> keyword >> blocking_dims) || keyword != "blocking_dims") {
-    return false;
-  }
-  if (!(in >> keyword >> active_ensemble) || keyword != "active_ensemble" ||
-      (active_ensemble != 0 && active_ensemble != 1)) {
-    return false;
-  }
-  if (!(in >> keyword >> precision_hex) || keyword != "ensemble_precision" ||
-      !HexBitsToDouble(precision_hex, &spec->ensemble_precision)) {
-    return false;
-  }
-  spec->learner = static_cast<LearnerKind>(learner);
-  spec->selector = static_cast<SelectorKind>(selector);
-  spec->blocking_dims = static_cast<size_t>(blocking_dims);
-  spec->active_ensemble = active_ensemble == 1;
+  info->feature_cache = kCacheOutcomes[cache];
+  config.holdout = holdout == 1;
+  spec.learner = static_cast<LearnerKind>(learner);
+  spec.selector = static_cast<SelectorKind>(selector);
+  spec.committee_size = static_cast<int>(committee_size);
+  spec.num_trees = static_cast<int>(num_trees);
+  spec.blocking_dims = static_cast<size_t>(blocking_dims);
+  spec.active_ensemble = ensemble == 1;
   return true;
 }
 
-// "CNTR"/"GAUG": the metric registry totals at save time, one "name value"
-// line each (counter values decimal, gauge values hex double bits). A
-// resumed process discards its own prepare-phase metrics and re-establishes
-// these, so the finished run's totals stitch up exactly as if it had never
-// been interrupted. Histograms are deliberately not snapshotted: they hold
-// latency telemetry, which is outside the determinism contract.
-std::string EncodeCounterSection(
-    const std::vector<std::pair<std::string, uint64_t>>& counters) {
-  std::ostringstream out;
-  for (const auto& [name, value] : counters) {
-    out << name << " " << value << "\n";
+// "HMET": the metric registry totals at save time: a u64 counter count,
+// then each counter's name (string) and value (u64); a u64 gauge count,
+// then each gauge's name and value (f64). A resumed process discards its
+// own prepare-phase metrics and re-establishes these, so the finished run's
+// totals stitch up exactly as if it had never been interrupted. Histograms
+// are deliberately not snapshotted: they hold latency telemetry, which is
+// outside the determinism contract.
+std::string EncodeMetricsSection(const obs::MetricsSnapshot& metrics) {
+  ByteWriter w;
+  w.U64(metrics.counters.size());
+  for (const auto& [name, value] : metrics.counters) {
+    w.Str(name);
+    w.U64(value);
   }
-  return out.str();
+  w.U64(metrics.gauges.size());
+  for (const auto& [name, value] : metrics.gauges) {
+    w.Str(name);
+    w.F64(value);
+  }
+  return w.Take();
 }
 
-std::string EncodeGaugeSection(
-    const std::vector<std::pair<std::string, double>>& gauges) {
-  std::ostringstream out;
-  for (const auto& [name, value] : gauges) {
-    out << name << " " << DoubleToHexBits(value) << "\n";
+// Decodes one "HMET" list: a count, then (name, value) entries of at least
+// 16 bytes each (the name's length and the value), values read by
+// `read_value`.
+template <typename Value>
+bool DecodeMetricList(ByteReader* r, bool (ByteReader::*read_value)(Value*),
+                      std::vector<std::pair<std::string, Value>>* out) {
+  uint64_t count = 0;
+  if (!r->Count(&count, 16)) return false;
+  out->resize(static_cast<size_t>(count));
+  for (auto& [name, value] : *out) {
+    if (!r->Str(&name) || !(r->*read_value)(&value)) return false;
   }
-  return out.str();
+  return true;
 }
 
 bool RestoreMetricsFromSnapshot(const SessionSnapshot& snapshot,
                                 std::string* error) {
-  // Parse both sections fully before touching the registry, so a malformed
-  // snapshot cannot leave the metrics half-restored.
-  std::vector<std::pair<std::string, uint64_t>> counters;
-  {
-    std::istringstream in(snapshot.section("CNTR"));
-    std::string name;
-    uint64_t value = 0;
-    while (in >> name >> value) counters.emplace_back(name, value);
-    if (!in.eof()) {
-      *error = "session snapshot: malformed counter section";
-      return false;
-    }
+  if (!snapshot.has("HMET")) {
+    *error = "session snapshot: missing harness section 'HMET'";
+    return false;
   }
+  // Parse the whole section before touching the registry, so a malformed
+  // snapshot cannot leave the metrics half-restored.
+  ByteReader r(snapshot.section("HMET"));
+  std::vector<std::pair<std::string, uint64_t>> counters;
   std::vector<std::pair<std::string, double>> gauges;
-  {
-    std::istringstream in(snapshot.section("GAUG"));
-    std::string name;
-    std::string hex;
-    while (in >> name >> hex) {
-      double value = 0.0;
-      if (!HexBitsToDouble(hex, &value)) {
-        *error = "session snapshot: malformed gauge section";
-        return false;
-      }
-      gauges.emplace_back(name, value);
-    }
-    if (!in.eof()) {
-      *error = "session snapshot: malformed gauge section";
-      return false;
-    }
+  if (!DecodeMetricList(&r, &ByteReader::U64, &counters) ||
+      !DecodeMetricList(&r, &ByteReader::F64, &gauges) || !r.AtEnd()) {
+    *error = "session snapshot: malformed metrics section 'HMET'";
+    return false;
   }
 
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
@@ -367,7 +297,7 @@ RunEnv BuildRunEnv(const PreparedDataset& data, const RunConfig& config) {
     // Random held-out test split; test rows never enter example selection.
     Rng split_rng(config.run_seed ^ 0x8badf00dULL);
     const size_t test_size = static_cast<size_t>(
-        static_cast<double>(env.pool.size()) * config.holdout_fraction);
+        static_cast<double>(env.pool.size()) * kHoldoutFraction);
     std::vector<size_t> test_rows =
         split_rng.SampleWithoutReplacement(env.pool.size(), test_size);
     std::sort(test_rows.begin(), test_rows.end());
@@ -403,27 +333,39 @@ RunResult RunActiveLearning(const PreparedDataset& data,
   return runner.TakeResult();
 }
 
+bool CheckRunInfo(const SessionRunInfo& info, std::string* error) {
+  if (!ProfileByName(info.dataset)) {
+    *error = "dataset '" + info.dataset + "' names no profile";
+    return false;
+  }
+  if (!(info.scale > 0.0 && info.scale <= kMaxScale)) {
+    *error = "scale must lie in (0, 100]";
+    return false;
+  }
+  const RunConfig& config = info.config;
+  if (config.batch_size == 0) {
+    *error = "batch_size must be at least 1";
+    return false;
+  }
+  if (!(config.oracle_noise >= 0.0 && config.oracle_noise <= 1.0)) {
+    *error = "oracle_noise must lie in [0, 1]";
+    return false;
+  }
+  return CheckApproach(config.approach, error);
+}
+
 bool ReadSessionRunInfo(const SessionSnapshot& snapshot, SessionRunInfo* info,
                         std::string* error) {
-  for (const std::string_view tag : {"PROV", "RCFG", "APPR", "BCFG"}) {
+  for (const std::string_view tag : {"HRUN", "BCFG"}) {
     if (!snapshot.has(tag)) {
-      *error = "session snapshot: missing harness section '" +
-               std::string(tag) + "' (saved without run provenance?)";
+      *error = "session snapshot: missing section '" + std::string(tag) +
+               "' (saved without run provenance?)";
       return false;
     }
   }
   SessionRunInfo parsed;
-  if (!DecodeProvenanceSection(snapshot.section("PROV"), &parsed)) {
-    *error = "session snapshot: malformed provenance section";
-    return false;
-  }
-  if (!DecodeRunConfigSection(snapshot.section("RCFG"), &parsed.config)) {
-    *error = "session snapshot: malformed run-config section";
-    return false;
-  }
-  if (!DecodeApproachSection(snapshot.section("APPR"),
-                             &parsed.config.approach)) {
-    *error = "session snapshot: malformed approach section";
+  if (!DecodeRunSection(snapshot.section("HRUN"), &parsed)) {
+    *error = "session snapshot: malformed run section 'HRUN'";
     return false;
   }
   ActiveLearningConfig loop_config;
@@ -432,9 +374,15 @@ bool ReadSessionRunInfo(const SessionSnapshot& snapshot, SessionRunInfo* info,
     return false;
   }
   parsed.config.budget() = loop_config.budget();
-  // warm_start travels in the session's own loop-config section: a resumed
-  // run continues in the snapshot's mode regardless of the resuming CLI.
+  // The run seed and the warm-start mode travel in the session's own
+  // loop-config section: a resumed run continues in the snapshot's mode
+  // regardless of the resuming CLI.
+  parsed.config.run_seed = loop_config.seed;
   parsed.config.warm_start = loop_config.warm_start;
+  if (!CheckRunInfo(parsed, error)) {
+    *error = "session snapshot: " + *error;
+    return false;
+  }
   *info = std::move(parsed);
   return true;
 }
@@ -445,11 +393,11 @@ SessionRunner::SessionRunner(const PreparedDataset& data,
 
 SessionRunner::SessionRunner(const PreparedDataset& data,
                              const RunConfig& config, bool start_session)
-    : dataset_name_(data.name),
-      data_seed_(data.data_seed),
-      scale_(data.scale),
-      feature_cache_(data.feature_cache),
-      config_(config),
+    : run_{.dataset = data.name,
+           .data_seed = data.data_seed,
+           .scale = data.scale,
+           .feature_cache = data.feature_cache,
+           .config = config},
       env_(BuildRunEnv(data, config)) {
   if (start_session) {
     ActiveLearningConfig loop_config;
@@ -490,20 +438,15 @@ void SessionRunner::Run(size_t stop_after) { session_->Run(stop_after); }
 bool SessionRunner::Save(const std::string& path, std::string* error) const {
   SessionSnapshot snapshot;
   if (!session_->SaveTo(&snapshot, error)) return false;
-  snapshot.set("PROV", EncodeProvenanceSection(dataset_name_, data_seed_,
-                                               scale_, feature_cache_));
-  snapshot.set("RCFG", EncodeRunConfigSection(config_));
-  snapshot.set("APPR", EncodeApproachSection(config_.approach));
-  const obs::MetricsSnapshot metrics =
-      obs::MetricsRegistry::Global().Snapshot();
-  snapshot.set("CNTR", EncodeCounterSection(metrics.counters));
-  snapshot.set("GAUG", EncodeGaugeSection(metrics.gauges));
+  snapshot.set("HRUN", EncodeRunSection(run_));
+  snapshot.set("HMET",
+               EncodeMetricsSection(obs::MetricsRegistry::Global().Snapshot()));
   return snapshot.WriteFile(path, error);
 }
 
 RunResult SessionRunner::TakeResult() {
   RunResult result;
-  result.approach_name = config_.approach.DisplayName();
+  result.approach_name = run_.config.approach.DisplayName();
   result.curve = std::move(*session_).TakeCurve();
   result.final_model = std::move(env_.approach.learner);
   FinalizeRunResult(&result);

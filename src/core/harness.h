@@ -87,9 +87,8 @@ struct RunConfig : LoopBudget {
   ApproachSpec approach;
   // Oracle label-flip probability (0 = perfect Oracle).
   double oracle_noise = 0.0;
-  // Evaluate on a held-out split instead of progressively on all pairs.
+  // Evaluate on a held-out 20% split instead of progressively on all pairs.
   bool holdout = false;
-  double holdout_fraction = 0.2;
   // Drives seed sampling, learner randomness, noisy-oracle flips, splits.
   uint64_t run_seed = 1;
   // Incremental training + evaluation engine (--warm-start, docs/
@@ -145,9 +144,10 @@ struct RunEnv {
 
 RunEnv BuildRunEnv(const PreparedDataset& data, const RunConfig& config);
 
-// Provenance parsed back out of a session snapshot: everything needed to
-// re-prepare the dataset and rebuild the run environment before restoring
-// the session itself (`alem_cli session resume` drives this).
+// A run's description: everything needed to prepare the dataset and build
+// the run environment. A SessionRunner snapshot carries it, so a resume
+// re-prepares and rebuilds before restoring the session itself (`alem_cli
+// session resume` drives this); the CLI builds one from its flags.
 struct SessionRunInfo {
   std::string dataset;
   uint64_t data_seed = 7;
@@ -158,12 +158,23 @@ struct SessionRunInfo {
   RunConfig config;
 };
 
+// Checks a run description before anything is built from it: false with
+// *error naming the first field no run can take (an unknown dataset, a
+// scale outside (0, 100], a zero batch_size, an oracle_noise outside
+// [0, 1], or an approach CheckApproach rejects). The CLI's run flags and a
+// snapshot's run section both pass through it.
+bool CheckRunInfo(const SessionRunInfo& info, std::string* error);
+
+// Decodes a SessionRunner snapshot's run section ("HRUN") and the session's
+// loop config ("BCFG", which holds the run seed) and checks the result
+// with CheckRunInfo.
 bool ReadSessionRunInfo(const SessionSnapshot& snapshot, SessionRunInfo* info,
                         std::string* error);
 
 // Owns one run's environment plus its LabelingSession, and layers run-level
-// snapshotting on top of the session's: Save() adds dataset provenance, the
-// RunConfig, the ApproachSpec, and the metric counter/gauge totals to the
+// snapshotting on top of the session's: Save() adds a run section (dataset
+// provenance, the RunConfig fields beyond the session's loop config, and the
+// ApproachSpec) and a metrics section (the counter/gauge totals) to the
 // session sections; Restore() rebuilds the counters (histograms restart
 // empty — they are latency telemetry, not part of the determinism contract)
 // and the session from them. RunActiveLearning is a thin wrapper over this
@@ -199,11 +210,7 @@ class SessionRunner {
   SessionRunner(const PreparedDataset& data, const RunConfig& config,
                 bool start_session);
 
-  std::string dataset_name_;
-  uint64_t data_seed_ = 0;
-  double scale_ = 1.0;
-  std::string feature_cache_ = "off";
-  RunConfig config_;
+  SessionRunInfo run_;
   RunEnv env_;
   std::unique_ptr<LabelingSession> session_;
 };

@@ -373,4 +373,14 @@ Learner::InputWidth RuleLearner::ModelInputWidth() const {
   return {model_.dnf().InputWidth(), false};
 }
 
+bool ModelFitsPool(const Learner& learner, size_t dims, std::string* error) {
+  const Learner::InputWidth width = learner.ModelInputWidth();
+  if (width.exact ? width.width == dims : width.width <= dims) return true;
+  *error = "learner model reads " +
+           std::string(width.exact ? "exactly " : "at least ") +
+           std::to_string(width.width) + " input features but the pool has " +
+           std::to_string(dims);
+  return false;
+}
+
 }  // namespace alem

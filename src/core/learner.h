@@ -179,6 +179,11 @@ class Learner {
                               std::span<const size_t> rows, double* out) const;
 };
 
+// Whether `learner`'s model can score the rows of a pool `dims` features
+// wide (Learner::ModelInputWidth); a model that reads past the rows would
+// score out of bounds. False with *error naming both widths otherwise.
+bool ModelFitsPool(const Learner& learner, size_t dims, std::string* error);
+
 // Learners for which a margin (distance-to-decision-boundary proxy) exists.
 class MarginLearner : public Learner {
  public:

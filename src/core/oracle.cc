@@ -1,57 +1,61 @@
 #include "core/oracle.h"
 
-#include <sstream>
 #include <utility>
 
 #include "obs/obs.h"
+#include "util/byte_codec.h"
 #include "util/check.h"
 
 namespace alem {
 namespace {
 
-// Serialized noisy-oracle state: query count, RNG stream, and the sparse
-// already-queried entries of the flip cache. Line-based text so a corrupt
-// snapshot section fails parsing instead of silently misaligning.
+// "ORCL" for the noisy oracles: the query count (u64), the RNG stream
+// (Rng::SaveState, as a length-prefixed string), and the flip cache's
+// resolved entries as a u64 count and then, in ascending row order, each
+// row (u64) and its label (u8).
 std::string SaveNoisyState(size_t queries, const Rng& rng,
                            const std::vector<int8_t>& cached) {
-  std::ostringstream out;
-  out << "queries " << queries << "\n";
-  out << "rng " << rng.SaveState() << "\n";
-  size_t resolved = 0;
+  ByteWriter w;
+  w.U64(queries);
+  w.Str(rng.SaveState());
+  uint64_t resolved = 0;
   for (const int8_t entry : cached) resolved += entry >= 0 ? 1 : 0;
-  out << "cached " << resolved << "\n";
+  w.U64(resolved);
   for (size_t row = 0; row < cached.size(); ++row) {
-    if (cached[row] >= 0) {
-      out << row << " " << static_cast<int>(cached[row]) << "\n";
-    }
+    if (cached[row] < 0) continue;
+    w.U64(row);
+    w.U8(static_cast<uint8_t>(cached[row]));
   }
-  return out.str();
+  return w.Take();
 }
 
-bool RestoreNoisyState(const std::string& state, size_t* queries, Rng* rng,
+// Rejects a row past the pool, a row out of ascending order, and a label
+// other than 0 or 1, leaving the oracle unchanged.
+bool RestoreNoisyState(std::string_view state, size_t* queries, Rng* rng,
                        std::vector<int8_t>* cached) {
-  std::istringstream in(state);
-  std::string keyword;
+  ByteReader r(state);
   uint64_t query_count = 0;
-  if (!(in >> keyword >> query_count) || keyword != "queries") return false;
   std::string rng_state;
-  if (!(in >> keyword) || keyword != "rng") return false;
-  // The RNG state is the rest of its line (space-separated hex words).
-  std::getline(in, rng_state);
   Rng restored_rng(0);
-  if (!restored_rng.RestoreState(rng_state)) return false;
   uint64_t resolved = 0;
-  if (!(in >> keyword >> resolved) || keyword != "cached") return false;
+  if (!r.U64(&query_count) || !r.Str(&rng_state) ||
+      !restored_rng.RestoreState(rng_state) ||
+      !r.Count(&resolved, sizeof(uint64_t) + sizeof(uint8_t))) {
+    return false;
+  }
   std::vector<int8_t> restored_cache(cached->size(), -1);
+  uint64_t next_row = 0;
   for (uint64_t i = 0; i < resolved; ++i) {
     uint64_t row = 0;
-    int label = 0;
-    if (!(in >> row >> label)) return false;
-    if (row >= restored_cache.size() || (label != 0 && label != 1)) {
+    uint8_t label = 0;
+    if (!r.U64(&row) || !r.U8(&label) || row < next_row ||
+        row >= restored_cache.size() || label > 1) {
       return false;
     }
     restored_cache[row] = static_cast<int8_t>(label);
+    next_row = row + 1;
   }
+  if (!r.AtEnd()) return false;
   *queries = static_cast<size_t>(query_count);
   *rng = restored_rng;
   *cached = std::move(restored_cache);
@@ -68,16 +72,15 @@ void Oracle::CountQuery() {
 }
 
 std::string Oracle::SaveState() const {
-  std::ostringstream out;
-  out << "queries " << queries_ << "\n";
-  return out.str();
+  ByteWriter w;
+  w.U64(queries_);
+  return w.Take();
 }
 
 bool Oracle::RestoreState(const std::string& state) {
-  std::istringstream in(state);
-  std::string keyword;
+  ByteReader r(state);
   uint64_t query_count = 0;
-  if (!(in >> keyword >> query_count) || keyword != "queries") return false;
+  if (!r.U64(&query_count) || !r.AtEnd()) return false;
   queries_ = static_cast<size_t>(query_count);
   return true;
 }

@@ -27,11 +27,12 @@ class Oracle {
   // Number of labels handed out so far.
   size_t queries() const { return queries_; }
 
-  // Serializes the oracle's mutable state (query count; for the noisy
-  // oracles also the RNG stream and the per-row flip cache), so a restored
-  // labeling session hands out the exact labels the uninterrupted run
-  // would have (docs/sessions.md). RestoreState returns false on
-  // malformed input. The base implementations cover stateless oracles.
+  // Serializes the oracle's mutable state in binary (the query count as a
+  // u64; the noisy oracles add the RNG stream and the resolved flip-cache
+  // entries), so a restored labeling session hands out the exact labels
+  // the uninterrupted run would have (docs/sessions.md). RestoreState
+  // returns false on malformed input, including the state of another kind
+  // of oracle. The base implementations cover stateless oracles.
   virtual std::string SaveState() const;
   virtual bool RestoreState(const std::string& state);
 

@@ -1,91 +1,29 @@
 #include "core/session.h"
 
 #include <algorithm>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <utility>
 
+#include "util/byte_codec.h"
 #include "util/check.h"
 #include "util/rng.h"
 
 namespace alem {
 namespace {
 
-// Snapshot container (all fields little-endian host layout), following the
-// ALFM feature-cache conventions (features/feature_matrix.cc):
+// Snapshot container (all fields little-endian host layout, through the
+// byte codec of util/byte_codec.h), following the ALFM feature-cache
+// conventions (features/feature_matrix.cc):
 //   bytes 0..3   magic "ALSS"
 //   bytes 4..7   uint32 format version (kSessionFormatVersion)
 //   bytes 8..15  uint64 payload size
 //   bytes 16..23 uint64 FNV-1a hash of the payload
 //   bytes 24..   payload: sections, each [4-char tag][uint64 length][bytes]
 constexpr char kSessionMagic[4] = {'A', 'L', 'S', 'S'};
-constexpr uint32_t kSessionFormatVersion = 2;
+constexpr uint32_t kSessionFormatVersion = 3;
 constexpr size_t kSessionHeaderSize = 4 + 4 + 8 + 8;
 constexpr size_t kTagSize = 4;
-
-uint64_t Fnv1a(const void* data, size_t size) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  uint64_t hash = 1469598103934665603ULL;
-  for (size_t i = 0; i < size; ++i) {
-    hash ^= bytes[i];
-    hash *= 1099511628211ULL;
-  }
-  return hash;
-}
-
-void AppendRaw(std::string* out, const void* data, size_t size) {
-  out->append(static_cast<const char*>(data), size);
-}
-
-// Field-by-field binary encoding, free of struct padding and alignment
-// concerns. Doubles travel as raw bit patterns so they round-trip exactly.
-class ByteWriter {
- public:
-  void U8(uint8_t v) { AppendRaw(&out_, &v, sizeof(v)); }
-  void U32(uint32_t v) { AppendRaw(&out_, &v, sizeof(v)); }
-  void U64(uint64_t v) { AppendRaw(&out_, &v, sizeof(v)); }
-  void I64(int64_t v) { AppendRaw(&out_, &v, sizeof(v)); }
-  void F64(double v) {
-    uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof(bits));
-    U64(bits);
-  }
-  std::string Take() { return std::move(out_); }
-
- private:
-  std::string out_;
-};
-
-// Bounds-checked reader over a section payload; every accessor fails on
-// truncation instead of reading past the end.
-class ByteReader {
- public:
-  explicit ByteReader(std::string_view data) : data_(data) {}
-
-  bool U8(uint8_t* v) { return Raw(v, sizeof(*v)); }
-  bool U32(uint32_t* v) { return Raw(v, sizeof(*v)); }
-  bool U64(uint64_t* v) { return Raw(v, sizeof(*v)); }
-  bool I64(int64_t* v) { return Raw(v, sizeof(*v)); }
-  bool F64(double* v) {
-    uint64_t bits = 0;
-    if (!U64(&bits)) return false;
-    std::memcpy(v, &bits, sizeof(*v));
-    return true;
-  }
-  bool AtEnd() const { return cursor_ == data_.size(); }
-
- private:
-  bool Raw(void* out, size_t size) {
-    if (data_.size() - cursor_ < size) return false;
-    std::memcpy(out, data_.data() + cursor_, size);
-    cursor_ += size;
-    return true;
-  }
-
-  std::string_view data_;
-  size_t cursor_ = 0;
-};
 
 // ---- Section encodings -------------------------------------------------
 
@@ -200,11 +138,15 @@ std::string EncodeCurve(const std::vector<IterationStats>& curve) {
   return w.Take();
 }
 
+// Bytes per CRVE entry: 21 fields of 8 bytes each.
+constexpr size_t kCurveEntryBytes = 21 * 8;
+
 bool DecodeCurve(std::string_view blob, std::vector<IterationStats>* curve) {
   ByteReader r(blob);
   uint64_t count = 0;
-  if (!r.U64(&count)) return false;
+  if (!r.Count(&count, kCurveEntryBytes)) return false;
   std::vector<IterationStats> parsed;
+  parsed.reserve(static_cast<size_t>(count));
   for (uint64_t i = 0; i < count; ++i) {
     IterationStats s;
     uint64_t iteration = 0;
@@ -264,17 +206,14 @@ std::string EncodeEvalCache(const std::vector<uint8_t>& cache, uint64_t tp,
                             uint32_t audit_countdown, uint64_t stable) {
   ByteWriter w;
   w.U64(cache.size());
-  std::string out = w.Take();
-  out.append(reinterpret_cast<const char*>(cache.data()), cache.size());
-  ByteWriter tail;
-  tail.U64(tp);
-  tail.U64(fp);
-  tail.U64(fn);
-  tail.U64(tn);
-  tail.U32(audit_countdown);
-  tail.U64(stable);
-  out += tail.Take();
-  return out;
+  w.Bytes({reinterpret_cast<const char*>(cache.data()), cache.size()});
+  w.U64(tp);
+  w.U64(fp);
+  w.U64(fn);
+  w.U64(tn);
+  w.U32(audit_countdown);
+  w.U64(stable);
+  return w.Take();
 }
 
 struct DecodedEvalCache {
@@ -293,7 +232,7 @@ bool DecodeEvalCache(std::string_view blob, const std::vector<int>& truth,
                      std::string* error) {
   ByteReader r(blob);
   uint64_t count = 0;
-  if (!r.U64(&count) || count > blob.size()) {
+  if (!r.Count(&count, 1)) {
     *error = "session snapshot: truncated evaluation-cache section 'IEVL'";
     return false;
   }
@@ -356,9 +295,8 @@ std::string EncodeEnsemble(double precision, size_t accepted,
   w.F64(precision);
   w.U64(accepted);
   w.U64(covered.size());
-  std::string out = w.Take();
-  out.append(reinterpret_cast<const char*>(covered.data()), covered.size());
-  return out;
+  w.Bytes({reinterpret_cast<const char*>(covered.data()), covered.size()});
+  return w.Take();
 }
 
 bool DecodeEnsemble(std::string_view blob, size_t pool_size,
@@ -574,83 +512,70 @@ void SessionSnapshot::set(std::string_view tag, std::string payload) {
 }
 
 std::string SessionSnapshot::Serialize() const {
-  std::string payload;
+  ByteWriter payload;
   for (const auto& [tag, bytes] : sections) {
     ALEM_CHECK_EQ(tag.size(), kTagSize);
-    payload.append(tag);
-    const uint64_t length = bytes.size();
-    AppendRaw(&payload, &length, sizeof(length));
-    payload.append(bytes);
+    payload.Bytes(tag);
+    payload.Str(bytes);
   }
-  std::string out;
-  out.reserve(kSessionHeaderSize + payload.size());
-  out.append(kSessionMagic, sizeof(kSessionMagic));
-  const uint32_t version = kSessionFormatVersion;
-  AppendRaw(&out, &version, sizeof(version));
-  const uint64_t payload_size = payload.size();
-  AppendRaw(&out, &payload_size, sizeof(payload_size));
-  const uint64_t checksum = Fnv1a(payload.data(), payload.size());
-  AppendRaw(&out, &checksum, sizeof(checksum));
-  out.append(payload);
-  return out;
+  const std::string body = payload.Take();
+  ByteWriter out;
+  out.Bytes({kSessionMagic, sizeof(kSessionMagic)});
+  out.U32(kSessionFormatVersion);
+  out.U64(body.size());
+  out.U64(Fnv1a(body.data(), body.size()));
+  out.Bytes(body);
+  return out.Take();
 }
 
 bool SessionSnapshot::Parse(std::string_view blob, SessionSnapshot* out,
                             std::string* error) {
-  if (blob.size() < kSessionHeaderSize) {
+  ByteReader header(blob);
+  std::string_view magic;
+  uint32_t version = 0;
+  uint64_t payload_size = 0;
+  uint64_t checksum = 0;
+  if (!header.Bytes(sizeof(kSessionMagic), &magic) || !header.U32(&version) ||
+      !header.U64(&payload_size) || !header.U64(&checksum)) {
     *error = "session snapshot: truncated header";
     return false;
   }
-  const char* cursor = blob.data();
-  if (std::memcmp(cursor, kSessionMagic, sizeof(kSessionMagic)) != 0) {
+  if (magic != std::string_view(kSessionMagic, sizeof(kSessionMagic))) {
     *error = "session snapshot: bad magic (not an ALSS file)";
     return false;
   }
-  cursor += sizeof(kSessionMagic);
-  uint32_t version = 0;
-  std::memcpy(&version, cursor, sizeof(version));
-  cursor += sizeof(version);
   if (version != kSessionFormatVersion) {
     *error = "session snapshot: unsupported format version " +
              std::to_string(version) + " (expected " +
              std::to_string(kSessionFormatVersion) + ")";
     return false;
   }
-  uint64_t payload_size = 0;
-  uint64_t checksum = 0;
-  std::memcpy(&payload_size, cursor, sizeof(payload_size));
-  cursor += sizeof(payload_size);
-  std::memcpy(&checksum, cursor, sizeof(checksum));
-  cursor += sizeof(checksum);
-  if (blob.size() - kSessionHeaderSize != payload_size) {
+  if (header.remaining() != payload_size) {
     *error = "session snapshot: payload size mismatch (truncated or padded)";
     return false;
   }
-  if (Fnv1a(cursor, static_cast<size_t>(payload_size)) != checksum) {
+  const std::string_view payload = blob.substr(kSessionHeaderSize);
+  if (Fnv1a(payload.data(), payload.size()) != checksum) {
     *error = "session snapshot: checksum mismatch (corrupt file)";
     return false;
   }
 
   SessionSnapshot parsed;
-  size_t offset = 0;
-  const std::string_view payload(cursor, static_cast<size_t>(payload_size));
-  while (offset < payload.size()) {
-    if (payload.size() - offset < kTagSize + sizeof(uint64_t)) {
+  ByteReader r(payload);
+  while (!r.AtEnd()) {
+    std::string_view tag;
+    uint64_t length = 0;
+    std::string_view bytes;
+    if (!r.Bytes(kTagSize, &tag) || !r.U64(&length)) {
       *error = "session snapshot: truncated section header";
       return false;
     }
-    const std::string tag(payload.substr(offset, kTagSize));
-    offset += kTagSize;
-    uint64_t length = 0;
-    std::memcpy(&length, payload.data() + offset, sizeof(length));
-    offset += sizeof(length);
-    if (payload.size() - offset < length) {
-      *error = "session snapshot: truncated section '" + tag + "'";
+    if (!r.Bytes(length, &bytes)) {
+      *error = "session snapshot: truncated section '" + std::string(tag) +
+               "'";
       return false;
     }
-    parsed.sections[tag] =
-        std::string(payload.substr(offset, static_cast<size_t>(length)));
-    offset += static_cast<size_t>(length);
+    parsed.sections[std::string(tag)] = std::string(bytes);
   }
   *out = std::move(parsed);
   return true;
@@ -910,7 +835,7 @@ void LabelingSession::Run(size_t stop_after) {
   while (!finished()) {
     if (stop_after > 0 && state_ == SessionState::kNeedsStep &&
         curve_.size() >= stop_after) {
-      return;  // Paused at an iteration boundary; Save() is valid here.
+      return;  // Paused at an iteration boundary; SaveTo() is valid here.
     }
     switch (state_) {
       case SessionState::kNeedsStep:
@@ -1106,12 +1031,6 @@ bool LabelingSession::SaveTo(SessionSnapshot* snapshot,
   return true;
 }
 
-bool LabelingSession::Save(const std::string& path, std::string* error) const {
-  SessionSnapshot snapshot;
-  if (!SaveTo(&snapshot, error)) return false;
-  return snapshot.WriteFile(path, error);
-}
-
 std::unique_ptr<LabelingSession> LabelingSession::Restore(
     Learner& learner, ExampleSelector& selector, Oracle& oracle,
     const Evaluator& evaluator, ActivePool& pool,
@@ -1184,14 +1103,9 @@ std::unique_ptr<LabelingSession> LabelingSession::Restore(
              "configured learner";
     return nullptr;
   }
-  // A model that reads past the pool's rows would score out of bounds.
-  const Learner::InputWidth width = learner.ModelInputWidth();
-  const size_t dims = pool.features().dims();
-  if (width.exact ? width.width != dims : width.width > dims) {
-    *error = "session snapshot: learner model reads " +
-             std::string(width.exact ? "exactly " : "at least ") +
-             std::to_string(width.width) +
-             " input features but the pool has " + std::to_string(dims);
+  std::string width_error;
+  if (!ModelFitsPool(learner, pool.features().dims(), &width_error)) {
+    *error = "session snapshot: " + width_error;
     return nullptr;
   }
   if (!selector.RestoreState(snapshot.section("SLCT"))) {

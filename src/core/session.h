@@ -38,7 +38,7 @@
 // looks precise.
 //
 // At any iteration boundary (kNeedsStep or kFinished) the session can be
-// serialized with Save()/SaveTo() and reconstructed in a fresh process with
+// serialized with SaveTo() and reconstructed in a fresh process with
 // Restore(): learner model, labeled-pool contents, selector + oracle RNG
 // streams, the cumulative IterationStats curve, the evaluation cache (with
 // its plateau count), ensemble coverage, and config all round-trip, so the
@@ -279,7 +279,7 @@ class LabelingSession {
   // Drives Step / NextBatch / SubmitLabels (Oracle labels) until the
   // session finishes or — when stop_after > 0 — until `stop_after`
   // iterations have completed, pausing at the iteration boundary where
-  // Save() is valid.
+  // SaveTo() is valid.
   void Run(size_t stop_after = 0);
 
   // --- Introspection ---
@@ -313,9 +313,6 @@ class LabelingSession {
   // rejected (false, *error set) because the determinism contract is
   // defined at boundaries.
   bool SaveTo(SessionSnapshot* snapshot, std::string* error) const;
-
-  // SaveTo + WriteFile convenience.
-  bool Save(const std::string& path, std::string* error) const;
 
  private:
   LabelingSession(Learner& learner, ExampleSelector& selector, Oracle& oracle,

@@ -11,6 +11,7 @@
 #include <utility>
 
 #include "obs/obs.h"
+#include "util/byte_codec.h"
 
 namespace alem {
 namespace {
@@ -33,27 +34,17 @@ void CountCacheWrite() {
   counter.Add(1);
 }
 
-uint64_t Fnv1aMix(uint64_t hash, const void* data, size_t size) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < size; ++i) {
-    hash ^= bytes[i];
-    hash *= 1099511628211ULL;
-  }
-  return hash;
-}
-
 }  // namespace
 
 std::string FeatureCacheKey::FileName() const {
   // Digest every field the matrix is a function of; the double is hashed
   // by bit pattern (scales are exact user inputs, not computed values).
-  uint64_t hash = 1469598103934665603ULL;
-  hash = Fnv1aMix(hash, dataset_name.data(), dataset_name.size());
-  hash = Fnv1aMix(hash, &profile_fingerprint, sizeof(profile_fingerprint));
-  hash = Fnv1aMix(hash, &data_seed, sizeof(data_seed));
-  hash = Fnv1aMix(hash, &scale, sizeof(scale));
-  hash = Fnv1aMix(hash, &sim_fingerprint, sizeof(sim_fingerprint));
-  hash = Fnv1aMix(hash, &num_dims, sizeof(num_dims));
+  uint64_t hash = Fnv1a(dataset_name.data(), dataset_name.size());
+  hash = Fnv1a(&profile_fingerprint, sizeof(profile_fingerprint), hash);
+  hash = Fnv1a(&data_seed, sizeof(data_seed), hash);
+  hash = Fnv1a(&scale, sizeof(scale), hash);
+  hash = Fnv1a(&sim_fingerprint, sizeof(sim_fingerprint), hash);
+  hash = Fnv1a(&num_dims, sizeof(num_dims), hash);
 
   std::string sanitized;
   sanitized.reserve(dataset_name.size());

@@ -7,8 +7,6 @@
 #include <cstdint>
 #include <istream>
 #include <ostream>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "util/page_allocator.h"
@@ -39,34 +37,21 @@ class FeatureMatrix {
   // Appends one row (must have `dims()` entries; sets dims on first append).
   void AppendRow(const std::vector<float>& row);
 
-  // Versioned binary serialization: magic + format version + shape +
-  // payload checksum + raw floats. A Deserialize of the blob is bitwise
-  // identical to the source matrix. Used by the persistent feature cache
-  // (see docs/featurization.md).
-  std::string Serialize() const;
-
-  // Writes the Serialize() bytes to `out` without building them in memory
-  // (the feature cache stores entries this way). Returns out.good().
+  // Writes the versioned binary serialization (magic + format version +
+  // shape + payload checksum + raw floats; the feature cache's entry
+  // format, docs/featurization.md) to `out`. Returns out.good().
   bool SerializeTo(std::ostream& out) const;
 
-  // Parses a Serialize() blob. Returns false (leaving *out untouched) on
-  // any validation failure: wrong magic, unsupported version, truncated or
-  // oversized payload, or checksum mismatch — corrupt cache files must
-  // read as a miss, never crash.
-  static bool Deserialize(std::string_view blob, FeatureMatrix* out);
-
-  // Deserialize over the next `size` bytes of `in`, read straight into the
-  // matrix (the feature cache loads entries this way). The same checks,
-  // and a short read, return false.
+  // Parses the next `size` bytes of `in` as a SerializeTo() blob, read
+  // straight into the matrix; the result is bitwise identical to the
+  // source. Returns false (leaving *out untouched) on any validation
+  // failure — wrong magic, unsupported version, a size that does not match
+  // the shape, a short read, or a checksum mismatch — so corrupt cache
+  // files read as a miss, never crash.
   static bool DeserializeFrom(std::istream& in, size_t size,
                               FeatureMatrix* out);
 
  private:
-  // Checks a serialized header against a blob of `size` bytes in all; on
-  // success *shaped is a zero matrix of the stored shape.
-  static bool ParseHeader(const char* header, size_t size,
-                          FeatureMatrix* shaped, uint64_t* checksum);
-
   size_t rows_ = 0;
   size_t dims_ = 0;
   // Large matrices get their own pages (see util/page_allocator.h).

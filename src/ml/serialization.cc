@@ -141,20 +141,32 @@ bool DeserializeTree(const std::string& text, DecisionTree* model) {
       !reader.Read(&result.depth_) || !reader.Read(&num_nodes)) {
     return false;
   }
-  if (num_nodes == 0 || num_nodes > (1u << 26)) return false;
+  // A node row is six numbers, each at least one digit and a separator.
+  if (num_nodes == 0 || num_nodes > text.size() / 12) return false;
   result.nodes_.resize(num_nodes);
-  for (auto& node : result.nodes_) {
+  // The builder writes both children of a split before the split itself,
+  // and every node is the child of at most one split. Holding a blob to
+  // that keeps it a tree: a split that reached itself or a later node
+  // could loop, and a shared child could double the flattened size per
+  // level.
+  std::vector<uint8_t> is_child(num_nodes, 0);
+  for (size_t i = 0; i < num_nodes; ++i) {
+    auto& node = result.nodes_[i];
     int is_leaf = 0;
     if (!reader.Read(&is_leaf) || !reader.Read(&node.label) ||
         !reader.Read(&node.dim) || !reader.Read(&node.threshold) ||
         !reader.Read(&node.left) || !reader.Read(&node.right)) {
       return false;
     }
+    if (node.label != 0 && node.label != 1) return false;
     node.is_leaf = is_leaf != 0;
-    // Child indices must stay in bounds (or be -1 for leaves).
-    if (node.left >= static_cast<int>(num_nodes) ||
-        node.right >= static_cast<int>(num_nodes)) {
-      return false;
+    if (node.is_leaf) continue;
+    for (const int child : {node.left, node.right}) {
+      if (child < 0 || static_cast<size_t>(child) >= i ||
+          is_child[static_cast<size_t>(child)] != 0) {
+        return false;
+      }
+      is_child[static_cast<size_t>(child)] = 1;
     }
   }
   if (result.root_ < 0 || result.root_ >= static_cast<int>(num_nodes)) {

@@ -1,6 +1,7 @@
 #include "sim/similarity.h"
 
 #include "parallel/pool.h"
+#include "util/byte_codec.h"
 #include "util/check.h"
 
 namespace alem {
@@ -38,20 +39,12 @@ void SimilarityFunction::EvaluateChunk(const AttributeProfile* const* left,
 
 uint64_t SimRegistryFingerprint() {
   // FNV-1a over the registry version and the ordered function names.
-  uint64_t hash = 1469598103934665603ULL;
-  auto mix = [&hash](const void* data, size_t size) {
-    const auto* bytes = static_cast<const unsigned char*>(data);
-    for (size_t i = 0; i < size; ++i) {
-      hash ^= bytes[i];
-      hash *= 1099511628211ULL;
-    }
-  };
   const uint32_t version = kSimRegistryVersion;
-  mix(&version, sizeof(version));
+  uint64_t hash = Fnv1a(&version, sizeof(version));
   for (const SimilarityFunction* function : AllSimilarityFunctions()) {
     const std::string_view name = function->name();
-    mix(name.data(), name.size());
-    mix("|", 1);
+    hash = Fnv1a(name.data(), name.size(), hash);
+    hash = Fnv1a("|", 1, hash);
   }
   return hash;
 }

@@ -2,7 +2,7 @@
 
 #include <type_traits>
 
-#include "util/check.h"
+#include "util/byte_codec.h"
 
 namespace alem {
 
@@ -262,34 +262,25 @@ std::vector<SynthProfile> AllPublicProfiles() {
           BabyProductsProfile()};
 }
 
-SynthProfile ProfileByName(const std::string& name) {
+std::optional<SynthProfile> ProfileByName(const std::string& name) {
   for (SynthProfile& profile : AllPublicProfiles()) {
     if (profile.name == name) return profile;
   }
   if (name == "SocialMedia") return SocialMediaProfile();
-  ALEM_CHECK(false);  // Unknown dataset name.
+  return std::nullopt;
 }
 
 namespace {
 
-uint64_t Fnv1aMix(uint64_t hash, const void* data, size_t size) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < size; ++i) {
-    hash ^= bytes[i];
-    hash *= 1099511628211ULL;
-  }
-  return hash;
-}
-
 uint64_t MixString(uint64_t hash, const std::string& s) {
-  hash = Fnv1aMix(hash, s.data(), s.size());
-  return Fnv1aMix(hash, "|", 1);
+  hash = Fnv1a(s.data(), s.size(), hash);
+  return Fnv1a("|", 1, hash);
 }
 
 template <typename T>
 uint64_t MixValue(uint64_t hash, const T& value) {
   static_assert(std::is_trivially_copyable_v<T>);
-  return Fnv1aMix(hash, &value, sizeof(value));
+  return Fnv1a(&value, sizeof(value), hash);
 }
 
 }  // namespace
@@ -298,8 +289,7 @@ uint64_t ProfileFingerprint(const SynthProfile& profile) {
   // Every field that influences generated records contributes; doubles are
   // hashed by bit pattern (profile parameters are exact literals, never
   // computed values, so bit equality is the right identity).
-  uint64_t hash = 1469598103934665603ULL;
-  hash = MixString(hash, profile.name);
+  uint64_t hash = MixString(kFnv1aOffsetBasis, profile.name);
   hash = MixValue(hash, static_cast<int32_t>(profile.domain));
   hash = MixValue(hash, static_cast<uint64_t>(profile.columns.size()));
   for (const ColumnSpec& column : profile.columns) {

@@ -12,6 +12,7 @@
 #define ALEM_SYNTH_PROFILES_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -132,8 +133,8 @@ SynthProfile SocialMediaProfile();
 // All nine public-dataset profiles, in Table 1 order.
 std::vector<SynthProfile> AllPublicProfiles();
 
-// Looks a profile up by its dataset name; aborts on unknown names.
-SynthProfile ProfileByName(const std::string& name);
+// Looks a profile up by its dataset name; nullopt for an unknown name.
+std::optional<SynthProfile> ProfileByName(const std::string& name);
 
 // Stable 64-bit fingerprint over every profile field that influences the
 // generated records. The persistent feature-matrix cache mixes it into its

@@ -1,9 +1,9 @@
 #include "util/rng.h"
 
+#include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstring>
 
+#include "util/byte_codec.h"
 #include "util/check.h"
 
 namespace alem {
@@ -61,39 +61,27 @@ std::vector<size_t> Rng::SampleWithoutReplacement(size_t n, size_t k) {
 }
 
 std::string Rng::SaveState() const {
-  // The cached gaussian travels as its raw bit pattern: hex u64s round-trip
-  // exactly where a decimal double might not.
-  uint64_t gaussian_bits = 0;
-  static_assert(sizeof(gaussian_bits) == sizeof(cached_gaussian_));
-  std::memcpy(&gaussian_bits, &cached_gaussian_, sizeof(gaussian_bits));
-  char buffer[160];
-  std::snprintf(buffer, sizeof(buffer),
-                "xoshiro256ss-v1 %llx %llx %llx %llx %d %llx",
-                static_cast<unsigned long long>(state_[0]),
-                static_cast<unsigned long long>(state_[1]),
-                static_cast<unsigned long long>(state_[2]),
-                static_cast<unsigned long long>(state_[3]),
-                has_cached_gaussian_ ? 1 : 0,
-                static_cast<unsigned long long>(gaussian_bits));
-  return buffer;
+  ByteWriter w;
+  for (const uint64_t word : state_) w.U64(word);
+  w.U8(has_cached_gaussian_ ? 1 : 0);
+  w.F64(cached_gaussian_);
+  return w.Take();
 }
 
-bool Rng::RestoreState(const std::string& state) {
-  unsigned long long words[4] = {0, 0, 0, 0};
-  unsigned long long gaussian_bits = 0;
-  int has_cached = 0;
-  // The leading " " directive skips any leading whitespace (callers may hand
-  // us the tail of a "rng <state>" line).
-  if (std::sscanf(state.c_str(), " xoshiro256ss-v1 %llx %llx %llx %llx %d %llx",
-                  &words[0], &words[1], &words[2], &words[3], &has_cached,
-                  &gaussian_bits) != 6) {
+bool Rng::RestoreState(std::string_view state) {
+  ByteReader r(state);
+  uint64_t words[4] = {0, 0, 0, 0};
+  uint8_t has_cached = 0;
+  double cached = 0.0;
+  for (uint64_t& word : words) {
+    if (!r.U64(&word)) return false;
+  }
+  if (!r.U8(&has_cached) || has_cached > 1 || !r.F64(&cached) || !r.AtEnd()) {
     return false;
   }
-  if (has_cached != 0 && has_cached != 1) return false;
-  for (int i = 0; i < 4; ++i) state_[i] = static_cast<uint64_t>(words[i]);
+  std::copy(words, words + 4, state_);
   has_cached_gaussian_ = has_cached == 1;
-  const uint64_t bits = static_cast<uint64_t>(gaussian_bits);
-  std::memcpy(&cached_gaussian_, &bits, sizeof(cached_gaussian_));
+  cached_gaussian_ = cached;
   return true;
 }
 

@@ -12,6 +12,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/check.h"
@@ -80,13 +81,13 @@ class Rng {
   // `k` indices sampled uniformly with replacement from [0, n).
   std::vector<size_t> SampleWithReplacement(size_t n, size_t k);
 
-  // Serializes the exact generator position (xoshiro256** state words plus
-  // the Box-Muller gaussian cache) as a single text line, so a restored
-  // stream continues bit-for-bit where the saved one stopped
-  // (docs/sessions.md). RestoreState rejects malformed input and leaves
-  // the generator unchanged.
+  // Serializes the exact generator position, so a restored stream
+  // continues bit-for-bit where the saved one stopped (docs/sessions.md):
+  // 41 bytes, the four xoshiro256** state words (u64 each), the Box-Muller
+  // cache flag (u8, 0 or 1) and the cached gaussian's bits (f64).
+  // RestoreState rejects anything else and leaves the generator unchanged.
   std::string SaveState() const;
-  bool RestoreState(const std::string& state);
+  bool RestoreState(std::string_view state);
 
  private:
   [[gnu::always_inline]] static uint64_t Rotl(uint64_t x, int k) {

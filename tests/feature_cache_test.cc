@@ -14,7 +14,10 @@
 #include "core/harness.h"
 #include "features/feature_cache.h"
 #include "features/feature_matrix.h"
+#include "features/feature_schema.h"
 #include "parallel/pool.h"
+#include "sim/similarity.h"
+#include "synth/generator.h"
 #include "synth/profiles.h"
 
 namespace alem {
@@ -146,6 +149,27 @@ TEST(FeatureCacheTest, EveryKeyComponentAddressesADistinctEntry) {
   FeatureMatrix loaded;
   EXPECT_FALSE(cache.Load(sim_changed, &loaded));
   EXPECT_TRUE(cache.Load(base, &loaded));
+}
+
+// The shared FNV-1a (util/byte_codec.h) keeps every fingerprint and cache
+// key of the code before it, so existing .fmat entries stay hits. These are
+// the values the private copies computed.
+TEST(FeatureCacheTest, FingerprintsAndKeysArePinned) {
+  EXPECT_EQ(SimRegistryFingerprint(), 0xe240887363786fbbULL);
+  EXPECT_EQ(ProfileFingerprint(AbtBuyProfile()), 0x9b7b84602a94680aULL);
+  EXPECT_EQ(ProfileFingerprint(CoraProfile()), 0xf01bcc613e265efaULL);
+  EXPECT_EQ(ProfileFingerprint(DblpScholarProfile()), 0x2a7c029bb59803f2ULL);
+
+  // PrepareDataset's key for Abt-Buy at scale 0.25 with data seed 7.
+  const EmDataset dataset = GenerateDataset(AbtBuyProfile(), 7, 0.25);
+  FeatureCacheKey key;
+  key.dataset_name = "Abt-Buy";
+  key.profile_fingerprint = ProfileFingerprint(AbtBuyProfile());
+  key.data_seed = 7;
+  key.scale = 0.25;
+  key.sim_fingerprint = SimRegistryFingerprint();
+  key.num_dims = FeatureSchema::FromDataset(dataset).num_dims();
+  EXPECT_EQ(key.FileName(), "Abt_Buy-ce7860a3aa915448.fmat");
 }
 
 // ---- PrepareDataset integration ----

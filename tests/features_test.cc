@@ -63,6 +63,19 @@ TEST(FeatureMatrixTest, AppendRowSetsDims) {
   EXPECT_FLOAT_EQ(matrix.At(1, 1), 4.0f);
 }
 
+// The SerializeTo() bytes of `matrix`.
+std::string Bytes(const FeatureMatrix& matrix) {
+  std::ostringstream out;
+  EXPECT_TRUE(matrix.SerializeTo(out));
+  return out.str();
+}
+
+// DeserializeFrom over the first `size` bytes of a stream holding `bytes`.
+bool Parses(const std::string& bytes, size_t size, FeatureMatrix* parsed) {
+  std::istringstream in(bytes);
+  return FeatureMatrix::DeserializeFrom(in, size, parsed);
+}
+
 TEST(FeatureMatrixTest, SerializeRoundTripIsBitwise) {
   FeatureMatrix matrix(4, 3);
   for (size_t r = 0; r < 4; ++r) {
@@ -71,9 +84,13 @@ TEST(FeatureMatrixTest, SerializeRoundTripIsBitwise) {
                            0.7f * static_cast<float>(d) + 0.001f);
     }
   }
-  const std::string blob = matrix.Serialize();
+  const std::string blob = Bytes(matrix);
+  // 32 header bytes ("ALFM", version, rows, dims, checksum), then the
+  // floats.
+  EXPECT_EQ(blob.substr(0, 4), "ALFM");
+  EXPECT_EQ(blob.size(), 32 + 4 * 3 * sizeof(float));
   FeatureMatrix parsed;
-  ASSERT_TRUE(FeatureMatrix::Deserialize(blob, &parsed));
+  ASSERT_TRUE(Parses(blob, blob.size(), &parsed));
   ASSERT_EQ(parsed.rows(), matrix.rows());
   ASSERT_EQ(parsed.dims(), matrix.dims());
   for (size_t r = 0; r < matrix.rows(); ++r) {
@@ -81,74 +98,29 @@ TEST(FeatureMatrixTest, SerializeRoundTripIsBitwise) {
                           matrix.dims() * sizeof(float)),
               0);
   }
-}
-
-TEST(FeatureMatrixTest, DeserializeRejectsCorruption) {
-  FeatureMatrix matrix(4, 3);
-  matrix.Set(2, 1, 0.5f);
-  const std::string blob = matrix.Serialize();
-  FeatureMatrix parsed;
-
-  // Truncation (header-only and mid-payload) and trailing garbage.
-  EXPECT_FALSE(FeatureMatrix::Deserialize(blob.substr(0, 10), &parsed));
-  EXPECT_FALSE(
-      FeatureMatrix::Deserialize(blob.substr(0, blob.size() - 5), &parsed));
-  EXPECT_FALSE(FeatureMatrix::Deserialize(blob + "x", &parsed));
-
-  // Wrong magic and a flipped payload byte (checksum mismatch).
-  std::string bad_magic = blob;
-  bad_magic[0] = 'X';
-  EXPECT_FALSE(FeatureMatrix::Deserialize(bad_magic, &parsed));
-  std::string bad_payload = blob;
-  bad_payload[blob.size() - 3] =
-      static_cast<char>(bad_payload[blob.size() - 3] + 1);
-  EXPECT_FALSE(FeatureMatrix::Deserialize(bad_payload, &parsed));
-
-  // The valid blob still parses after all the rejected variants.
-  EXPECT_TRUE(FeatureMatrix::Deserialize(blob, &parsed));
-}
-
-TEST(FeatureMatrixTest, StreamedSerializationMatchesBlob) {
-  FeatureMatrix matrix(5, 3);
-  for (size_t r = 0; r < 5; ++r) {
-    for (size_t d = 0; d < 3; ++d) {
-      matrix.Set(r, d, 0.25f * static_cast<float>(r * 3 + d) - 1.0f);
-    }
-  }
-  const std::string blob = matrix.Serialize();
-  std::ostringstream written;
-  ASSERT_TRUE(matrix.SerializeTo(written));
-  EXPECT_EQ(written.str(), blob);
-
-  std::istringstream in(blob);
-  FeatureMatrix parsed;
-  ASSERT_TRUE(FeatureMatrix::DeserializeFrom(in, blob.size(), &parsed));
-  EXPECT_EQ(parsed.Serialize(), blob);
+  EXPECT_EQ(Bytes(parsed), blob);
 }
 
 TEST(FeatureMatrixTest, DeserializeFromRejectsCorruption) {
   FeatureMatrix matrix(4, 3);
   matrix.Set(2, 1, 0.5f);
-  const std::string blob = matrix.Serialize();
-  const auto parses = [](const std::string& bytes, size_t size) {
-    std::istringstream in(bytes);
-    FeatureMatrix parsed;
-    return FeatureMatrix::DeserializeFrom(in, size, &parsed);
-  };
+  const std::string blob = Bytes(matrix);
+  FeatureMatrix parsed;
   // Truncated (by size and by a short stream) and padded.
-  EXPECT_FALSE(parses(blob, 10));
-  EXPECT_FALSE(parses(blob, blob.size() - 4));
-  EXPECT_FALSE(parses(blob.substr(0, blob.size() - 4), blob.size()));
-  EXPECT_FALSE(parses(blob + "pad!", blob.size() + 4));
+  EXPECT_FALSE(Parses(blob, 10, &parsed));
+  EXPECT_FALSE(Parses(blob, blob.size() - 4, &parsed));
+  EXPECT_FALSE(Parses(blob.substr(0, blob.size() - 4), blob.size(), &parsed));
+  EXPECT_FALSE(Parses(blob + "pad!", blob.size() + 4, &parsed));
   // Wrong magic and a flipped payload byte.
   std::string bad_magic = blob;
   bad_magic[0] = 'X';
-  EXPECT_FALSE(parses(bad_magic, blob.size()));
+  EXPECT_FALSE(Parses(bad_magic, blob.size(), &parsed));
   std::string bad_payload = blob;
   bad_payload[blob.size() - 3] =
       static_cast<char>(bad_payload[blob.size() - 3] + 1);
-  EXPECT_FALSE(parses(bad_payload, blob.size()));
-  EXPECT_TRUE(parses(blob, blob.size()));
+  EXPECT_FALSE(Parses(bad_payload, blob.size(), &parsed));
+  // The valid blob still parses after all the rejected variants.
+  EXPECT_TRUE(Parses(blob, blob.size(), &parsed));
 }
 
 // A matrix of at least kPageAllocatorMinBytes lives in a mapping of its own
@@ -164,19 +136,18 @@ TEST(FeatureMatrixTest, LargeMatrixHasItsOwnPages) {
   const auto address = reinterpret_cast<uintptr_t>(matrix.Row(0));
   EXPECT_EQ(address % 4096, 0u);
 
+  const std::string blob = Bytes(matrix);
   FeatureMatrix copy = matrix;
   EXPECT_NE(copy.Row(0), matrix.Row(0));
-  EXPECT_EQ(copy.Serialize(), matrix.Serialize());
+  EXPECT_EQ(Bytes(copy), blob);
   FeatureMatrix moved = std::move(copy);
   EXPECT_EQ(moved.At(rows - 1, (rows - 1) % dims),
             static_cast<float>(rows - 1));
 
-  const std::string blob = matrix.Serialize();
-  std::istringstream in(blob);
   FeatureMatrix parsed;
-  ASSERT_TRUE(FeatureMatrix::DeserializeFrom(in, blob.size(), &parsed));
+  ASSERT_TRUE(Parses(blob, blob.size(), &parsed));
   EXPECT_EQ(reinterpret_cast<uintptr_t>(parsed.Row(0)) % 4096, 0u);
-  EXPECT_EQ(parsed.Serialize(), blob);
+  EXPECT_EQ(Bytes(parsed), blob);
 }
 
 // ---- FeatureSchema ----

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <functional>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "ml/metrics.h"
 #include "ml/serialization.h"
@@ -236,19 +238,52 @@ TEST(SerializationTest, RejectsTruncatedBlob) {
   EXPECT_FALSE(DeserializeSvm(blob.substr(0, blob.size() / 2), &restored));
 }
 
+// A tree blob (format version 1, depth 2) of `rows`, one "is_leaf label
+// dim threshold left right" node row each, rooted at the last row as the
+// builder writes it.
+std::string TreeBlob(const std::vector<std::string>& rows) {
+  std::string blob = "alem-tree\n1\n0\n2\n0\n1\n" +
+                     std::to_string(rows.size() - 1) + "\n2\n" +
+                     std::to_string(rows.size()) + "\n";
+  for (const std::string& row : rows) blob += row + "\n";
+  return blob;
+}
+
 TEST(SerializationTest, RejectsCorruptNodeIndices) {
-  FeatureMatrix features;
-  std::vector<int> labels;
-  MakeXor(100, 6, &features, &labels);
-  DecisionTree original;
-  original.Fit(features, labels);
-  std::string blob = SerializeTree(original);
-  // Corrupt the node count to something absurd.
-  const size_t pos = blob.find('\n', blob.find("alem-tree"));
-  (void)pos;
   DecisionTree restored;
+  // An absurd node count.
   EXPECT_FALSE(DeserializeTree("alem-tree\n1\n0 2 0 1\n0\n0\n999999999\n",
                                &restored));
+  // The builder writes both children of a split before the split, and each
+  // node under one split only, so a decodable tree is a tree.
+  const std::string leaf0 = "1 0 0 0 -1 -1";
+  const std::string leaf1 = "1 1 0 0 -1 -1";
+  EXPECT_TRUE(DeserializeTree(TreeBlob({leaf0, leaf1, "0 1 0 0.5 0 1"}),
+                              &restored));
+  const struct {
+    const char* name;
+    std::vector<std::string> rows;
+  } rejected[] = {
+      {"split on itself", {leaf0, leaf1, "0 1 0 0.5 0 2"}},
+      {"child after its split", {"0 1 0 0.5 1 2", leaf0, leaf1}},
+      {"child -2", {leaf0, leaf1, "0 1 0 0.5 -2 1"}},
+      {"split child -1", {leaf0, leaf1, "0 1 0 0.5 -1 1"}},
+      {"both children one node", {leaf0, leaf1, "0 1 0 0.5 1 1"}},
+      {"child of two splits",
+       {leaf0, leaf1, "0 1 0 0.5 0 1", "0 1 0 0.5 0 1", "0 0 1 0.5 2 3"}},
+      {"leaf label 2", {"1 2 0 0 -1 -1"}},
+      {"split label -1", {leaf0, leaf1, "0 -1 0 0.5 0 1"}},
+  };
+  for (const auto& row : rejected) {
+    EXPECT_FALSE(DeserializeTree(TreeBlob(row.rows), &restored)) << row.name;
+  }
+  // In a forest, a split on itself sent flattening round the cycle until
+  // memory ran out.
+  RandomForest forest;
+  EXPECT_FALSE(DeserializeForest(
+      "alem-forest\n1\n1\n1\n1\n1\n" +
+          TreeBlob({leaf0, leaf1, "0 1 0 0.5 2 1"}),
+      &forest));
 }
 
 TEST(SerializationTest, FileRoundTrip) {

@@ -509,7 +509,7 @@ RunResult ProfileRun(const std::string& profile_name,
                      const std::string& approach, int threads) {
   parallel::SetNumThreads(threads);
   const PreparedDataset data = PrepareDataset(
-      {ProfileByName(profile_name), /*data_seed=*/7, /*scale=*/0.2});
+      {*ProfileByName(profile_name), /*data_seed=*/7, /*scale=*/0.2});
   ApproachSpec spec;
   EXPECT_TRUE(ApproachFromName(approach, &spec));
   RunConfig config;

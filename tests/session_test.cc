@@ -1,5 +1,6 @@
 // LabelingSession: the step-wise state machine, recoverable rejections,
-// and the ALSS snapshot/restore determinism contract (docs/sessions.md):
+// and the ALSS snapshot/restore determinism contract (docs/sessions.md),
+// for the session alone and through SessionRunner's run-level sections:
 // a run paused at ANY iteration boundary and restored into a freshly
 // constructed environment must finish with a curve whose deterministic
 // fields are bitwise-identical to the uninterrupted run's, at any thread
@@ -18,13 +19,17 @@
 #include <string>
 #include <vector>
 
+#include "core/approaches.h"
 #include "core/evaluator.h"
+#include "core/harness.h"
 #include "core/learner.h"
 #include "core/oracle.h"
 #include "core/pool.h"
 #include "core/selector.h"
 #include "core/session.h"
 #include "parallel/pool.h"
+#include "synth/profiles.h"
+#include "util/byte_codec.h"
 #include "util/rng.h"
 
 namespace alem {
@@ -371,8 +376,10 @@ TEST(SessionSnapshotTest, TruncatedFileFailsCleanly) {
 TEST(SessionSnapshotTest, VersionSkewFailsCleanly) {
   std::string blob = SerializedSnapshot();
   // The format version lives at bytes 4..7. Version 1 snapshots carry the
-  // plateau state in a section of their own, which this format dropped.
-  for (const uint32_t version : {1u, 99u}) {
+  // plateau state in a section of their own, which version 2 dropped;
+  // version 2 snapshots carry the harness sections, the oracle state and
+  // the RNG streams as text.
+  for (const uint32_t version : {1u, 2u, 99u}) {
     std::memcpy(blob.data() + 4, &version, sizeof(version));
     SessionSnapshot out;
     std::string error;
@@ -639,6 +646,286 @@ TEST(SessionSnapshotTest, RuleAtomPastPoolFailsRestore) {
               std::string::npos)
         << atom;
   }
+}
+
+// ---- SessionRunner snapshots -------------------------------------------
+//
+// The run-level layer end to end, as `alem_cli session` and the cold-pause
+// benchmark drive it: SessionRunner::Save -> SessionSnapshot::ReadFile ->
+// ReadSessionRunInfo -> SessionRunner::Restore.
+
+// Prepared once, without the feature cache: preparation is the expensive
+// part of these tests.
+const PreparedDataset& SmallAbtBuy() {
+  static const PreparedDataset& data = *[] {
+    PrepareOptions options;
+    options.profile = AbtBuyProfile();
+    options.data_seed = 7;
+    options.scale = 0.25;
+    options.use_cache = false;
+    return new PreparedDataset(PrepareDataset(options));
+  }();
+  return data;
+}
+
+SessionRunInfo RunInfoOf(const PreparedDataset& data,
+                         const RunConfig& config) {
+  return {.dataset = data.name,
+          .data_seed = data.data_seed,
+          .scale = data.scale,
+          .feature_cache = data.feature_cache,
+          .config = config};
+}
+
+void ExpectSameRunInfo(const SessionRunInfo& expected,
+                       const SessionRunInfo& actual) {
+  EXPECT_EQ(expected.dataset, actual.dataset);
+  EXPECT_EQ(expected.data_seed, actual.data_seed);
+  EXPECT_EQ(expected.scale, actual.scale);  // bitwise doubles
+  EXPECT_EQ(expected.feature_cache, actual.feature_cache);
+  const RunConfig& a = expected.config;
+  const RunConfig& b = actual.config;
+  EXPECT_EQ(a.seed_size, b.seed_size);
+  EXPECT_EQ(a.batch_size, b.batch_size);
+  EXPECT_EQ(a.max_labels, b.max_labels);
+  EXPECT_EQ(a.target_f1, b.target_f1);
+  EXPECT_EQ(a.approach.learner, b.approach.learner);
+  EXPECT_EQ(a.approach.selector, b.approach.selector);
+  EXPECT_EQ(a.approach.committee_size, b.approach.committee_size);
+  EXPECT_EQ(a.approach.num_trees, b.approach.num_trees);
+  EXPECT_EQ(a.approach.blocking_dims, b.approach.blocking_dims);
+  EXPECT_EQ(a.approach.active_ensemble, b.approach.active_ensemble);
+  EXPECT_EQ(a.approach.ensemble_precision, b.approach.ensemble_precision);
+  EXPECT_EQ(a.oracle_noise, b.oracle_noise);
+  EXPECT_EQ(a.holdout, b.holdout);
+  EXPECT_EQ(a.run_seed, b.run_seed);
+  EXPECT_EQ(a.warm_start, b.warm_start);
+}
+
+std::string SnapshotPath() {
+  return ::testing::TempDir() + "/session_runner_test.alss";
+}
+
+// Pauses `config`'s run at every iteration boundary, saves it to a file,
+// reads it back and resumes it: every decoded run field must equal the
+// saved one, and the stitched curve the uninterrupted run's.
+void RunnerSaveRestoreAtEveryBoundary(const RunConfig& config) {
+  const PreparedDataset& data = SmallAbtBuy();
+  SessionRunner golden(data, config);
+  golden.Run();
+  const StopReason golden_stop = golden.session().stop_reason();
+  const std::vector<IterationStats> golden_curve = golden.session().curve();
+  ASSERT_GE(golden_curve.size(), 3u);
+  if (config.approach.active_ensemble) {
+    // Some boundary before the last must follow an acceptance.
+    ASSERT_GE(golden_curve[golden_curve.size() - 2].ensemble_size, 1u);
+  }
+
+  for (size_t boundary = 1; boundary < golden_curve.size(); ++boundary) {
+    SCOPED_TRACE("boundary " + std::to_string(boundary));
+    std::string error;
+    {
+      SessionRunner first(data, config);
+      first.Run(boundary);
+      ASSERT_EQ(first.session().curve().size(), boundary);
+      ASSERT_TRUE(first.Save(SnapshotPath(), &error)) << error;
+    }
+    SessionSnapshot snapshot;
+    ASSERT_TRUE(SessionSnapshot::ReadFile(SnapshotPath(), &snapshot, &error))
+        << error;
+    SessionRunInfo info;
+    ASSERT_TRUE(ReadSessionRunInfo(snapshot, &info, &error)) << error;
+    ExpectSameRunInfo(RunInfoOf(data, config), info);
+    const std::unique_ptr<SessionRunner> resumed =
+        SessionRunner::Restore(data, info.config, snapshot, &error);
+    ASSERT_NE(resumed, nullptr) << error;
+    EXPECT_EQ(resumed->session().resume_count(), 1u);
+    resumed->Run();
+    EXPECT_EQ(resumed->session().stop_reason(), golden_stop);
+    ExpectCurvesIdentical(golden_curve, resumed->session().curve());
+  }
+}
+
+TEST(SessionRunnerTest, NoisyHoldoutQbcRoundTripsEveryBoundary) {
+  RunConfig config;
+  config.approach = LinearQbcSpec(4);
+  config.oracle_noise = 0.1;
+  config.holdout = true;
+  config.max_labels = 80;
+  config.run_seed = 3;
+  RunnerSaveRestoreAtEveryBoundary(config);
+}
+
+TEST(SessionRunnerTest, ActiveEnsembleRoundTripsEveryBoundary) {
+  RunConfig config;
+  config.approach = LinearMarginEnsembleSpec();
+  config.max_labels = 60;
+  RunnerSaveRestoreAtEveryBoundary(config);
+}
+
+// A run section ("HRUN") in its documented layout (docs/sessions.md):
+// dataset (string), data seed (u64), scale (f64), cache outcome (u8: off,
+// miss, hit), oracle noise (f64), holdout (u8), learner and selector codes
+// (u8 each), committee size and tree count (i64 each), blocking dims (u64),
+// active ensemble (u8), ensemble precision (f64).
+std::string RunSection(const SessionRunInfo& info, uint8_t cache_code) {
+  const ApproachSpec& spec = info.config.approach;
+  ByteWriter w;
+  w.Str(info.dataset);
+  w.U64(info.data_seed);
+  w.F64(info.scale);
+  w.U8(cache_code);
+  w.F64(info.config.oracle_noise);
+  w.U8(info.config.holdout ? 1 : 0);
+  w.U8(static_cast<uint8_t>(spec.learner));
+  w.U8(static_cast<uint8_t>(spec.selector));
+  w.I64(spec.committee_size);
+  w.I64(spec.num_trees);
+  w.U64(spec.blocking_dims);
+  w.U8(spec.active_ensemble ? 1 : 0);
+  w.F64(spec.ensemble_precision);
+  return w.Take();
+}
+
+// A noisy Linear-QBC(4) run paused after one iteration, as saved.
+struct SavedRun {
+  SessionRunInfo info;
+  SessionSnapshot snapshot;
+};
+
+const SavedRun& SavedQbcRun() {
+  static const SavedRun& saved = *[] {
+    RunConfig config;
+    config.approach = LinearQbcSpec(4);
+    config.oracle_noise = 0.1;
+    config.max_labels = 60;
+    SessionRunner runner(SmallAbtBuy(), config);
+    runner.Run(1);
+    std::string error;
+    auto* run = new SavedRun{RunInfoOf(SmallAbtBuy(), config), {}};
+    EXPECT_TRUE(runner.Save(SnapshotPath(), &error)) << error;
+    EXPECT_TRUE(SessionSnapshot::ReadFile(SnapshotPath(), &run->snapshot,
+                                          &error))
+        << error;
+    return run;
+  }();
+  return saved;
+}
+
+TEST(SessionRunnerTest, RunSectionHasTheDocumentedLayout) {
+  const SavedRun& saved = SavedQbcRun();
+  EXPECT_EQ(saved.snapshot.section("HRUN"), RunSection(saved.info, 0));
+}
+
+// One row per run field a snapshot can name a run with that no environment
+// can be built for: each fails ReadSessionRunInfo with an error naming the
+// field, where the text format aborted the resume.
+TEST(SessionRunnerTest, HostileRunFieldsFailNamingTheField) {
+  const SavedRun& saved = SavedQbcRun();
+  using Edit = void (*)(SessionRunInfo*);
+  const struct {
+    const char* field;
+    Edit edit;
+  } rows[] = {
+      {"dataset", [](SessionRunInfo* i) { i->dataset = "Bogus"; }},
+      {"scale", [](SessionRunInfo* i) { i->scale = 0.0; }},
+      {"scale", [](SessionRunInfo* i) { i->scale = std::nan(""); }},
+      {"scale", [](SessionRunInfo* i) { i->scale = 1e300; }},
+      {"oracle_noise", [](SessionRunInfo* i) { i->config.oracle_noise = 2; }},
+      {"oracle_noise",
+       [](SessionRunInfo* i) { i->config.oracle_noise = std::nan(""); }},
+      {"committee_size",
+       [](SessionRunInfo* i) { i->config.approach.committee_size = 1; }},
+      {"committee_size",
+       [](SessionRunInfo* i) { i->config.approach.committee_size = -3; }},
+      {"num_trees",
+       [](SessionRunInfo* i) { i->config.approach = TreesSpec(0); }},
+      {"selector",  // Forest-QBC on the SVM (Fig. 2).
+       [](SessionRunInfo* i) {
+         i->config.approach.selector = SelectorKind::kForestQbc;
+       }},
+      {"active_ensemble",
+       [](SessionRunInfo* i) {
+         i->config.approach = TreesSpec(5);
+         i->config.approach.active_ensemble = true;
+       }},
+      {"ensemble_precision",
+       [](SessionRunInfo* i) {
+         i->config.approach = LinearMarginEnsembleSpec(0.0);
+       }},
+  };
+  for (const auto& row : rows) {
+    SessionRunInfo info = saved.info;
+    row.edit(&info);
+    SessionSnapshot bad = saved.snapshot;
+    bad.set("HRUN", RunSection(info, 0));
+    SessionRunInfo decoded;
+    std::string error;
+    EXPECT_FALSE(ReadSessionRunInfo(bad, &decoded, &error)) << row.field;
+    EXPECT_NE(error.find(row.field), std::string::npos)
+        << row.field << ": " << error;
+  }
+}
+
+// Malformed harness sections fail with an error naming the section.
+TEST(SessionRunnerTest, MalformedHarnessSectionsFail) {
+  const SavedRun& saved = SavedQbcRun();
+  const std::string run = saved.snapshot.section("HRUN");
+  // The learner code follows the dataset string, the data seed, the scale,
+  // the cache code, the oracle noise and the holdout byte.
+  std::string bad_learner = run;
+  bad_learner[8 + saved.info.dataset.size() + 8 + 8 + 1 + 8 + 1] = 9;
+  ByteWriter huge_count;
+  huge_count.U64(~uint64_t{0});
+  const struct {
+    const char* name;
+    const char* tag;
+    std::string payload;  // "" removes the section.
+    const char* expected;
+  } rows[] = {
+      {"missing run section", "HRUN", "", "missing section 'HRUN'"},
+      {"truncated run section", "HRUN", run.substr(0, run.size() - 1),
+       "malformed run section 'HRUN'"},
+      {"trailing byte", "HRUN", run + "x", "malformed run section 'HRUN'"},
+      {"dataset length past the bytes", "HRUN", huge_count.Take() + run,
+       "malformed run section 'HRUN'"},
+      {"cache code 3", "HRUN", RunSection(saved.info, 3),
+       "malformed run section 'HRUN'"},
+      {"learner code 9", "HRUN", bad_learner,
+       "malformed run section 'HRUN'"},
+      {"missing metrics section", "HMET", "", "missing harness section 'HMET'"},
+      {"metric count past the bytes", "HMET",
+       std::string("\xff\xff\xff\xff\xff\xff\xff\x7f", 8),
+       "malformed metrics section 'HMET'"},
+      {"trailing metrics byte", "HMET", saved.snapshot.section("HMET") + "x",
+       "malformed metrics section 'HMET'"},
+  };
+  for (const auto& row : rows) {
+    SessionSnapshot bad = saved.snapshot;
+    if (row.payload.empty()) {
+      bad.sections.erase(row.tag);
+    } else {
+      bad.set(row.tag, row.payload);
+    }
+    std::string error;
+    SessionRunInfo info;
+    if (ReadSessionRunInfo(bad, &info, &error)) {
+      EXPECT_EQ(SessionRunner::Restore(SmallAbtBuy(), info.config, bad,
+                                       &error),
+                nullptr)
+          << row.name;
+    }
+    EXPECT_NE(error.find(row.expected), std::string::npos)
+        << row.name << ": " << error;
+  }
+  // The untouched snapshot restores.
+  std::string error;
+  SessionRunInfo info;
+  ASSERT_TRUE(ReadSessionRunInfo(saved.snapshot, &info, &error)) << error;
+  EXPECT_NE(SessionRunner::Restore(SmallAbtBuy(), info.config,
+                                   saved.snapshot, &error),
+            nullptr)
+      << error;
 }
 
 // ---- State-machine rejections -----------------------------------------

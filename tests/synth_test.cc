@@ -107,9 +107,14 @@ INSTANTIATE_TEST_SUITE_P(AllProfiles, SkewTest, ::testing::Range(0, 9));
 
 TEST(SynthTest, ProfileByNameRoundTrip) {
   for (const SynthProfile& profile : AllPublicProfiles()) {
-    EXPECT_EQ(ProfileByName(profile.name).name, profile.name);
+    ASSERT_TRUE(ProfileByName(profile.name)) << profile.name;
+    EXPECT_EQ(ProfileByName(profile.name)->name, profile.name);
   }
-  EXPECT_EQ(ProfileByName("SocialMedia").name, "SocialMedia");
+  ASSERT_TRUE(ProfileByName("SocialMedia"));
+  EXPECT_EQ(ProfileByName("SocialMedia")->name, "SocialMedia");
+  // An unknown name is reported to the caller, not an abort.
+  EXPECT_FALSE(ProfileByName("Bogus"));
+  EXPECT_FALSE(ProfileByName(""));
 }
 
 TEST(SynthTest, SocialMediaRightTableIsLarger) {

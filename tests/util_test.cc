@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <set>
+#include <string>
+#include <string_view>
 
+#include "util/byte_codec.h"
 #include "util/csv.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -126,6 +130,102 @@ TEST(RngTest, ForkProducesIndependentStream) {
     if (parent.Next() == child.Next()) ++same;
   }
   EXPECT_LT(same, 2);
+}
+
+TEST(RngTest, SaveRestoreContinuesTheStream) {
+  Rng saved(5);
+  saved.NextGaussian();  // Leaves the second Box-Muller value cached.
+  const std::string state = saved.SaveState();
+  EXPECT_EQ(state.size(), 41u);  // Four words, the cache flag, the double.
+  Rng restored(0);
+  ASSERT_TRUE(restored.RestoreState(state));
+  EXPECT_EQ(restored.NextGaussian(), saved.NextGaussian());
+  EXPECT_EQ(restored.NextGaussian(), saved.NextGaussian());
+  EXPECT_EQ(restored.Next(), saved.Next());
+
+  // Truncated, padded, or a cache flag other than 0/1: rejected, and the
+  // generator is unchanged.
+  std::string bad_flag = state;
+  bad_flag[32] = 2;
+  for (const std::string& bad :
+       {state.substr(0, 40), state + "x", bad_flag, std::string()}) {
+    Rng target(9);
+    EXPECT_FALSE(target.RestoreState(bad));
+    EXPECT_EQ(target.Next(), Rng(9).Next());
+  }
+}
+
+// ---- Byte codec ----
+
+// Pinned values: the offset basis is not the published one (see
+// util/byte_codec.h), so these differ from FNV-1a's reference vectors.
+TEST(ByteCodecTest, Fnv1aValuesArePinned) {
+  EXPECT_EQ(Fnv1a("", 0), kFnv1aOffsetBasis);
+  EXPECT_EQ(Fnv1a("a", 1), 0x44bd8ad473cd9906ULL);
+  EXPECT_EQ(Fnv1a("foobar", 6), 0x88fad7c0a8ff07f2ULL);
+  // Continuing a hash hashes the concatenation.
+  EXPECT_EQ(Fnv1a("bar", 3, Fnv1a("foo", 3)), Fnv1a("foobar", 6));
+}
+
+TEST(ByteCodecTest, FieldsRoundTripBitwise) {
+  ByteWriter w;
+  w.U8(7);
+  w.U32(0xdeadbeef);
+  w.U64(~uint64_t{0});
+  w.I64(-3);
+  w.F64(-0.0);
+  w.Str("name with spaces\n");
+  w.Bytes("xy");
+  const std::string bytes = w.Take();
+  EXPECT_EQ(bytes.size(), 1u + 4 + 8 + 8 + 8 + (8 + 17) + 2);
+
+  ByteReader r(bytes);
+  uint8_t u8 = 0;
+  uint32_t u32 = 0;
+  uint64_t u64 = 0;
+  int64_t i64 = 0;
+  double f64 = 1.0;
+  std::string str;
+  std::string_view raw;
+  ASSERT_TRUE(r.U8(&u8) && r.U32(&u32) && r.U64(&u64) && r.I64(&i64) &&
+              r.F64(&f64) && r.Str(&str) && r.Bytes(2, &raw));
+  EXPECT_TRUE(r.AtEnd());
+  EXPECT_EQ(u8, 7);
+  EXPECT_EQ(u32, 0xdeadbeefu);
+  EXPECT_EQ(u64, ~uint64_t{0});
+  EXPECT_EQ(i64, -3);
+  EXPECT_TRUE(std::signbit(f64) && f64 == 0.0);
+  EXPECT_EQ(str, "name with spaces\n");
+  EXPECT_EQ(raw, "xy");
+}
+
+TEST(ByteCodecTest, ReaderRejectsTruncationAndOversizedLengths) {
+  ByteWriter w;
+  w.U64(3);
+  w.Bytes("abc");
+  const std::string bytes = w.Take();
+
+  uint64_t u64 = 0;
+  EXPECT_FALSE(ByteReader(bytes.substr(0, 7)).U64(&u64));
+  std::string str;
+  EXPECT_TRUE(ByteReader(bytes).Str(&str));
+  EXPECT_FALSE(ByteReader(bytes.substr(0, 10)).Str(&str));
+  // A length or count past the bytes left fails before anything is sized
+  // from it, up to the largest u64.
+  for (const uint64_t huge : {uint64_t{4}, ~uint64_t{0}}) {
+    ByteWriter h;
+    h.U64(huge);
+    h.Bytes("abc");
+    const std::string blob = h.Take();
+    EXPECT_FALSE(ByteReader(blob).Str(&str)) << huge;
+    uint64_t count = 0;
+    EXPECT_FALSE(ByteReader(blob).Count(&count, 1)) << huge;
+  }
+  // Three one-byte items fit; three two-byte items do not.
+  uint64_t count = 0;
+  EXPECT_TRUE(ByteReader(bytes).Count(&count, 1));
+  EXPECT_EQ(count, 3u);
+  EXPECT_FALSE(ByteReader(bytes).Count(&count, 2));
 }
 
 // ---- RunningStats ----

@@ -60,19 +60,27 @@
 //       accepts --stop-after=N with --snapshot-out=PATH to pause again.
 //   alem_cli apply --model=PATH --dataset=<name> [--scale=S] [--seed=N]
 //       [--limit=N]
-//       Loads a saved forest/SVM model and prints its predicted matches on
-//       a (fresh) dataset, with quality metrics against the ground truth.
+//       Loads a model saved by --save-model and prints its predicted
+//       matches on a (fresh) dataset, with quality metrics against the
+//       ground truth. A model that reads more features than the dataset
+//       has (or, for the SVM and the network, a different number) is an
+//       error, as on session restore.
 //
 // A flag none of the commands takes (a misspelling such as --max-label)
-// is an error, not a silently ignored knob.
+// is an error, not a silently ignored knob, and so is a run no
+// environment can be built for (an unknown dataset, a scale outside
+// (0, 100], --noise outside [0, 1], --batch=0, or an approach such as
+// linear-qbc1 whose committee is too small; CheckRunInfo).
 //
 // Examples:
 //   alem_cli run --dataset=Abt-Buy --approach=trees20 --max-labels=300
 //   alem_cli run --dataset=Cora --approach=linear-margin-1dim --noise=0.1
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -92,16 +100,35 @@
 namespace alem {
 namespace {
 
-// Maps the shared CLI flags onto PrepareOptions; all three commands that
-// prepare a dataset (stats/run/apply) accept the same provenance and cache
-// knobs.
-PrepareOptions PrepareOptionsFromFlags(const FlagParser& flags,
-                                       const obs::ArtifactOptions& artifacts,
-                                       const SynthProfile& profile) {
+// The dataset flags every command that prepares data takes (stats, run,
+// session, apply): --dataset, --seed and --scale.
+SessionRunInfo DatasetFromFlags(const FlagParser& flags) {
+  SessionRunInfo info;
+  info.dataset = flags.GetString("dataset", "Abt-Buy");
+  info.data_seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
+  info.scale = flags.GetDouble("scale", 1.0);
+  return info;
+}
+
+// Checks `info` (CheckRunInfo); prints the error and returns false when it
+// names a run no environment can be built for.
+bool CheckRunInfoOrReport(const SessionRunInfo& info) {
+  std::string error;
+  if (CheckRunInfo(info, &error)) return true;
+  std::fprintf(stderr, "error: %s\n", error.c_str());
+  return false;
+}
+
+// PrepareOptions for a checked run description. The provenance (profile,
+// data seed, scale) comes from `info`; the execution knobs (cache policy,
+// threads) from the flags, in every command alike.
+PrepareOptions PrepareOptionsFor(const SessionRunInfo& info,
+                                 const FlagParser& flags,
+                                 const obs::ArtifactOptions& artifacts) {
   PrepareOptions options;
-  options.profile = profile;
-  options.data_seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
-  options.scale = flags.GetDouble("scale", 1.0);
+  options.profile = *ProfileByName(info.dataset);
+  options.data_seed = info.data_seed;
+  options.scale = info.scale;
   options.use_cache = artifacts.use_cache;
   options.cache_dir = artifacts.cache_dir;
   options.threads = static_cast<int>(flags.GetInt("threads", 0));
@@ -131,12 +158,12 @@ int CommandList() {
 }
 
 int CommandStats(const FlagParser& flags) {
-  const std::string dataset_name = flags.GetString("dataset", "Abt-Buy");
-  const SynthProfile profile = ProfileByName(dataset_name);
+  const SessionRunInfo info = DatasetFromFlags(flags);
+  if (!CheckRunInfoOrReport(info)) return 1;
   const obs::ArtifactOptions artifacts =
-      obs::ArtifactOptionsFromFlags(flags, "alem_cli_stats_" + dataset_name);
+      obs::ArtifactOptionsFromFlags(flags, "alem_cli_stats_" + info.dataset);
   const PreparedDataset data =
-      PrepareDataset(PrepareOptionsFromFlags(flags, artifacts, profile));
+      PrepareDataset(PrepareOptionsFor(info, flags, artifacts));
   std::printf("dataset:             %s\n", data.name.c_str());
   std::printf("left records:        %zu\n", data.dataset.left.num_rows());
   std::printf("right records:       %zu\n", data.dataset.right.num_rows());
@@ -151,21 +178,9 @@ int CommandStats(const FlagParser& flags) {
 }
 
 int SaveModel(const RunResult& result, const std::string& path) {
-  std::string blob;
-  if (const auto* svm =
-          dynamic_cast<const SvmLearner*>(result.final_model.get())) {
-    blob = SerializeSvm(svm->model());
-  } else if (const auto* forest = dynamic_cast<const ForestLearner*>(
-                 result.final_model.get())) {
-    blob = SerializeForest(forest->model());
-  } else if (const auto* nn = dynamic_cast<const NeuralNetLearner*>(
-                 result.final_model.get())) {
-    blob = SerializeNeuralNet(nn->model());
-  } else if (const auto* rules = dynamic_cast<const RuleLearner*>(
-                 result.final_model.get())) {
-    blob = SerializeDnf(rules->dnf());
-  } else {
-    std::fprintf(stderr, "model type does not support serialization\n");
+  const std::string blob = result.final_model->SaveModel();
+  if (blob.empty()) {
+    std::fprintf(stderr, "the final model is untrained; nothing to save\n");
     return 1;
   }
   if (!SaveToFile(path, blob)) {
@@ -176,14 +191,21 @@ int SaveModel(const RunResult& result, const std::string& path) {
   return 0;
 }
 
-// Maps the shared run flags onto a RunConfig (used by `run` and the
-// `session` subcommands). Returns false (error printed) on an invalid
-// --warm-start value: like --kernel-backend, the explicit flag is a hard
-// error while the forgiving ALEM_WARM_START environment knob warns and
-// falls back to off (docs/training.md).
-bool RunConfigFromFlags(const FlagParser& flags, const ApproachSpec& spec,
-                        RunConfig* config) {
-  config->approach = spec;
+// Maps the shared run flags onto a checked run description (used by `run`
+// and the `session` subcommands). Returns false (error printed) on an
+// unknown approach name, on an invalid --warm-start value (like
+// --kernel-backend, the explicit flag is a hard error while the forgiving
+// ALEM_WARM_START environment knob warns and falls back to off;
+// docs/training.md), and on a run CheckRunInfo rejects.
+bool RunConfigFromFlags(const FlagParser& flags, SessionRunInfo* info) {
+  *info = DatasetFromFlags(flags);
+  RunConfig* config = &info->config;
+  const std::string approach_name = flags.GetString("approach", "trees20");
+  if (!ApproachFromName(approach_name, &config->approach)) {
+    std::fprintf(stderr, "unknown approach '%s' (try: alem_cli list)\n",
+                 approach_name.c_str());
+    return false;
+  }
   config->max_labels = static_cast<size_t>(flags.GetInt("max-labels", 300));
   config->batch_size = static_cast<size_t>(flags.GetInt("batch", 10));
   config->seed_size = static_cast<size_t>(flags.GetInt("seed-size", 30));
@@ -208,7 +230,7 @@ bool RunConfigFromFlags(const FlagParser& flags, const ApproachSpec& spec,
       config->warm_start = WarmStartMode::kOff;
     }
   }
-  return true;
+  return CheckRunInfoOrReport(*info);
 }
 
 void PrintRunHeader(const PreparedDataset& data, const RunConfig& config) {
@@ -278,29 +300,21 @@ int WriteRunArtifacts(const FlagParser& flags,
 
 int CommandRun(const FlagParser& flags) {
   const auto wall_start = std::chrono::steady_clock::now();
-  const std::string dataset_name = flags.GetString("dataset", "Abt-Buy");
-  const std::string approach_name = flags.GetString("approach", "trees20");
-
-  ApproachSpec spec;
-  if (!ApproachFromName(approach_name, &spec)) {
-    std::fprintf(stderr, "unknown approach '%s' (try: alem_cli list)\n",
-                 approach_name.c_str());
-    return 1;
-  }
+  SessionRunInfo info;
+  if (!RunConfigFromFlags(flags, &info)) return 1;
   const obs::ArtifactOptions artifacts = obs::ArtifactOptionsFromFlags(
-      flags, "alem_cli_run_" + dataset_name + "_" + approach_name);
+      flags, "alem_cli_run_" + info.dataset + "_" +
+                 flags.GetString("approach", "trees20"));
   artifacts.EnableObservability();
-  const SynthProfile profile = ProfileByName(dataset_name);
   const PreparedDataset data =
-      PrepareDataset(PrepareOptionsFromFlags(flags, artifacts, profile));
+      PrepareDataset(PrepareOptionsFor(info, flags, artifacts));
 
-  RunConfig config;
-  if (!RunConfigFromFlags(flags, spec, &config)) return 1;
-  PrintRunHeader(data, config);
-  const RunResult result = RunActiveLearning(data, config);
+  PrintRunHeader(data, info.config);
+  const RunResult result = RunActiveLearning(data, info.config);
   PrintRunResult(flags, result);
-  return WriteRunArtifacts(flags, artifacts, data, config, result, wall_start,
-                           /*session=*/"fresh", /*session_resumes=*/0);
+  return WriteRunArtifacts(flags, artifacts, data, info.config, result,
+                           wall_start, /*session=*/"fresh",
+                           /*session_resumes=*/0);
 }
 
 // `session run` drives a run through the step-wise LabelingSession API and
@@ -308,27 +322,18 @@ int CommandRun(const FlagParser& flags) {
 // writing an ALSS snapshot (docs/sessions.md).
 int CommandSessionStart(const FlagParser& flags, bool save) {
   const auto wall_start = std::chrono::steady_clock::now();
-  const std::string dataset_name = flags.GetString("dataset", "Abt-Buy");
-  const std::string approach_name = flags.GetString("approach", "trees20");
-
-  ApproachSpec spec;
-  if (!ApproachFromName(approach_name, &spec)) {
-    std::fprintf(stderr, "unknown approach '%s' (try: alem_cli list)\n",
-                 approach_name.c_str());
-    return 1;
-  }
+  SessionRunInfo info;
+  if (!RunConfigFromFlags(flags, &info)) return 1;
+  const RunConfig& config = info.config;
   const obs::ArtifactOptions artifacts = obs::ArtifactOptionsFromFlags(
-      flags, "alem_cli_session_" + dataset_name + "_" + approach_name);
+      flags, "alem_cli_session_" + info.dataset + "_" +
+                 flags.GetString("approach", "trees20"));
   artifacts.EnableObservability();
   // Snapshots carry the metric totals so a resumed run's counters stitch up
   // exactly; keep them accumulating even when no --metrics path was given.
   obs::SetMetricsEnabled(true);
-  const SynthProfile profile = ProfileByName(dataset_name);
   const PreparedDataset data =
-      PrepareDataset(PrepareOptionsFromFlags(flags, artifacts, profile));
-
-  RunConfig config;
-  if (!RunConfigFromFlags(flags, spec, &config)) return 1;
+      PrepareDataset(PrepareOptionsFor(info, flags, artifacts));
   PrintRunHeader(data, config);
 
   SessionRunner runner(data, config);
@@ -388,14 +393,8 @@ int CommandSessionResume(const FlagParser& flags) {
   // Dataset provenance (profile, data seed, scale) comes from the snapshot;
   // execution knobs (threads, cache, kernel backend) stay CLI-controlled —
   // the determinism contract makes them free to vary across the pause.
-  PrepareOptions options;
-  options.profile = ProfileByName(info.dataset);
-  options.data_seed = info.data_seed;
-  options.scale = info.scale;
-  options.use_cache = artifacts.use_cache;
-  options.cache_dir = artifacts.cache_dir;
-  options.threads = static_cast<int>(flags.GetInt("threads", 0));
-  PreparedDataset data = PrepareDataset(options);
+  PreparedDataset data =
+      PrepareDataset(PrepareOptionsFor(info, flags, artifacts));
   // The stitched report describes the whole run, so config.cache carries
   // the original prepare's outcome, not this process's.
   data.feature_cache = info.feature_cache;
@@ -460,26 +459,40 @@ int CommandApply(const FlagParser& flags) {
     std::fprintf(stderr, "cannot read %s\n", model_path.c_str());
     return 1;
   }
-  const SynthProfile profile =
-      ProfileByName(flags.GetString("dataset", "Abt-Buy"));
+  const SessionRunInfo info = DatasetFromFlags(flags);
+  if (!CheckRunInfoOrReport(info)) return 1;
   const obs::ArtifactOptions artifacts =
-      obs::ArtifactOptionsFromFlags(flags, "alem_cli_apply_" + profile.name);
+      obs::ArtifactOptionsFromFlags(flags, "alem_cli_apply_" + info.dataset);
   const PreparedDataset data =
-      PrepareDataset(PrepareOptionsFromFlags(flags, artifacts, profile));
+      PrepareDataset(PrepareOptionsFor(info, flags, artifacts));
 
-  std::vector<int> predictions;
-  RandomForest forest;
-  LinearSvm svm;
-  if (DeserializeForest(blob, &forest)) {
-    predictions = forest.PredictAll(data.float_features);
-  } else if (DeserializeSvm(blob, &svm)) {
-    predictions = svm.PredictAll(data.float_features);
-  } else {
-    std::fprintf(stderr,
-                 "unrecognized model blob (apply supports forest and svm "
-                 "models)\n");
+  // The model kinds `run --save-model` writes, each with the features it
+  // reads; the blob's leading tag picks one (an empty blob, which
+  // RestoreModel takes for "untrained", is no model).
+  struct Kind {
+    std::unique_ptr<Learner> learner;
+    const FeatureMatrix* features;
+  };
+  Kind kinds[] = {{std::make_unique<ForestLearner>(), &data.float_features},
+                  {std::make_unique<SvmLearner>(), &data.float_features},
+                  {std::make_unique<NeuralNetLearner>(), &data.float_features},
+                  {std::make_unique<RuleLearner>(), &data.boolean_features}};
+  const auto kind = std::find_if(
+      std::begin(kinds), std::end(kinds),
+      [&](Kind& k) { return !blob.empty() && k.learner->RestoreModel(blob); });
+  if (kind == std::end(kinds)) {
+    std::fprintf(stderr, "unrecognized model blob in %s\n",
+                 model_path.c_str());
     return 1;
   }
+  std::string error;
+  if (!ModelFitsPool(*kind->learner, kind->features->dims(), &error)) {
+    std::fprintf(stderr, "error: %s: %s\n", model_path.c_str(),
+                 error.c_str());
+    return 1;
+  }
+  const std::vector<int> predictions =
+      kind->learner->PredictAll(*kind->features);
 
   const BinaryMetrics metrics = ComputeBinaryMetrics(predictions, data.truth);
   std::printf("%s on %s: %zu pairs, precision %.3f, recall %.3f, F1 %.3f\n",

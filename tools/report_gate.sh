@@ -32,7 +32,9 @@
 #      candidate, a t4 trace with one loop.train moved past its
 #      iteration's end, and a misspelled flag to either tool (guards
 #      against a gate that passes everything, or one not wired to the
-#      validators).
+#      validators). A run no environment can be built for (a committee of
+#      one, an unknown dataset, a scale of 0 or -1, a noise rate of 2, a
+#      batch of 0) must exit 1 with an error, not abort.
 #   5. Bench path: a tiny bench run with ALEM_REPORT_DIR set must emit a
 #      valid bench report, and `alem_report show` must still read the
 #      provenance reports in bench/artifacts/ (written by an older build,
@@ -91,13 +93,14 @@ baseline_dir="$repo_root/bench/baselines"
 work="$(mktemp -d "${TMPDIR:-/tmp}/alem_report_gate.XXXXXX")"
 trap 'rm -rf "$work"' EXIT
 
-for f in "$cli" "$report_tool" \
-    "$baseline_dir/cli_abtbuy_linear_margin.report.json" \
-    "$baseline_dir/cli_abtbuy_trees5.report.json" \
-    "$baseline_dir/cli_abtbuy_linear_qbc4.report.json" \
-    "$baseline_dir/cli_abtbuy_linear_margin_ensemble.report.json" \
-    "$baseline_dir/cli_abtbuy_nn_margin.report.json" \
-    "$baseline_dir/cli_abtbuy_nn_qbc2.report.json"; do
+# The golden approaches, one committed baseline each.
+golden="linear-margin trees5 linear-qbc4 linear-qbc5 linear-margin-ensemble \
+nn-margin nn-qbc2"
+
+for f in "$cli" "$report_tool" $(for approach in $golden; do
+    printf '%s/cli_abtbuy_%s.report.json\n' "$baseline_dir" \
+        "$(printf '%s' "$approach" | tr '-' '_')"
+  done); do
   if [ ! -e "$f" ]; then
     echo "error: missing $f" >&2
     exit 1
@@ -141,10 +144,6 @@ assert cold["counters"].get("featurize.cache.write") == 1, cold["counters"]
 assert warm["counters"].get("featurize.cache.hit") == 1, warm["counters"]
 assert warm["counters"].get("featurize.cache.miss", 0) == 0, warm["counters"]
 EOF
-
-# The golden approaches, one committed baseline each.
-golden="linear-margin trees5 linear-qbc4 linear-qbc5 linear-margin-ensemble \
-nn-margin nn-qbc2"
 
 echo "[3/9] quality: seven golden workloads replay exactly, counters exact"
 for approach in $golden; do
@@ -231,6 +230,22 @@ if run_cli linear-margin 1 "$work/typo.report.json" --no-cache \
   exit 1
 fi
 echo "misspelled flags rejected as expected"
+# A run no environment can be built for must end with exit 1 and an error,
+# never an abort (134): a QBC committee of one, an unknown dataset, a scale
+# of 0 or below, a noise rate above 1, an empty batch.
+for flag in --approach=linear-qbc1 --dataset=Bogus --scale=0 --scale=-1 \
+    --noise=2 --batch=0; do
+  status=0
+  "$cli" run --dataset=Abt-Buy --approach=linear-margin --scale=0.25 \
+      --max-labels=60 --no-cache --quiet "$flag" > /dev/null \
+      2> "$work/hostile.err" || status=$?
+  if [ "$status" -ne 1 ] || ! grep -q "^error: " "$work/hostile.err"; then
+    echo "FAIL: alem_cli run $flag exited $status:" >&2
+    cat "$work/hostile.err" >&2
+    exit 1
+  fi
+done
+echo "runs no environment can be built for rejected as expected"
 
 echo "[5/9] bench path: ALEM_REPORT_DIR export, provenance reports"
 mkdir -p "$work/reports"
